@@ -67,7 +67,6 @@ def ao_solve(
     ao_cfg: AOConfig = AOConfig(),
     pgd_cfg: PGDConfig = PGDConfig(),
     smoothing: SmoothingParams = SmoothingParams(),
-    qp_tol: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray, AOTrace]:
     """Alternate precoder solves and placement sweeps from x_init.
 
@@ -76,7 +75,7 @@ def ao_solve(
     """
     gamma = np.asarray(gamma, dtype=float)
     x = np.array(x_init, dtype=float, copy=True)
-    sol = _solve_at(geom, x, params, symbols, gamma, noise_power, theta_th, qp_tol)
+    sol = _solve_at(geom, x, params, symbols, gamma, noise_power, theta_th)
     power = sol.power
     W = recover_beam_matrix(sol.x_opt, symbols)
 
@@ -91,9 +90,7 @@ def ao_solve(
         x_cand = optimize_all_positions(
             geom, x, W, symbols.s, params, theta_th, smoothing, pgd_cfg
         )
-        sol_cand = _solve_at(
-            geom, x_cand, params, symbols, gamma, noise_power, theta_th, qp_tol
-        )
+        sol_cand = _solve_at(geom, x_cand, params, symbols, gamma, noise_power, theta_th)
         if ao_cfg.guard_enabled and sol_cand.power > power:
             accepted = False
             new_power = power
@@ -117,10 +114,10 @@ def ao_solve(
     return W, x, trace
 
 
-def _solve_at(geom, x, params, symbols, gamma, noise_power, theta_th, qp_tol) -> QPSolution:
+def _solve_at(geom, x, params, symbols, gamma, noise_power, theta_th) -> QPSolution:
     snapshot = effective_channels(geom, x, params)
     qp = build_ci_qp(snapshot, symbols, gamma, noise_power, theta_th)
-    return solve_min_power(qp, tol=qp_tol)
+    return solve_min_power(qp)
 
 
 def fixed_uniform_placement(geom: SystemGeometry) -> np.ndarray:

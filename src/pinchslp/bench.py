@@ -62,7 +62,6 @@ class ExperimentConfig:
     trials: int = 50
     master_seed: int = 1234
     schemes: tuple[str, ...] = SCHEMES
-    qp_tol: float = 1e-9
     smoothing: SmoothingParams = SmoothingParams()
     pgd: PGDConfig = PGDConfig()
     ao: AOConfig = AOConfig()
@@ -213,7 +212,7 @@ def _run_scheme(
         x0 = fixed_uniform_placement(geom)
         _, _, trace = ao_solve(
             geom, params, symbols, gamma_lin, cfg.noise_w, cfg.theta_th, x0,
-            ao_cfg=cfg.ao, pgd_cfg=cfg.pgd, smoothing=cfg.smoothing, qp_tol=cfg.qp_tol,
+            ao_cfg=cfg.ao, pgd_cfg=cfg.pgd, smoothing=cfg.smoothing,
         )
         return trace.powers[-1], trace.iterations, trace.converged
     if scheme == "fixed":
@@ -226,7 +225,7 @@ def _run_scheme(
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     qp = build_ci_qp(snapshot, symbols, gamma_lin, cfg.noise_w, cfg.theta_th)
-    sol = solve_min_power(qp, tol=cfg.qp_tol)
+    sol = solve_min_power(qp)
     return sol.power, 0, sol.feasible
 
 
@@ -289,7 +288,6 @@ def run_convergence(cfg: ExperimentConfig) -> list[ExperimentRecord]:
                     geom, params, symbols, gamma_lin, cfg.noise_w, cfg.theta_th,
                     fixed_uniform_placement(geom),
                     ao_cfg=cfg.ao, pgd_cfg=cfg.pgd, smoothing=cfg.smoothing,
-                    qp_tol=cfg.qp_tol,
                 )
                 for it, p in enumerate(trace.powers):
                     records.append(

@@ -1,8 +1,8 @@
 """Independent brute-force checks: finite differences, grid search, and
 exhaustive active-set enumeration for the CI quadratic program.
 
-These deliberately share no solver code with the main paths they validate;
-the enumeration doubles as the documented fallback of solve_min_power.
+These deliberately share no solver code with the main paths they validate,
+and the library never calls them: they are references for the tests.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 For a fixed placement the problem is a strictly convex QP: minimize the norm of
 the precoded vector x = W s subject to, per user, the two linear inequalities
 that keep the received point inside its PSK decision sector. The solver is
-Hildreth-style dual coordinate ascent on the 2K nonnegative multipliers, with
-an exhaustive active-set enumeration as fallback for small K.
+the Goldfarb-Idnani dual active-set method, which ends in a finite number of
+least-squares steps with either a KKT point or a Farkas certificate of
+infeasibility.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from .channel import ChannelSnapshot
 
 
 class InfeasibleProblemError(RuntimeError):
-    """Raised when no precoded vector can satisfy the CI constraints."""
+    """Raised when no precoded vector can satisfy the CI constraints; farkas
+    holds mu >= 0 with A^T mu = 0 and b^T mu > 0 in the original row scaling."""
+
+    def __init__(self, message: str, farkas: np.ndarray):
+        super().__init__(message)
+        self.farkas = farkas
 
 
 def psk_constellation(order: int) -> np.ndarray:
@@ -73,9 +79,10 @@ class QPSolution:
     """Solver output with a KKT certificate.
 
     power is the recovered beamforming power ||x_opt||^2 / K; duals are the
-    nonnegative multipliers of the 2K inequality rows; kkt_residual is the
-    max of primal violation and complementary slackness on the row-normalized
-    system (stationarity holds by construction).
+    nonnegative multipliers of the 2K inequality rows in the original row
+    scaling; kkt_residual is the max of primal violation and complementary
+    slackness on the row-normalized system (stationarity holds by
+    construction).
     """
 
     x_opt: np.ndarray
@@ -83,8 +90,6 @@ class QPSolution:
     duals: np.ndarray
     kkt_residual: float
     feasible: bool
-    sweeps: int = 0
-    used_fallback: bool = False
 
 
 def build_ci_qp(
@@ -124,88 +129,87 @@ def build_ci_qp(
     return QPInstance(A=A, b=b, row_users=row_users, row_signs=row_signs, num_streams=N)
 
 
-def _split_complex(z: np.ndarray, n: int) -> np.ndarray:
-    return z[:n] + 1j * z[n:]
+_VIOLATION = 1e-14  # violated below -_VIOLATION * max(|bn|, sum(mu)), the rounding scale of z
+_DEPENDENT = 1e-24  # ||d||^2 below this: the entering normal lies in the active span
 
 
-def _kkt_residual(An: np.ndarray, bn: np.ndarray, mu: np.ndarray) -> tuple[float, np.ndarray]:
+def solve_min_power(qp: QPInstance) -> QPSolution:
+    """Minimum-norm feasible point of the CI polyhedron by the Goldfarb-Idnani
+    dual active-set method (Math. Prog. 27, 1983), certified by the KKT
+    residual.
+
+    Works on the row-normalized system with Hessian I, so z = A_n^T mu at
+    every step. From z = 0 it adds the most violated row p: d is the part of
+    a_p orthogonal to the active normals and r their least-squares
+    coefficients, so a step t moves z by t d and the active multipliers by
+    -t r. A full step makes row p tight and activates it; a partial step
+    stops where an active multiplier reaches zero and drops that row. When
+    d = 0 and no active multiplier can decrease, mu = e_p - r is a Farkas
+    vector and InfeasibleProblemError carries it. A final point that
+    violates a row by more than the loop's exit threshold raises a plain
+    RuntimeError rather than being returned uncertified.
+    """
+    m = qp.A.shape[0]
+    norms = np.linalg.norm(qp.A, axis=1)
+    norms = np.where(norms < 1e-300, 1.0, norms)  # zero rows stay zero
+    An = qp.A / norms[:, None]
+    bn = qp.b / norms
+    scale = float(np.abs(bn).max(initial=0.0))
+
+    mu = np.zeros(m)
+    active: list[int] = []
+    p = None  # the row being added, between a partial step and its full step
+    max_steps = 100 * (m + 1)
+    for _ in range(max_steps):
+        z = An.T @ mu
+        if p is None:
+            margins = An @ z - bn
+            margins[active] = math.inf  # tight by construction, up to rounding
+            p = int(np.argmin(margins))
+            if margins[p] >= -_VIOLATION * max(scale, float(np.abs(mu).sum())):
+                break
+        Q, R = np.linalg.qr(An[active].T)
+        c = Q.T @ An[p]
+        d = An[p] - Q @ c
+        r = np.linalg.solve(R, c)
+        dd = float(d @ d)
+        full = (bn[p] - An[p] @ z) / dd if dd > _DEPENDENT else math.inf
+        ratios = np.full(len(active) + 1, math.inf)  # last entry: no blocking row
+        np.divide(mu[active], r, out=ratios[:-1], where=r > 0)
+        j = int(np.argmin(ratios))
+        partial = ratios[j]
+        if math.isinf(full) and math.isinf(partial):
+            farkas = np.zeros(m)
+            farkas[p], farkas[active] = 1.0, -r
+            raise InfeasibleProblemError("CI constraints admit no solution", farkas / norms)
+        t = min(full, partial)
+        mu[active] = np.maximum(mu[active] - t * r, 0.0)
+        mu[p] += t
+        if full <= partial:
+            active.append(p)
+            p = None
+        else:
+            mu[active[j]] = 0.0
+            del active[j]
+    else:
+        raise RuntimeError(f"active-set loop exceeded {max_steps} steps")
+
+    # re-solve the final equality system: the steps above accumulate rounding in mu
+    Q, R = np.linalg.qr(An[active].T)
+    mu[active] = np.maximum(np.linalg.solve(R, np.linalg.solve(R.T, bn[active])), 0.0)
     z = An.T @ mu
     margins = An @ z - bn
     primal = max(0.0, float(-margins.min(initial=0.0)))
+    if primal > _VIOLATION * max(scale, float(mu.sum())):
+        raise RuntimeError(f"active-set solution violates a row by {primal:.3g}")
     comp = float(np.max(np.abs(mu * margins), initial=0.0))
-    return max(primal, comp), z
-
-
-def solve_min_power(
-    qp: QPInstance,
-    tol: float = 1e-9,
-    max_sweeps: int = 20000,
-) -> QPSolution:
-    """Minimum-norm feasible point of the CI polyhedron via dual coordinate
-    ascent (Hildreth), certified by the KKT residual.
-
-    Rows are normalized to unit norm before ascent so the residual tolerance
-    is scale-free. Falls back to the exhaustive active-set oracle if the
-    ascent has not certified within max_sweeps and the instance is small
-    enough to enumerate; raises InfeasibleProblemError when the constraints
-    admit no solution (zero row with positive offset, or diverging duals).
-    """
-    A, b = qp.A, qp.b
-    m = A.shape[0]
-    norms = np.linalg.norm(A, axis=1)
-    dead = norms < 1e-300
-    if np.any(dead & (b > 0)):
-        raise InfeasibleProblemError("constraint row with zero normal and positive offset")
-    norms = np.where(dead, 1.0, norms)
-    An = A / norms[:, None]
-    bn = b / norms
-
-    G = An @ An.T
-    diag = np.diag(G).copy()
-    active = diag > 1e-300  # dead rows never update
-
-    mu = np.zeros(m)
-    resid = math.inf
-    sweeps = 0
-    check_every = 8
-    grow_limit = 1e14 * (1.0 + float(np.abs(bn).max(initial=0.0)))
-    for sweeps in range(1, max_sweeps + 1):
-        for i in range(m):
-            if not active[i]:
-                continue
-            step = (bn[i] - G[i] @ mu) / diag[i]
-            mu[i] = max(0.0, mu[i] + step)
-        if sweeps % check_every == 0 or sweeps == max_sweeps:
-            resid, z = _kkt_residual(An, bn, mu)
-            if resid <= tol:
-                break
-            if np.linalg.norm(mu) > grow_limit:
-                raise InfeasibleProblemError("dual ascent diverged (infeasible CI region)")
-
-    if resid > tol and 2 * qp.num_users <= 12:
-        from .oracles import active_set_qp_oracle
-
-        sol = active_set_qp_oracle(qp)
-        if not sol.feasible:
-            raise InfeasibleProblemError("active-set enumeration found no feasible point")
-        sol.used_fallback = True
-        sol.sweeps = sweeps
-        return sol
-    if resid > tol:
-        raise InfeasibleProblemError(
-            f"dual ascent did not certify within {max_sweeps} sweeps (residual {resid:.2e})"
-        )
-
-    resid, z = _kkt_residual(An, bn, mu)
     n = qp.num_streams
-    x_opt = _split_complex(z, n)
     return QPSolution(
-        x_opt=x_opt,
+        x_opt=z[:n] + 1j * z[n:],
         power=float(z @ z) / qp.num_users,
         duals=mu / norms,
-        kkt_residual=resid,
+        kkt_residual=max(primal, comp),
         feasible=True,
-        sweeps=sweeps,
     )
 
 

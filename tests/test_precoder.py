@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pinchslp.ao import fixed_uniform_placement
+from pinchslp.bench import ExperimentConfig, generate_scenario
 from pinchslp.channel import ChannelSnapshot, WaveformParams, ci_margin, effective_channels, received_lambda
 from pinchslp.geometry import Vec3, initial_regions, make_geometry
 from pinchslp.oracles import active_set_qp_oracle
 from pinchslp.precoder import (
     InfeasibleProblemError,
+    QPInstance,
     SymbolVector,
     build_ci_qp,
     db_to_linear,
@@ -46,6 +49,34 @@ def random_instance(rng, num_users, num_waveguides=4, num_pas=3):
     symbols = psk_symbols(rng.integers(0, 4, num_users), 4)
     gamma = np.full(num_users, db_to_linear(rng.uniform(10, 20)))
     return build_ci_qp(snap, symbols, gamma, NOISE_W, THETA), snap, symbols, gamma
+
+
+def overloaded_instance():
+    """Nine users on four waveguides, 18 CI rows in 8 unknowns: overloaded,
+    yet feasible."""
+    cfg = ExperimentConfig(num_users=9, master_seed=7)
+    geom, symbols = generate_scenario(cfg, 20, num_pas=5)
+    snap = effective_channels(geom, fixed_uniform_placement(geom), cfg.params)
+    return build_ci_qp(snap, symbols, np.full(9, 10.0), cfg.noise_w, cfg.theta_th)
+
+
+def assert_farkas(qp, mu):
+    """mu >= 0, b^T mu > 0 and A^T mu = 0 relative to the row mass: no z
+    satisfies A z >= b."""
+    assert np.all(mu >= 0)
+    assert qp.b @ mu > 0
+    row_mass = np.sum(mu * np.linalg.norm(qp.A, axis=1))
+    assert np.linalg.norm(qp.A.T @ mu) <= 1e-9 * row_mass
+
+
+def power_or_none(qp):
+    """Minimum power, or None after checking the Farkas vector of an
+    infeasible instance."""
+    try:
+        return solve_min_power(qp).power
+    except InfeasibleProblemError as exc:
+        assert_farkas(qp, exc.farkas)
+        return None
 
 
 class TestUnits:
@@ -122,40 +153,54 @@ class TestSolveMinPower:
         assert sol.power == pytest.approx(expected, rel=1e-8)
 
     def test_channel_scaling_law(self):
-        rng = np.random.default_rng(1)
-        rows = (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))) * 1e-4
-        symbols = psk_symbols([0, 1, 3], 4)
-        gamma = np.full(3, 100.0)
-        p1 = solve_min_power(
-            build_ci_qp(snapshot_from_rows(rows), symbols, gamma, NOISE_W, THETA)
-        ).power
-        c = 3.7
-        p2 = solve_min_power(
-            build_ci_qp(snapshot_from_rows(c * rows), symbols, gamma, NOISE_W, THETA)
-        ).power
-        assert p2 == pytest.approx(p1 / c**2, rel=1e-6)
+        # feasibility of the CI region depends on the scale of neither
+        for users, row_scale, gamma_scale, power_scale, feasible in (
+            (3, 3.7, 1.0, 3.7**-2, True),  # channel x c: power / c^2
+            (7, 1.0, 3.7, 3.7, True),  # every gamma_k x c: power x c
+            (8, 1.0, 3.7, None, False),  # infeasible at every gamma
+        ):
+            rng = np.random.default_rng(1)
+            rows = (rng.normal(size=(users, 4)) + 1j * rng.normal(size=(users, 4))) * 1e-4
+            symbols = psk_symbols(np.resize([0, 1, 3], users), 4)
+            gamma = np.full(users, 100.0)
+            p1 = power_or_none(
+                build_ci_qp(snapshot_from_rows(rows), symbols, gamma, NOISE_W, THETA)
+            )
+            p2 = power_or_none(
+                build_ci_qp(snapshot_from_rows(row_scale * rows), symbols,
+                            gamma_scale * gamma, NOISE_W, THETA)
+            )
+            if feasible:
+                assert p1 is not None and p2 is not None
+                assert p2 == pytest.approx(p1 * power_scale, rel=1e-6)
+            else:
+                assert p1 is None and p2 is None
 
     def test_matches_enumeration_oracle(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            K = int(rng.integers(2, 5))
-            qp, *_ = random_instance(rng, K)
-            sol = solve_min_power(qp)
-            oracle = active_set_qp_oracle(qp)
-            assert oracle.feasible
-            assert sol.power == pytest.approx(oracle.power, rel=1e-6)
+        # K <= 4 is always feasible here; K in {5, 6} includes infeasible draws
+        for low, high in ((2, 5), (5, 7)):
+            rng = np.random.default_rng(2)
+            for _ in range(20):
+                K = int(rng.integers(low, high))
+                qp, *_ = random_instance(rng, K)
+                power = power_or_none(qp)
+                oracle = active_set_qp_oracle(qp)
+                assert oracle.feasible or K > 4
+                if oracle.feasible:
+                    assert power == pytest.approx(oracle.power, rel=1e-6)
+                else:
+                    assert power is None
 
     def test_kkt_certificate(self):
-        rng = np.random.default_rng(3)
-        qp, *_ = random_instance(rng, 4)
-        sol = solve_min_power(qp, tol=1e-9)
-        assert sol.kkt_residual <= 1e-9
-        assert np.all(sol.duals >= 0)
-        # stationarity: x is the cone combination of constraint normals
-        z = np.concatenate([sol.x_opt.real, sol.x_opt.imag])
-        assert np.allclose(qp.A.T @ sol.duals, z, atol=1e-12)
-        margins = qp.A @ z - qp.b
-        assert margins.min() >= -1e-12
+        for qp in (random_instance(np.random.default_rng(3), 4)[0], overloaded_instance()):
+            sol = solve_min_power(qp)
+            assert sol.kkt_residual <= 1e-9
+            assert np.all(sol.duals >= 0)
+            # stationarity: x is the cone combination of constraint normals
+            z = np.concatenate([sol.x_opt.real, sol.x_opt.imag])
+            assert np.allclose(qp.A.T @ sol.duals, z, atol=1e-12)
+            margins = qp.A @ z - qp.b
+            assert margins.min() >= -1e-12
 
     def test_solution_margins_feasible(self):
         rng = np.random.default_rng(4)
@@ -190,8 +235,13 @@ class TestSolveMinPower:
     def test_zero_channel_infeasible(self):
         snap = snapshot_from_rows(np.zeros((1, 2), dtype=complex))
         qp = build_ci_qp(snap, psk_symbols([0], 4), np.array([100.0]), NOISE_W, THETA)
-        with pytest.raises(InfeasibleProblemError):
-            solve_min_power(qp)
+        assert power_or_none(qp) is None
+
+    def test_contradictory_pair_infeasible(self):
+        qp = QPInstance(A=np.array([[1.0, 0.0], [-1.0, 0.0]]), b=np.array([1.0, 1.0]),
+                        row_users=np.array([0, 0]), row_signs=np.array([1, -1]),
+                        num_streams=1)  # z0 >= 1 and z0 <= -1
+        assert power_or_none(qp) is None
 
 
 class TestBeamRecovery:
