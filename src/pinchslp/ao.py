@@ -10,6 +10,7 @@ the relative-change stopping rule always terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -37,8 +38,13 @@ class AOConfig:
     guard_enabled: bool = True
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not (isinstance(self.max_iters, Integral) and not isinstance(self.max_iters, bool)
+                and self.max_iters >= 0):
+            raise ValueError("max_iters must be a non-negative integer")
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        if not isinstance(self.guard_enabled, bool):
+            raise ValueError("guard_enabled must be true or false")
 
 
 @dataclass

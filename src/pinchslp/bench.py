@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +46,24 @@ class ConfigError(ValueError):
     """Raised for malformed or unknown configuration content."""
 
 
+_SUBCONFIG_TYPES = {"smoothing": SmoothingParams, "pgd": PGDConfig, "ao": AOConfig}
+
+
+# Exact type tests first: the ABC checks cost about a microsecond each, and
+# every dataclasses.replace of a config re-runs the validation.
+def _is_int(v) -> bool:
+    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
+
+
+def _is_real(v) -> bool:
+    return (type(v) is float or _is_int(v) or (isinstance(v, Real) and not isinstance(v, bool))
+            ) and math.isfinite(v)
+
+
+def _as_tuple(v) -> tuple:
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     carrier_freq_hz: float = 2.8e10
@@ -67,15 +86,40 @@ class ExperimentConfig:
     ao: AOConfig = AOConfig()
 
     def __post_init__(self):
+        if not self.schemes:
+            raise ConfigError("schemes must name at least one scheme")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; pick from {SCHEMES}")
-        if self.trials <= 0:
-            raise ConfigError("trials must be positive")
-        for name in ("carrier_freq_hz", "refractive_index", "region_side_m",
+        for name in ("num_waveguides", "num_users", "psk_order", "trials", "master_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        for name in ("carrier_freq_hz", "refractive_index", "noise_dbm", "region_side_m",
                      "height_m", "waveguide_length_m"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        for name in ("num_waveguides", "num_users", "trials", "carrier_freq_hz",
+                     "refractive_index", "region_side_m", "height_m", "waveguide_length_m"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.psk_order < 2:
+            raise ConfigError("psk_order must be at least 2")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be non-negative")
+        if self.min_spacing_m is not None and not (
+                _is_real(self.min_spacing_m) and self.min_spacing_m >= 0):
+            raise ConfigError("min_spacing_m must be null or a non-negative number")
+        gammas, pas = self.gamma_sweep(), self.num_pas_sweep()
+        if not gammas or not all(_is_real(g) for g in gammas):
+            raise ConfigError("gamma_db must be one or more finite numbers")
+        if not pas or not all(_is_int(l) and l > 0 for l in pas):
+            raise ConfigError("num_pas must be one or more positive integers")
+        if (max(pas) - 1) * self.spacing > self.waveguide_length_m:
+            raise ConfigError(f"waveguide_length_m cannot fit {max(pas)} antennas "
+                              f"at spacing {self.spacing}")
+        for key, cls in _SUBCONFIG_TYPES.items():
+            if not isinstance(getattr(self, key), cls):
+                raise ConfigError(f"{key} must be a {cls.__name__}")
 
     @property
     def params(self) -> WaveformParams:
@@ -96,15 +140,10 @@ class ExperimentConfig:
         return math.pi / self.psk_order
 
     def gamma_sweep(self) -> tuple[float, ...]:
-        g = self.gamma_db
-        return tuple(g) if isinstance(g, (tuple, list)) else (float(g),)
+        return _as_tuple(self.gamma_db)
 
     def num_pas_sweep(self) -> tuple[int, ...]:
-        l = self.num_pas
-        return tuple(l) if isinstance(l, (tuple, list)) else (int(l),)
-
-
-_SUBCONFIG_TYPES = {"smoothing": SmoothingParams, "pgd": PGDConfig, "ao": AOConfig}
+        return _as_tuple(self.num_pas)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -122,7 +161,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             sub_unknown = set(sub) - set(cls.__dataclass_fields__)
             if sub_unknown:
                 raise ConfigError(f"unknown {key} keys: {sorted(sub_unknown)}")
-            kwargs[key] = cls(**sub)
+            try:
+                kwargs[key] = cls(**sub)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
     for key in ("schemes", "gamma_db", "num_pas"):
         if key in kwargs and isinstance(kwargs[key], list):
             kwargs[key] = tuple(kwargs[key])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -15,8 +16,10 @@ from pinchslp.bench import (
     run_power_vs_numpas,
     run_power_vs_sinr,
 )
+from pinchslp.ao import fixed_uniform_placement
 from pinchslp.cli import main as cli_main
-from pinchslp.placement import PGDConfig
+from pinchslp.placement import PGDConfig, SmoothingParams, optimize_all_positions
+from pinchslp.precoder import recover_beam_matrix
 
 FAST = dict(
     num_waveguides=2,
@@ -254,9 +257,102 @@ class TestCli:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"num_users": 0}, "num_users must be positive"),
+        ({"num_pas": 0}, "num_pas must be one or more positive integers"),
+        ({"pgd": {"max_iters": 1.5}}, "pgd: max_iters, max_backtracks and restarts must be integers"),
+        ({"trials": 1.5}, "trials must be an integer"),
+        ({"noise_dbm": "x"}, "noise_dbm must be a finite number"),
+        ({"psk_order": 1}, "psk_order must be at least 2"),
+        ({"gamma_db": []}, "gamma_db must be one or more finite numbers"),
+        ({"num_waveguides": 0}, "num_waveguides must be positive"),
+        ({"pgd": {"restarts": -1}}, "restarts >= 0"),
+        ({"smoothing": {"adaptive": "no"}}, "smoothing: adaptive must be true or false"),
+        ({"ao": {"max_iters": 2.5}}, "ao: max_iters must be a non-negative integer"),
+        ({"schemes": []}, "schemes must name at least one scheme"),
+        ({"num_pas": 5000}, "waveguide_length_m cannot fit 5000 antennas"),
+        ({"master_seed": -3}, "master_seed must be non-negative"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
+        cfg = self.write_cfg(tmp_path, **overrides)
+        code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
+                         "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(
             ["run", "--config", str(tmp_path / "nope.json"),
              "--experiment", "power-vs-sinr"]
         )
         assert code == 2
+
+
+def _csv_sha256(records, tmp_path):
+    path = tmp_path / "golden.csv"
+    emit_csv(records, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Placements of the position sweep, recorded as float.hex before the sweep
+# was batched over waveguides; (L, smoothing, pgd) -> row-major N x L entries.
+GOLDEN_PLACEMENTS = {
+    (3, SmoothingParams(), PGDConfig()): (
+        "0x1.a4c2f5bc8cf21p+1 0x1.4ef182499bb5cp+3 0x1.127dcf2ed1d1bp+4 "
+        "0x1.de19161cc786dp+1 0x1.50057aef79a29p+3 0x1.072028f4184acp+4 "
+        "0x1.08fd58108306ap-2 0x1.f8cc8b95c9ddep-1 0x1.e5e631cc2a2d8p+3 "
+        "0x1.3faf338e06edep+1 0x1.aa97ee9f3139dp+3 0x1.c9ffc701fe98cp+3"
+    ),
+    (5, SmoothingParams(), PGDConfig(restarts=2)): (
+        "0x1.0cb9cc3365fc6p+1 0x1.3be708e6da6dcp+2 0x1.48124c4905921p+2 "
+        "0x1.7ce19b5f84347p+3 0x1.206c48afdd8c9p+4 0x1.2c94cb3a30c7fp+0 "
+        "0x1.4b87ee23e464ap+0 0x1.6eb2b3d86174bp+3 0x1.a46e4cc94695ap+3 "
+        "0x1.3fec14ed5cf8bp+4 0x1.f4e4dad83f89dp+1 0x1.f0bb076d58f8fp+2 "
+        "0x1.7f5116f9f9d7ap+3 0x1.db89dc68d00a5p+3 0x1.3fbaf3f2918d3p+4 "
+        "0x1.288bb000dddf3p+1 0x1.681e0faf827bap+2 0x1.538fd6b8bdb88p+3 "
+        "0x1.f474d4e179342p+3 0x1.f7a2346263723p+3"
+    ),
+    (7, SmoothingParams(eps=1e-6, adaptive=False), PGDConfig()): (
+        "0x1.b6fbbdc28f870p+0 0x1.1bca7690077d0p+2 0x1.03b5a7fb07e59p+3 "
+        "0x1.4216836711944p+3 0x1.831c3dd9e0d8cp+3 0x1.124602a51bf8bp+4 "
+        "0x1.29302c40070ffp+4 0x1.924eefe81b213p+0 0x1.6d7834e62f6e4p+2 "
+        "0x1.12301528dfc5bp+3 0x1.1526780f1e1c9p+3 0x1.a535534a1d815p+3 "
+        "0x1.a5642800e57f5p+3 0x1.4000000000000p+4 0x1.7d74a7a9b7fc1p+0 "
+        "0x1.5e7ccbe6c53e9p+2 0x1.b2a133fde5780p+2 0x1.3fb75691b63c1p+3 "
+        "0x1.c9180a946fe2ep+3 0x1.f9a982270092bp+3 0x1.f9d55d1f78f8bp+3 "
+        "0x1.0d21c9fa6f966p-5 0x1.04b3052fa85a0p+2 0x1.0ebd9098f1579p+3 "
+        "0x1.4cb2b18fd14a1p+3 0x1.9d467e2e61185p+3 0x1.ea27cfc93a60ap+3 "
+        "0x1.2c9618a3792b7p+4"
+    ),
+}
+
+
+class TestGoldenOutputs:
+    """Bit-identity against outputs recorded before the placement sweep was
+    batched: a pure speed-up must not move a single bit."""
+
+    def test_convergence_csv(self, tmp_path):
+        cfg = ExperimentConfig(trials=2, num_pas=(3, 5), gamma_db=16.0, schemes=("proposed",))
+        assert _csv_sha256(run_convergence(cfg), tmp_path) == (
+            "eb917acdd2cb825f9d593cae16e0af8b34b2bbd037ba77b68c23e300df9e8b1f"
+        )
+
+    def test_power_vs_sinr_csv_with_restarts(self, tmp_path):
+        cfg = ExperimentConfig(trials=1, gamma_db=(10.0, 20.0), pgd=PGDConfig(restarts=2))
+        assert _csv_sha256(run_power_vs_sinr(cfg), tmp_path) == (
+            "06ab6aff45cab4946af030af5dbb95e8020a08624b6c9d8ffef1ee9e9e0b4e4f"
+        )
+
+    @pytest.mark.parametrize("case", list(GOLDEN_PLACEMENTS), ids=lambda c: f"L{c[0]}")
+    def test_optimize_all_positions(self, case):
+        L, smoothing, pgd = case
+        cfg = ExperimentConfig(master_seed=77)
+        geom, symbols = generate_scenario(cfg, L, num_pas=L)
+        rng = np.random.default_rng([77, L])
+        W = recover_beam_matrix(0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4)), symbols)
+        x = optimize_all_positions(
+            geom, fixed_uniform_placement(geom), W, symbols.s, cfg.params,
+            cfg.theta_th, smoothing, pgd,
+        )
+        assert [v.hex() for v in x.ravel().tolist()] == GOLDEN_PLACEMENTS[case].split()

@@ -1,10 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pinchslp.channel import WaveformParams, ci_margin, effective_channels, received_lambda
-from pinchslp.geometry import MovableRegion, Vec3, initial_regions, make_geometry, validate_placement
+from pinchslp.geometry import (
+    MovableRegion,
+    Vec3,
+    initial_regions,
+    make_geometry,
+    updated_region,
+    validate_placement,
+)
 from pinchslp.oracles import fd_gradient
 from pinchslp.placement import (
     PGDConfig,
@@ -435,6 +443,99 @@ class TestOptimizeAllPositions:
         )
         assert x.shape == (4, 1)
         assert np.all((x >= 0) & (x <= 20))
+
+
+def stack_rows(rows):
+    """Stack one-row terms that share their users into one SubproblemTerms."""
+    return replace(
+        rows[0],
+        amp=np.stack([t.amp for t in rows]),
+        phase_off=np.stack([t.phase_off for t in rows]),
+        waveguide_y=np.array([t.waveguide_y for t in rows]),
+    )
+
+
+def sequential_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
+    """The per-antenna sweep built from one-row calls: each waveguide on its
+    own, each start its own pgd_solve, the first best start kept."""
+    regions = initial_regions(geom)
+    x = np.array(x_current, dtype=float, copy=True)
+    for n in range(geom.num_waveguides):
+        terms = build_subproblem_terms(geom, n, W, s, PARAMS, THETA)
+        prev = None
+        for l in range(geom.num_pas_per_waveguide):
+            region = updated_region(l, prev, regions[l], geom.min_spacing)
+            x_warm = project(x[n, l], region)
+            eps = pick_eps(terms, x_warm, smoothing)
+            starts = [x_warm, *np.linspace(region.lower, region.upper, cfg.restarts)]
+            seen = []
+            ends = [pgd_solve(terms, region, eps, cfg, x0, callback=lambda t, f: seen.append(t))
+                    for x0 in starts]
+            if iterations is not None:
+                iterations[n, l] = len(seen) - len(starts)
+            vals = [subproblem_objective(terms, e, eps) for e in ends]
+            x[n, l] = prev = ends[int(np.argmin(vals))]
+    return x
+
+
+class TestLockstepRows:
+    """Stacked rows must reproduce the one-row path of every row exactly."""
+
+    CASES = [
+        (SmoothingParams(), PGDConfig()),
+        (SmoothingParams(), PGDConfig(restarts=2)),
+        (SmoothingParams(), PGDConfig(max_iters=3, max_backtracks=6)),
+        (SmoothingParams(eps=1e-6, adaptive=False), PGDConfig(restarts=1)),
+    ]
+
+    @pytest.mark.parametrize("smoothing, cfg", CASES)
+    def test_sweep_matches_independent_rows(self, smoothing, cfg):
+        rng = np.random.default_rng(30)
+        for num_users, num_pas in ((4, 5), (3, 1), (5, 3)):
+            geom, symbols, W = demo_setup(rng, num_users=num_users, num_pas=num_pas)
+            x0 = np.tile((np.arange(num_pas) + 0.5) * 20.0 / num_pas, (4, 1))
+            expected = sequential_sweep(geom, x0, W, symbols.s, smoothing, cfg)
+            got = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing, cfg)
+            assert np.array_equal(got, expected)
+
+    def test_rows_retiring_at_different_iterations(self):
+        # waveguide 0 has zero beams and stops after one step; waveguide 1
+        # starts from its own converged sweep and stops within a few; the
+        # others descend for many steps while those rows sit retired
+        rng = np.random.default_rng(31)
+        geom, symbols, W = demo_setup(rng)
+        W[0] = 0.0
+        smoothing, cfg = SmoothingParams(), PGDConfig()
+        x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
+        x0[1] = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing, cfg)[1]
+        iterations = np.zeros((4, 5), dtype=int)
+        expected = sequential_sweep(geom, x0, W, symbols.s, smoothing, cfg, iterations)
+        got = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing, cfg)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got[0], x0[0])
+        assert np.all(iterations[0] == 1)
+        assert np.all(iterations[1] <= 3)
+        assert iterations[2:].max() >= 5
+
+    def test_stacked_pgd_solve_matches_single_rows(self):
+        rng = np.random.default_rng(32)
+        base = random_terms(rng)
+        rows = [replace(base, amp=rng.uniform(0, 0.1, 4), phase_off=rng.uniform(-np.pi, np.pi, (4, 4)),
+                        waveguide_y=float(rng.uniform(0, 20))) for _ in range(5)]
+        rows[2] = replace(rows[2], amp=np.zeros(4))
+        lower = rng.uniform(0, 10, 5)
+        upper = lower + rng.uniform(0, 6, 5)
+        upper[3] = lower[3]  # a point region: the row cannot move at all
+        x0 = rng.uniform(lower, upper)
+        eps = np.array([pick_eps(t, x, SmoothingParams()) for t, x in zip(rows, x0)])
+        seen = []
+        got = pgd_solve(stack_rows(rows), MovableRegion(lower, upper), eps, PGDConfig(), x0,
+                        callback=lambda t, f: seen.append(f))
+        for i, t in enumerate(rows):
+            single = pgd_solve(t, MovableRegion(lower[i], upper[i]), eps[i], PGDConfig(), x0[i])
+            assert got[i] == single
+        assert np.all(np.diff(np.array(seen), axis=0) <= 0.0)
+        assert np.array_equal(pick_eps(stack_rows(rows), x0, SmoothingParams()), eps)
 
 
 class TestPlacementObjectiveExact:
