@@ -20,10 +20,8 @@ from .channel import (
     WaveformParams,
     ci_margin,
     effective_channels,
-    freespace_channel,
     received_lambda,
     sinr,
-    waveguide_phase_vector,
 )
 from .geometry import (
     MovableRegion,
@@ -32,24 +30,17 @@ from .geometry import (
     Vec3,
     initial_regions,
     make_geometry,
-    pa_position,
     updated_region,
-    user_pa_distance,
     validate_placement,
 )
 from .placement import (
     PGDConfig,
     SmoothingParams,
     SubproblemTerms,
-    armijo_step,
     build_subproblem_terms,
-    g_terms,
     optimize_all_positions,
     pgd_solve,
-    phi_branches,
     placement_objective_exact,
-    project,
-    smooth_term,
     subproblem_gradient,
     subproblem_objective,
 )
@@ -77,16 +68,13 @@ __all__ = [
     "fixed_uniform_placement", "random_placement",
     # channel
     "SPEED_OF_LIGHT", "ChannelSnapshot", "WaveformParams", "ci_margin",
-    "effective_channels", "freespace_channel", "received_lambda", "sinr",
-    "waveguide_phase_vector",
+    "effective_channels", "received_lambda", "sinr",
     # geometry
     "MovableRegion", "PlacementReport", "SystemGeometry", "Vec3", "initial_regions",
-    "make_geometry", "pa_position", "updated_region", "user_pa_distance",
-    "validate_placement",
+    "make_geometry", "updated_region", "validate_placement",
     # placement
-    "PGDConfig", "SmoothingParams", "SubproblemTerms", "armijo_step",
-    "build_subproblem_terms", "g_terms", "optimize_all_positions", "pgd_solve",
-    "phi_branches", "placement_objective_exact", "project", "smooth_term",
+    "PGDConfig", "SmoothingParams", "SubproblemTerms", "build_subproblem_terms",
+    "optimize_all_positions", "pgd_solve", "placement_objective_exact",
     "subproblem_gradient", "subproblem_objective",
     # precoder
     "InfeasibleProblemError", "QPInstance", "QPSolution", "SymbolVector", "build_ci_qp",

@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .channel import ChannelSnapshot, WaveformParams, effective_channels
-from .geometry import SystemGeometry, initial_regions
+from .geometry import SystemGeometry, distances, initial_regions
 from .placement import (
     PGDConfig,
     SmoothingParams,
@@ -155,14 +155,9 @@ def conventional_array_snapshot(
     chain, with no in-guide phase response: each effective entry is the raw
     free-space channel eta * e^{-j*beta0*q} / q.
     """
-    spacing = params.wavelength / 2.0
-    ax = np.arange(geom.num_waveguides) * spacing
-    ay = geom.region_side / 2.0
-    ux = np.array([u.x for u in geom.users])
-    uy = np.array([u.y for u in geom.users])
-    dist = np.sqrt(
-        (ux[:, None] - ax[None, :]) ** 2 + (uy[:, None] - ay) ** 2 + geom.height**2
-    )
+    ax = np.arange(geom.num_waveguides) * (params.wavelength / 2.0)
+    ux, uy = geom.user_xy[:, 0], geom.user_xy[:, 1]
+    dist = distances(ux, uy, ax, geom.region_side / 2.0, geom.height).T  # [k, i]
     raw = params.eta * np.exp(-1j * params.beta0 * dist) / dist
     return ChannelSnapshot(
         effective=raw, raw=raw[:, :, None], distances=dist[:, :, None]

@@ -56,8 +56,11 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return (type(v) is float or _is_int(v) or (isinstance(v, Real) and not isinstance(v, bool))
-            ) and math.isfinite(v)
+    try:
+        return (type(v) is float or _is_int(v) or (isinstance(v, Real) and not isinstance(v, bool))
+                ) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _as_tuple(v) -> tuple:
@@ -104,6 +107,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.psk_order < 2:
             raise ConfigError("psk_order must be at least 2")
+        if self.psk_order == 2:
+            raise ConfigError("psk_order 2 (BPSK) is not supported: its decision region is the "
+                              "half-plane sector theta = pi/2, where tan(theta) is unbounded")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         if self.min_spacing_m is not None and not (
@@ -114,7 +120,7 @@ class ExperimentConfig:
             raise ConfigError("gamma_db must be one or more finite numbers")
         if not pas or not all(_is_int(l) and l > 0 for l in pas):
             raise ConfigError("num_pas must be one or more positive integers")
-        if (max(pas) - 1) * self.spacing > self.waveguide_length_m:
+        if not _is_real(max(pas)) or (max(pas) - 1) * self.spacing > self.waveguide_length_m:
             raise ConfigError(f"waveguide_length_m cannot fit {max(pas)} antennas "
                               f"at spacing {self.spacing}")
         for key, cls in _SUBCONFIG_TYPES.items():
@@ -178,7 +184,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer too long to parse
             raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top-level JSON must be an object")

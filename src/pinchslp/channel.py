@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SystemGeometry, Vec3
+from .geometry import SystemGeometry, distances
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s, pinned for reproducible wavelengths
 
@@ -68,33 +68,6 @@ class ChannelSnapshot:
         return self.effective.shape[0]
 
 
-def waveguide_phase_vector(x_n: np.ndarray, params: WaveformParams) -> np.ndarray:
-    """Phase response of the L antennas on one waveguide, entry (1/sqrt(L))*e^{-j*beta1*x}.
-
-    The vector always has unit Euclidean norm.
-    """
-    x = np.asarray(x_n, dtype=float)
-    return np.exp(-1j * params.beta1 * x) / math.sqrt(x.size)
-
-
-def freespace_channel(
-    user: Vec3, pa_positions: list[Vec3], params: WaveformParams
-) -> np.ndarray:
-    """LoS channel row from L antenna points to one user.
-
-    Entry l has modulus eta/q_l and phase -beta0*q_l (row convention of the
-    effective-channel product).
-    """
-    q = np.array([user_distance(user, p) for p in pa_positions])
-    return params.eta * np.exp(-1j * params.beta0 * q) / q
-
-
-def user_distance(user: Vec3, point: Vec3) -> float:
-    return math.sqrt(
-        (user.x - point.x) ** 2 + (user.y - point.y) ** 2 + (user.z - point.z) ** 2
-    )
-
-
 def effective_channels(
     geom: SystemGeometry, x_coords: np.ndarray, params: WaveformParams
 ) -> ChannelSnapshot:
@@ -107,14 +80,8 @@ def effective_channels(
     N, L = geom.num_waveguides, geom.num_pas_per_waveguide
     if x.shape != (N, L):
         raise ValueError(f"placement shape {x.shape} != ({N}, {L})")
-    ux = np.array([u.x for u in geom.users])
-    uy = np.array([u.y for u in geom.users])
-    wy = np.asarray(geom.waveguide_y)
-
-    # distances[k, n, l]
-    dx = ux[:, None, None] - x[None, :, :]
-    dy = uy[:, None] - wy[None, :]
-    dist = np.sqrt(dx**2 + dy[:, :, None] ** 2 + geom.height**2)
+    ux, uy, wy = geom.user_xy[:, 0], geom.user_xy[:, 1], np.asarray(geom.waveguide_y)[:, None]
+    dist = distances(ux, uy, x, wy, geom.height).transpose(2, 0, 1)  # [k, n, l]
     raw = params.eta * np.exp(-1j * params.beta0 * dist) / dist
     guide = np.exp(-1j * params.beta1 * x) / math.sqrt(L)
     effective = np.einsum("knl,nl->kn", raw, guide)

@@ -40,18 +40,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, master_seed=args.seed)
         records = EXPERIMENTS[args.experiment](cfg)
+        emit_csv(records, args.out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    feasible = [r for r in records if r.converged]
-    if not feasible:
+    if not any(r.converged for r in records):
         print("error: every trial was infeasible", file=sys.stderr)
-        emit_csv(records, args.out)
         return 1
-    emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,9 +26,6 @@ class Vec3:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"non-finite coordinates: {(self.x, self.y, self.z)}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 class MovableRegion(NamedTuple):
@@ -96,6 +94,22 @@ class SystemGeometry:
     def num_users(self) -> int:
         return len(self.users)
 
+    @cached_property
+    def user_xy(self) -> np.ndarray:
+        """Read-only K x 2 array of the user plane coordinates (x, y)."""
+        xy = np.array([(u.x, u.y) for u in self.users], dtype=float).reshape(-1, 2)
+        xy.flags.writeable = False
+        return xy
+
+
+def distances(ux: np.ndarray, uy: np.ndarray, x, y, height: float) -> np.ndarray:
+    """Distances from ground users at (ux, uy, 0) to antennas at (x, y, height).
+
+    x and y broadcast against each other; the users go on a new last axis.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    return np.sqrt((ux - x[..., None]) ** 2 + (uy - y[..., None]) ** 2 + height**2)
+
 
 def make_geometry(
     region_side: float,
@@ -120,25 +134,6 @@ def make_geometry(
         num_pas_per_waveguide=num_pas_per_waveguide,
         users=tuple(users),
     )
-
-
-def pa_position(geom: SystemGeometry, n: int, l: int, x: float) -> Vec3:
-    """3-D position of antenna l on waveguide n when placed at coordinate x.
-
-    Indices are 0-based; x must lie within [0, waveguide_length].
-    """
-    if not 0 <= n < geom.num_waveguides:
-        raise IndexError(f"waveguide index {n} out of range")
-    if not 0 <= l < geom.num_pas_per_waveguide:
-        raise IndexError(f"antenna index {l} out of range")
-    if not 0 <= x <= geom.waveguide_length:
-        raise ValueError(f"x={x} outside [0, {geom.waveguide_length}]")
-    return Vec3(x, geom.waveguide_y[n], geom.height)
-
-
-def user_pa_distance(user: Vec3, pa: Vec3) -> float:
-    """Euclidean distance between a ground user and an antenna point."""
-    return math.sqrt((user.x - pa.x) ** 2 + (user.y - pa.y) ** 2 + (user.z - pa.z) ** 2)
 
 
 def initial_regions(geom: SystemGeometry) -> list[MovableRegion]:

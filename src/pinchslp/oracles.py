@@ -1,21 +1,74 @@
-"""Independent brute-force checks: finite differences, grid search, and
-exhaustive active-set enumeration for the CI quadratic program.
+"""Independent brute-force checks: scalar channel and subproblem terms,
+finite differences, grid search, and exhaustive active-set enumeration for the
+CI quadratic program.
 
 These deliberately share no solver code with the main paths they validate,
-and the library never calls them: they are references for the tests.
+and the library never calls them: they are references for the tests. The
+scalar helpers recompute every distance and phase term by term with `math`;
+only the data types and, for the grid search, subproblem_objective come from
+the library.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import MovableRegion
+from .channel import WaveformParams
+from .geometry import MovableRegion, Vec3
 from .placement import SubproblemTerms, subproblem_objective
 from .precoder import QPInstance, QPSolution
+
+
+def user_distance(user: Vec3, point: Vec3) -> float:
+    """Euclidean distance between two points."""
+    dx, dy, dz = user.x - point.x, user.y - point.y, user.z - point.z
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def freespace_channel(user: Vec3, pa_positions: Sequence[Vec3],
+                      params: WaveformParams) -> np.ndarray:
+    """LoS channel row from antenna points to one user: entry l has modulus
+    eta/q_l and phase -beta0*q_l."""
+    qs = [user_distance(user, p) for p in pa_positions]
+    return np.array([cmath.rect(params.eta / q, -params.beta0 * q) for q in qs])
+
+
+def waveguide_phase_vector(x_n: Sequence[float], params: WaveformParams) -> np.ndarray:
+    """In-guide response of the antennas on one waveguide: entry l is
+    e^{-j*beta1*x_l}/sqrt(L), a unit-norm vector."""
+    scale = 1.0 / math.sqrt(len(x_n))
+    return np.array([cmath.rect(scale, -params.beta1 * float(x)) for x in x_n])
+
+
+def g_terms(terms: SubproblemTerms, x: float, m: int, k: int) -> tuple[float, float]:
+    """Imaginary and real g-components of the (m, k) pair of an unstacked
+    subproblem at antenna position x."""
+    pa = Vec3(float(x), float(terms.waveguide_y), float(terms.height))
+    q = user_distance(Vec3(float(terms.user_x[k]), float(terms.user_y[k]), 0.0), pa)
+    ang = -terms.beta0 * q - terms.beta1 * float(x) + float(terms.phase_off[m, k])
+    scale = float(terms.amp[m]) / q
+    return scale * math.sin(ang), scale * math.cos(ang)
+
+
+def phi_branches(terms: SubproblemTerms, x: float, m: int, k: int) -> tuple[float, float]:
+    """The two branches of |g_im| - g_re*tan(th): (g_im - g_re*t, -g_im - g_re*t)."""
+    g_im, g_re = g_terms(terms, x, m, k)
+    base = -g_re * terms.tan_th
+    return g_im + base, -g_im + base
+
+
+def smooth_term(terms: SubproblemTerms, x: float, m: int, k: int, eps: float) -> float:
+    """Log-sum-exp of the two branches at temperature eps, in the overflow-free
+    form max + eps*log(1 + e^{-|bar - hat|/eps})."""
+    bar, hat = phi_branches(terms, x, m, k)
+    hi, lo = max(bar, hat), min(bar, hat)
+    return hi + eps * math.log1p(math.exp((lo - hi) / eps))
 
 
 @dataclass

@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import WaveformParams
-from .geometry import (MovableRegion, SystemGeometry, initial_regions, updated_region,
-                       validate_placement)
+from .channel import WaveformParams, effective_channels
+from .geometry import (MovableRegion, SystemGeometry, distances, initial_regions,
+                       updated_region, validate_placement)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray
     phase_off = np.angle(w_row)[..., :, None] + np.angle(s)[:, None] - np.angle(s)[None, :]
     return SubproblemTerms(
         amp=amp, phase_off=phase_off,
-        user_x=np.array([u.x for u in geom.users]), user_y=np.array([u.y for u in geom.users]),
+        user_x=geom.user_xy[:, 0], user_y=geom.user_xy[:, 1],
         waveguide_y=np.asarray(geom.waveguide_y)[n], height=geom.height,
         beta0=params.beta0, beta1=params.beta1, tan_th=math.tan(theta_th),
     )
@@ -118,32 +118,9 @@ class PGDConfig:
 def _q_f(terms: SubproblemTerms, x):
     """Distance to each user and the position-dependent phase, per user."""
     x = np.asarray(x, dtype=float)
-    dx = terms.user_x - x[..., None]
-    dy = terms.user_y - np.asarray(terms.waveguide_y)[..., None]
-    q = np.sqrt(dx**2 + dy**2 + terms.height**2)
+    q = distances(terms.user_x, terms.user_y, x, terms.waveguide_y, terms.height)
     f = -terms.beta0 * q - terms.beta1 * x[..., None]
     return q, f
-
-
-def g_terms(terms: SubproblemTerms, x: float, m: int, k: int) -> tuple[float, float]:
-    """Imaginary and real g-components of the (m, k) term at position x."""
-    q, f = _q_f(terms, float(x))
-    ang = f[k] + terms.phase_off[m, k]
-    scale = terms.amp[m] / q[k]
-    return float(scale * np.sin(ang)), float(scale * np.cos(ang))
-
-
-def phi_branches(terms: SubproblemTerms, x: float, m: int, k: int) -> tuple[float, float]:
-    """The two branches of |g_im| - g_re*tan(th): (g_im - g_re*t, -g_im - g_re*t)."""
-    g_im, g_re = g_terms(terms, x, m, k)
-    base = -g_re * terms.tan_th
-    return g_im + base, -g_im + base
-
-
-def smooth_term(terms: SubproblemTerms, x: float, m: int, k: int, eps: float) -> float:
-    """Log-sum-exp smoothing of the two branches at temperature eps."""
-    bar, hat = phi_branches(terms, x, m, k)
-    return float(eps * np.logaddexp(bar / eps, hat / eps))
 
 
 def _all_branches(terms: SubproblemTerms, x):
@@ -206,23 +183,6 @@ def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams, branches=No
     return float(eps) if eps.ndim == 0 else eps
 
 
-def armijo_step(objective: Callable[[float], float], gradient_value: float, x: float,
-                cfg: PGDConfig) -> float:
-    """Largest backtracked step satisfying the Armijo-Goldstein decrease test.
-
-    Tries init_step * shrink^i and returns the first step with
-    f(x - mu*g) <= f(x) - c1*mu*g^2, or 0 if none succeeds.
-    """
-    f0 = objective(x)
-    g2 = gradient_value * gradient_value
-    mu = cfg.init_step
-    for _ in range(cfg.max_backtracks + 1):
-        if objective(x - mu * gradient_value) <= f0 - cfg.armijo_c1 * mu * g2:
-            return mu
-        mu *= cfg.shrink
-    return 0.0
-
-
 def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
     """Backtracking on the projected candidate, per row: the first step of the
     schedule whose clamped point passes the Armijo test. Steps [0, h) are tried
@@ -251,11 +211,6 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
             break
         pending, terms = pending[~hit], terms.rows(~hit)
     return x_new, f_new, branches
-
-
-def project(x: float, region: MovableRegion) -> float:
-    """Euclidean projection onto the movable interval (clamp)."""
-    return min(max(x, region.lower), region.upper)
 
 
 def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init,
@@ -357,31 +312,9 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
 def placement_objective_exact(geom: SystemGeometry, x_coords: np.ndarray,
                               params: WaveformParams, W: np.ndarray, s: np.ndarray,
                               gamma: np.ndarray, noise_power: float, theta_th: float) -> float:
-    """Exact (unsmoothed, un-decomposed) placement objective.
-
-    Per user: (eta/sqrt(L)) * (|G_im| - G_re*tan(th)) + sqrt(gamma*s2)*tan(th),
-    with G_im/G_re the triple sums of the per-antenna g-components. Equals the
-    negated sum of CI margins.
-    """
-    x = np.asarray(x_coords, dtype=float)
-    L = geom.num_pas_per_waveguide
-    ux = np.array([u.x for u in geom.users])
-    uy = np.array([u.y for u in geom.users])
-    wy = np.asarray(geom.waveguide_y)
+    """Exact (unsmoothed, un-decomposed) placement objective: the negated sum
+    of the CI margins of the received points lam = h_eff @ (W s) / s."""
+    lam = effective_channels(geom, x_coords, params).effective @ (W @ s) / s
     t = math.tan(theta_th)
-
-    # q[k, n, l], f[k, n, l]
-    q = np.sqrt((ux[:, None, None] - x[None, :, :]) ** 2
-                + (uy[:, None, None] - wy[None, :, None]) ** 2 + geom.height**2)
-    f = -params.beta0 * q - params.beta1 * x[None, :, :]
-    amp = np.abs(W.T)  # (m, n)
-    ang_off = np.angle(W.T)[:, :, None] + np.angle(s)[:, None, None]  # (m, n, 1)
-    # angle[m, n, l, k] = f[k, n, l] + ang_off[m, n] - angle(s_k)
-    ang = (f.transpose(1, 2, 0)[None, :, :, :] + ang_off[:, :, :, None]
-           - np.angle(s)[None, None, None, :])
-    scale = amp[:, :, None, None] / q.transpose(1, 2, 0)[None, :, :, :]
-    g_im = (scale * np.sin(ang)).sum(axis=(0, 1, 2))  # per user k
-    g_re = (scale * np.cos(ang)).sum(axis=(0, 1, 2))
-    lead = params.eta / math.sqrt(L)
     thresh = np.sqrt(np.asarray(gamma, dtype=float) * noise_power)
-    return float(np.sum(lead * (np.abs(g_im) - g_re * t) + thresh * t))
+    return float(np.sum(np.abs(lam.imag) - (lam.real - thresh) * t))

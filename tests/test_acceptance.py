@@ -95,7 +95,7 @@ def test_criterion_1_gradient_correctness():
         eps = pick_eps(terms, x, SmoothingParams(kappa=1e-2))
         bar = np.empty((4, 4))
         hat = np.empty((4, 4))
-        from pinchslp.placement import phi_branches
+        from pinchslp.oracles import phi_branches
 
         for m in range(4):
             for k in range(4):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinchslp.bench import (
     ConfigError,
@@ -16,7 +17,7 @@ from pinchslp.bench import (
     run_power_vs_numpas,
     run_power_vs_sinr,
 )
-from pinchslp.ao import fixed_uniform_placement
+from pinchslp.ao import AOConfig, fixed_uniform_placement
 from pinchslp.cli import main as cli_main
 from pinchslp.placement import PGDConfig, SmoothingParams, optimize_all_positions
 from pinchslp.precoder import recover_beam_matrix
@@ -70,6 +71,43 @@ class TestConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+
+# JSON integers are unbounded; 10**400 does not fit in a float
+JSON_NUMBERS = st.integers() | st.integers(-(10**400), 10**400) | st.floats()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+SUBCONFIG_TYPES = {"smoothing": SmoothingParams, "pgd": PGDConfig, "ao": AOConfig}
+
+
+def _value_for(key):
+    """Any JSON value; a sub-config key also gets objects over its own keys."""
+    cls = SUBCONFIG_TYPES.get(key)
+    if cls is None:
+        return JSON_VALUES
+    return st.dictionaries(st.sampled_from(sorted(cls.__dataclass_fields__)), JSON_VALUES) | JSON_VALUES
+
+
+# Objects with one or two keys are drawn as often as larger ones: with more
+# keys, an early check almost always rejects the object before later ones run.
+_KEYS = st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__))
+CONFIG_OBJECTS = (st.lists(_KEYS, unique=True, max_size=2) | st.lists(_KEYS, unique=True)).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _value_for(k) for k in keys}))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(CONFIG_OBJECTS)
+    def test_any_object_builds_or_raises_config_error(self, data):
+        try:
+            cfg = config_from_dict(json.loads(json.dumps(data)))
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
 
 
 class TestGenerateScenario:
@@ -272,6 +310,9 @@ class TestCli:
         ({"schemes": []}, "schemes must name at least one scheme"),
         ({"num_pas": 5000}, "waveguide_length_m cannot fit 5000 antennas"),
         ({"master_seed": -3}, "master_seed must be non-negative"),
+        ({"psk_order": 2}, "BPSK"),
+        ({"carrier_freq_hz": 10**400}, "carrier_freq_hz must be a finite number"),
+        ({"num_pas": 10**400}, "waveguide_length_m cannot fit"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
@@ -280,6 +321,27 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_overlong_integer_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        # past the 4,300-digit limit of int() parsing where Python has one;
+        # beyond the float range either way
+        path.write_text('{"carrier_freq_hz": 1' + "0" * 5000 + "}")
+        code = cli_main(["run", "--config", str(path), "--experiment", "power-vs-sinr"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "missing" / "r.csv"
+        code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot write results" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli_main(

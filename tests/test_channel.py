@@ -7,12 +7,11 @@ from pinchslp.channel import (
     WaveformParams,
     ci_margin,
     effective_channels,
-    freespace_channel,
     received_lambda,
     sinr,
-    waveguide_phase_vector,
 )
 from pinchslp.geometry import Vec3, make_geometry
+from pinchslp.oracles import freespace_channel, waveguide_phase_vector
 from pinchslp.precoder import psk_constellation
 
 PARAMS = WaveformParams.from_carrier(2.8e10, n_eff=1.4)

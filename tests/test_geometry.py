@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pinchslp.channel import WaveformParams, effective_channels
 from pinchslp.geometry import (
     MovableRegion,
     Vec3,
+    distances,
     initial_regions,
     make_geometry,
-    pa_position,
     updated_region,
-    user_pa_distance,
     validate_placement,
 )
 
 HALF_WAVELENGTH_28GHZ = 0.0053571  # explicit spacing input used by the region examples
+PARAMS = WaveformParams.from_carrier(2.8e10)
 
 
 def demo_geometry(num_pas=5, spacing=HALF_WAVELENGTH_28GHZ, num_waveguides=4,
@@ -31,59 +32,92 @@ def demo_geometry(num_pas=5, spacing=HALF_WAVELENGTH_28GHZ, num_waveguides=4,
     )
 
 
+def one(v):
+    return np.array([float(v)])
+
+
 class TestPaPosition:
+    """Antenna l on waveguide n sits at (x[n, l], y_n, height) in the channel."""
+
+    PLACEMENT = np.tile(np.arange(5) * 4.0, (4, 1))
+
     def test_waveguide_start(self):
-        geom = demo_geometry()
-        p = pa_position(geom, 0, 0, 0.0)
-        assert (p.x, p.y, p.z) == (0.0, geom.waveguide_y[0], 5.0)
+        geom = demo_geometry(users=(Vec3(0.0, 0.0, 0.0),))
+        dist = effective_channels(geom, self.PLACEMENT, PARAMS).distances
+        assert dist[0, 0, 0] == 5.0  # antenna 0 of waveguide 0 is at (0, y_0 = 0, 5)
 
     def test_coordinate_assembly(self):
-        geom = demo_geometry()
-        p = pa_position(geom, 1, 2, 7.5)
-        assert p.x == 7.5
-        assert p.y == pytest.approx(20.0 / 3.0)
-        assert p.z == 5.0
+        x = self.PLACEMENT.copy()
+        x[1, 2] = 7.5
+        geom = demo_geometry(users=(Vec3(7.5, 20.0 / 3.0, 0.0), Vec3(3.0, 1.0, 0.0)))
+        dist = effective_channels(geom, x, PARAMS).distances
+        assert dist[0, 1, 2] == 5.0
+        expected = math.sqrt(4.5**2 + (20.0 / 3.0 - 1.0) ** 2 + 25.0)
+        assert dist[1, 1, 2] == pytest.approx(expected, rel=1e-12)
 
     def test_height_always_fixed(self):
-        geom = demo_geometry()
         for x in np.linspace(0, 20, 7):
-            assert pa_position(geom, 2, 1, float(x)).z == 5.0
-
-    def test_index_out_of_range(self):
-        geom = demo_geometry()
-        with pytest.raises(IndexError):
-            pa_position(geom, 4, 0, 1.0)
-        with pytest.raises(IndexError):
-            pa_position(geom, 0, 5, 1.0)
+            geom = demo_geometry(users=(Vec3(float(x), 40.0 / 3.0, 0.0),))
+            placement = self.PLACEMENT.copy()
+            placement[2, 1] = x
+            dist = effective_channels(geom, placement, PARAMS).distances
+            assert dist[0, 2, 1] == 5.0
 
 
 class TestUserPaDistance:
     def test_directly_below(self):
-        assert user_pa_distance(Vec3(3, 4, 0), Vec3(3, 4, 5)) == 5.0
+        assert distances(one(3), one(4), 3.0, 4.0, 5.0)[0] == 5.0
 
     def test_pythagoras(self):
-        d = user_pa_distance(Vec3(3, 0, 0), Vec3(0, 4, 5))
+        d = distances(one(3), one(0), 0.0, 4.0, 5.0)[0]
         assert d == pytest.approx(math.sqrt(50), rel=1e-12)
 
     def test_height_is_minimum(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            ux, uy, px, py = rng.uniform(-30, 30, 4)
-            assert user_pa_distance(Vec3(ux, uy, 0), Vec3(px, py, 5)) >= 5.0
+        ux, uy, px, py = rng.uniform(-30, 30, (4, 200))
+        assert np.all(distances(ux, uy, px, py, 5.0) >= 5.0)  # every antenna-user pair
 
     def test_symmetric_in_offsets(self):
         # swapping the roles of the x and y offsets leaves the distance unchanged
-        d1 = user_pa_distance(Vec3(1, 2, 0), Vec3(4, 9, 5))
-        d2 = user_pa_distance(Vec3(2, 1, 0), Vec3(9, 4, 5))
+        d1 = distances(one(1), one(2), 4.0, 9.0, 5.0)[0]
+        d2 = distances(one(2), one(1), 9.0, 4.0, 5.0)[0]
         assert d1 == pytest.approx(d2, rel=1e-15)
 
     def test_minimized_at_user_coordinates(self):
-        u = Vec3(7.0, 3.0, 0)
-        best = user_pa_distance(u, Vec3(7.0, 3.0, 5))
+        best = distances(one(7), one(3), 7.0, 3.0, 5.0)[0]
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            p = Vec3(*rng.uniform(0, 20, 2), 5)
-            assert user_pa_distance(u, p) >= best
+        px, py = rng.uniform(0, 20, (2, 100))
+        assert np.all(distances(one(7), one(3), px, py, 5.0) >= best)
+
+    def test_users_on_last_axis(self):
+        rng = np.random.default_rng(5)
+        ux, uy = rng.uniform(0, 20, (2, 3))
+        x, y = rng.uniform(0, 20, (2, 4)), rng.uniform(0, 20, (2, 1))
+        d = distances(ux, uy, x, y, 5.0)
+        assert d.shape == (2, 4, 3)
+        for n, l, k in np.ndindex(d.shape):
+            expected = math.hypot(ux[k] - x[n, l], uy[k] - y[n, 0], 5.0)
+            assert d[n, l, k] == pytest.approx(expected, rel=1e-14)
+
+
+class TestUserXy:
+    def test_matches_users_and_is_cached(self):
+        users = (Vec3(1.0, 2.0, 0.0), Vec3(3.5, 4.5, 0.0))
+        geom = demo_geometry(users=users)
+        assert np.array_equal(geom.user_xy, [[1.0, 2.0], [3.5, 4.5]])
+        assert geom.user_xy is geom.user_xy
+        with pytest.raises(ValueError):
+            geom.user_xy[0, 0] = 9.0
+
+    def test_no_users(self):
+        assert demo_geometry().user_xy.shape == (0, 2)
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        users = (Vec3(1.0, 2.0, 0.0),)
+        a, b = demo_geometry(users=users), demo_geometry(users=users)
+        before = repr(a)
+        a.user_xy  # noqa: B018 - fills the cache on a only
+        assert a == b and hash(a) == hash(b) and repr(a) == before
 
 
 class TestInitialRegions:

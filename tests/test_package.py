@@ -1,21 +1,31 @@
+import ast
+from pathlib import Path
+
 import pinchslp
 
-# The names `from pinchslp import *` exported while __all__ was derived from
-# dir(): the literal list must keep every one of them and add nothing.
+# The names `from pinchslp import *` exports: the literal __all__ must equal
+# this set.
 EXPORTED = {
     "AOConfig", "AOTrace", "ChannelSnapshot", "InfeasibleProblemError", "MovableRegion",
     "PGDConfig", "PlacementReport", "QPInstance", "QPSolution", "SPEED_OF_LIGHT",
     "SmoothingParams", "SubproblemTerms", "SymbolVector", "SystemGeometry", "Vec3",
-    "WaveformParams", "ao", "ao_solve", "armijo_step", "build_ci_qp",
+    "WaveformParams", "ao", "ao_solve", "build_ci_qp",
     "build_subproblem_terms", "channel", "ci_margin", "conventional_array_snapshot",
     "db_to_linear", "dbm_to_watts", "effective_channels", "fixed_uniform_placement",
-    "freespace_channel", "g_terms", "geometry", "initial_regions", "make_geometry",
-    "optimize_all_positions", "pa_position", "pgd_solve", "phi_branches", "placement",
-    "placement_objective_exact", "precoder", "project", "psk_constellation",
+    "geometry", "initial_regions", "make_geometry",
+    "optimize_all_positions", "pgd_solve", "placement",
+    "placement_objective_exact", "precoder", "psk_constellation",
     "psk_symbols", "random_placement", "received_lambda", "recover_beam_matrix", "sinr",
-    "smooth_term", "solve_min_power", "subproblem_gradient", "subproblem_objective",
-    "transmit_power", "updated_region", "user_pa_distance", "validate_placement",
-    "watts_to_dbm", "waveguide_phase_vector",
+    "solve_min_power", "subproblem_gradient", "subproblem_objective",
+    "transmit_power", "updated_region", "validate_placement",
+    "watts_to_dbm",
+}
+
+# Deleted helpers, and scalar references that live only in pinchslp.oracles.
+REMOVED = {
+    "armijo_step", "project", "pa_position", "user_pa_distance",
+    "g_terms", "phi_branches", "smooth_term", "freespace_channel", "waveguide_phase_vector",
+    "user_distance",
 }
 
 
@@ -23,9 +33,59 @@ def test_all_is_the_exported_set():
     assert len(pinchslp.__all__) == len(set(pinchslp.__all__))
     assert set(pinchslp.__all__) == EXPORTED
     assert "annotations" not in pinchslp.__all__
+    assert "distances" not in pinchslp.__all__
 
 
 def test_star_import_binds_every_name():
     namespace = {}
     exec("from pinchslp import *", namespace)
     assert EXPORTED <= set(namespace)
+
+
+def test_removed_names_are_gone_from_the_library():
+    modules = [pinchslp.ao, pinchslp.channel, pinchslp.geometry, pinchslp.placement]
+    for name in REMOVED:
+        assert not hasattr(pinchslp, name), name
+        assert not any(hasattr(m, name) for m in modules), name
+    assert not hasattr(pinchslp.geometry.Vec3, "as_array")
+
+
+# What oracles.py may take from the library: data types, plus the vectorized
+# subproblem objective that the grid search evaluates. Never the kernels the
+# oracles check (distances, effective_channels, _q_f, _all_branches).
+ORACLE_IMPORTS = {
+    "WaveformParams", "MovableRegion", "Vec3", "SubproblemTerms", "subproblem_objective",
+    "QPInstance", "QPSolution",
+}
+SRC = Path(pinchslp.__file__).parent
+
+
+def _library_imports(path):
+    """(module, name) for every import of a pinchslp module in a source file;
+    name is None for a plain `import pinchslp.x`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module == "pinchslp" or module.startswith("pinchslp."):
+                found += [(module.rpartition(".")[2] if node.level == 0 else module, a.name)
+                          for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(a.name.rpartition(".")[2], None) for a in node.names
+                      if a.name == "pinchslp" or a.name.startswith("pinchslp.")]
+    return found
+
+
+def test_library_never_imports_the_oracles():
+    for path in SRC.glob("*.py"):
+        if path.name == "oracles.py":
+            continue
+        for module, name in _library_imports(path):
+            assert module != "oracles" and name != "oracles", f"{path.name} imports the oracles"
+
+
+def test_oracles_import_only_allowed_names():
+    imports = _library_imports(SRC / "oracles.py")
+    assert imports  # the scan sees the relative imports
+    for module, name in imports:
+        assert name in ORACLE_IMPORTS, f"oracles.py imports {name!r} from {module!r}"

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pinchslp.channel import WaveformParams, ci_margin, effective_channels, received_lambda
+from pinchslp.channel import WaveformParams, ci_margin
 from pinchslp.geometry import (
     MovableRegion,
     Vec3,
@@ -13,21 +13,25 @@ from pinchslp.geometry import (
     updated_region,
     validate_placement,
 )
-from pinchslp.oracles import fd_gradient
+from pinchslp.oracles import (
+    fd_gradient,
+    freespace_channel,
+    g_terms,
+    phi_branches,
+    smooth_term,
+    waveguide_phase_vector,
+)
 from pinchslp.placement import (
     PGDConfig,
     SmoothingParams,
     SubproblemTerms,
-    armijo_step,
+    _all_branches,
+    _armijo_rows,
     build_subproblem_terms,
-    g_terms,
     optimize_all_positions,
     pgd_solve,
-    phi_branches,
     pick_eps,
     placement_objective_exact,
-    project,
-    smooth_term,
     subproblem_gradient,
     subproblem_objective,
 )
@@ -309,44 +313,79 @@ def _branches(terms, x):
     return bar, hat
 
 
-class TestArmijoStep:
-    def test_zero_gradient_accepts_first(self):
-        cfg = PGDConfig()
-        mu = armijo_step(lambda x: x * x, 0.0, 1.0, cfg)
-        assert mu == cfg.init_step
+def envelope_row(x_user=0.0):
+    """One stacked row whose objective is the smooth envelope -1/q(x) + eps*log(2):
+    a single user at height 1 below the waveguide, zero wavenumbers."""
+    return SubproblemTerms(
+        amp=np.ones((1, 1)), phase_off=np.zeros((1, 1, 1)),
+        user_x=np.array([x_user]), user_y=np.array([3.0]), waveguide_y=np.array([3.0]),
+        height=1.0, beta0=0.0, beta1=0.0, tan_th=1.0,
+    )
 
-    def test_quadratic_hand_case(self):
-        # f(x)=x^2 at x=1 with g=2: mu=1 fails (f(-1)=1 > 1-4e-4),
-        # mu=0.5 lands on f(0)=0 and is accepted
-        cfg = PGDConfig(init_step=1.0, armijo_c1=1e-4, shrink=0.5, max_backtracks=40)
-        mu = armijo_step(lambda x: x * x, 2.0, 1.0, cfg)
-        assert mu == 0.5
+
+def armijo(terms, x, g, eps, steps, lower=-20.0, upper=20.0):
+    """_armijo_rows from rows at x with gradients g, bounds shared by all rows."""
+    x, g = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(g, dtype=float))
+    eps = np.full(x.size, eps)
+    f0 = subproblem_objective(terms, x, eps)
+    bounds = np.full(x.size, lower), np.full(x.size, upper)
+    return (*_armijo_rows(terms, *bounds, eps, f0, g, x, steps, 1e-4), f0)
+
+
+class TestArmijoStep:
+    """Backtracking on the projected candidate, as pgd_solve runs it per row."""
+
+    STEPS = 0.1 * 0.5 ** np.arange(41)
+
+    def test_zero_gradient_accepts_first(self):
+        rng = np.random.default_rng(12)
+        terms = random_terms(rng).rows(np.newaxis)
+        x_new, f_new, branches, f0 = armijo(terms, 7.0, 0.0, 1e-7, self.STEPS)
+        assert x_new[0] == 7.0 and f_new[0] == f0[0]
+        for got, want in zip(branches, _all_branches(terms, np.array([7.0]))):
+            assert np.array_equal(got, want)
+
+    def test_envelope_hand_case(self):
+        # f(x) = -1/sqrt(x^2 + 1) from x = 1 with steps 2/g, 1/g, ...: the first
+        # lands on x = -1 where f is unchanged and fails the decrease test, the
+        # second lands on the minimum x = 0 and is accepted
+        terms, eps = envelope_row(), 1e-9
+        g = subproblem_gradient(terms, np.array([1.0]), eps)
+        x_new, f_new, _, _ = armijo(terms, 1.0, g, eps, (2.0 / g[0]) * 0.5 ** np.arange(41))
+        assert x_new[0] == pytest.approx(0.0, abs=1e-12)
+        assert f_new[0] == pytest.approx(-1.0 + eps * math.log(2), rel=1e-12)
 
     def test_accepted_step_never_increases(self):
         rng = np.random.default_rng(12)
-        cfg = PGDConfig()
-        for _ in range(50):
-            terms = random_terms(rng)
-            eps = 1e-7
-            x = float(rng.uniform(0, 20))
-            f = lambda t: subproblem_objective(terms, t, eps)
-            g = subproblem_gradient(terms, x, eps)
-            mu = armijo_step(f, g, x, cfg)
-            assert f(x - mu * g) <= f(x) + 1e-18
+        base = random_terms(rng)
+        terms = stack_rows([replace(base, amp=rng.uniform(0, 0.1, 4),
+                                    phase_off=rng.uniform(-np.pi, np.pi, (4, 4)),
+                                    waveguide_y=float(rng.uniform(0, 20))) for _ in range(50)])
+        eps = 1e-7
+        x = rng.uniform(0, 20, 50)
+        g = subproblem_gradient(terms, x, np.full(50, eps))
+        x_new, f_new, _, f0 = armijo(terms, x, g, eps, self.STEPS, 0.0, 20.0)
+        assert np.all(f_new <= f0 + 1e-18)
+        assert np.array_equal(f_new, subproblem_objective(terms, x_new, np.full(50, eps)))
 
     def test_returns_zero_when_exhausted(self):
-        # gradient pointing the wrong way: no backtracked step can descend
-        cfg = PGDConfig(init_step=1.0, max_backtracks=5)
-        mu = armijo_step(lambda x: x * x, -2.0, 1.0, cfg)
-        assert mu == 0.0
+        # row 0 gets the ascent direction, so no backtracked step can descend
+        # and it keeps its point; row 1 descends on its own
+        terms, eps = envelope_row().rows([0, 0]), 1e-9
+        g = subproblem_gradient(terms, np.array([1.0, 1.0]), np.full(2, eps)) * [-1.0, 1.0]
+        x_new, f_new, _, f0 = armijo(terms, [1.0, 1.0], g, eps, self.STEPS[:6])
+        assert x_new[0] == 1.0 and f_new[0] == f0[0]
+        assert x_new[1] < 1.0 and f_new[1] < f0[1]
 
 
 class TestProject:
+    """pgd_solve projects its start onto the region; zero beams never move it."""
+
     def test_lower_clamp(self):
-        assert project(-1.0, MovableRegion(0.0, 5.0)) == 0.0
+        assert pgd_solve(zero_terms(), MovableRegion(0.0, 5.0), 1e-9, PGDConfig(), -1.0) == 0.0
 
     def test_interior_identity(self):
-        assert project(2.5, MovableRegion(0.0, 5.0)) == 2.5
+        assert pgd_solve(zero_terms(), MovableRegion(0.0, 5.0), 1e-9, PGDConfig(), 2.5) == 2.5
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
@@ -355,7 +394,9 @@ class TestProject:
             hi = lo + float(rng.uniform(0, 10))
             x = float(rng.uniform(-20, 20))
             r = MovableRegion(lo, hi)
-            assert project(project(x, r), r) == project(x, r)
+            p = pgd_solve(zero_terms(), r, 1e-9, PGDConfig(), x)
+            assert p == min(max(x, lo), hi)
+            assert pgd_solve(zero_terms(), r, 1e-9, PGDConfig(), p) == p
 
 
 class TestPgdSolve:
@@ -465,7 +506,7 @@ def sequential_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
         prev = None
         for l in range(geom.num_pas_per_waveguide):
             region = updated_region(l, prev, regions[l], geom.min_spacing)
-            x_warm = project(x[n, l], region)
+            x_warm = min(max(x[n, l], region.lower), region.upper)
             eps = pick_eps(terms, x_warm, smoothing)
             starts = [x_warm, *np.linspace(region.lower, region.upper, cfg.restarts)]
             seen = []
@@ -548,11 +589,17 @@ class TestPlacementObjectiveExact:
             obj = placement_objective_exact(
                 geom, x, PARAMS, W, symbols.s, gamma, NOISE_W, THETA
             )
-            snap = effective_channels(geom, x, PARAMS)
-            margins = sum(
-                ci_margin(received_lambda(snap, W, symbols.s, k), gamma[k], NOISE_W, THETA)
-                for k in range(4)
-            )
+            # lam_k from the scalar oracles: free-space row times in-guide response
+            margins = 0.0
+            for k, user in enumerate(geom.users):
+                h = np.array([
+                    freespace_channel(
+                        user, [Vec3(v, geom.waveguide_y[n], geom.height) for v in x[n]], PARAMS
+                    ) @ waveguide_phase_vector(x[n], PARAMS)
+                    for n in range(4)
+                ])
+                lam = complex(h @ (W @ symbols.s) / symbols.s[k])
+                margins += ci_margin(lam, gamma[k], NOISE_W, THETA)
             assert obj == pytest.approx(-margins, abs=1e-10)
 
     def test_zero_beams_constant(self):
