@@ -9,6 +9,7 @@ the relative-change stopping rule always terminates.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -41,8 +42,8 @@ class AOConfig:
         if not (isinstance(self.max_iters, Integral) and not isinstance(self.max_iters, bool)
                 and self.max_iters >= 0):
             raise ValueError("max_iters must be a non-negative integer")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol <= sys.float_info.max:
+            raise ValueError("rel_tol must be positive and finite")
         if not isinstance(self.guard_enabled, bool):
             raise ValueError("guard_enabled must be true or false")
 

@@ -12,14 +12,16 @@ antenna l of every waveguide is solved as one stack of rows stepping together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
 from .channel import WaveformParams, effective_channels
-from .geometry import (MovableRegion, SystemGeometry, distances, initial_regions,
+from .geometry import (MovableRegion, SystemGeometry, initial_regions, offset_distances,
                        updated_region, validate_placement)
 
 
@@ -50,10 +52,31 @@ class SubproblemTerms:
     def num_users(self) -> int:
         return self.user_x.size
 
+    @cached_property
+    def dy2(self) -> np.ndarray:
+        """(user_y - waveguide_y)**2 per row and user: the distance term x does not move."""
+        return (self.user_y - np.asarray(self.waveguide_y)[..., None]) ** 2
+
+    @cached_property
+    def slope_coefs(self) -> np.ndarray:
+        """(num, off, add) per branch-derivative factor, so that the factor is
+        dq * (off + num / q) + add; columns (bar, g_re), (hat, g_re), (bar, g_im),
+        (hat, g_im). See subproblem_gradient."""
+        t, b0, b1 = self.tan_th, self.beta0, self.beta1
+        return np.array([[t, t, 1.0, -1.0], [-b0, b0, b0 * t, b0 * t], [-b1, b1, b1 * t, b1 * t]])
+
     def rows(self, idx) -> SubproblemTerms:
-        """The stacked subproblems that idx selects on the row axis."""
-        return replace(self, amp=self.amp[idx], phase_off=self.phase_off[idx],
-                       waveguide_y=np.asarray(self.waveguide_y)[idx])
+        """The stacked subproblems that idx selects on the row axis, with the
+        constants already cached carried along."""
+        out = SubproblemTerms(self.amp[idx], self.phase_off[idx], self.user_x, self.user_y,
+                              np.asarray(self.waveguide_y)[idx], self.height, self.beta0,
+                              self.beta1, self.tan_th)
+        cached = self.__dict__
+        if "dy2" in cached:
+            out.__dict__["dy2"] = cached["dy2"][idx]
+        if "slope_coefs" in cached:
+            out.__dict__["slope_coefs"] = cached["slope_coefs"]
+        return out
 
 
 def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray,
@@ -87,6 +110,8 @@ class SmoothingParams:
     def __post_init__(self):
         if not (self.eps > 0 and self.floor > 0 and self.eps >= self.floor and self.kappa > 0):
             raise ValueError("need eps >= floor > 0 and kappa > 0")
+        if not all(abs(v) <= sys.float_info.max for v in (self.eps, self.kappa, self.floor)):
+            raise ValueError("eps, kappa and floor must be finite")
         if not isinstance(self.adaptive, bool):
             raise ValueError("adaptive must be true or false")
 
@@ -113,26 +138,34 @@ class PGDConfig:
             raise ValueError("all PGD settings must be positive (restarts may be 0)")
         if not (self.shrink < 1 and self.restarts >= 0):
             raise ValueError("shrink factor must be < 1 and restarts >= 0")
+        if not all(abs(v) <= sys.float_info.max
+                   for v in (self.step_tol, self.init_step, self.armijo_c1)):
+            raise ValueError("step_tol, init_step and armijo_c1 must be finite")
 
 
-def _q_f(terms: SubproblemTerms, x):
-    """Distance to each user and the position-dependent phase, per user."""
+def _branch_stack(terms: SubproblemTerms, x):
+    """bar, hat, g_im and g_re of every (m, k) pair, stacked on a new leading
+    axis of length 4, and the same four as views followed by the distance q
+    to each user (the _all_branches tuple)."""
     x = np.asarray(x, dtype=float)
-    q = distances(terms.user_x, terms.user_y, x, terms.waveguide_y, terms.height)
-    f = -terms.beta0 * q - terms.beta1 * x[..., None]
-    return q, f
+    q = offset_distances(terms.user_x, x, terms.dy2, terms.height**2)
+    f = -terms.beta0 * q - terms.beta1 * x[..., None]  # position-dependent phase per user
+    ang = f[..., None, :] + terms.phase_off  # (..., m, k)
+    scale = terms.amp[..., :, None] / q[..., None, :]
+    stack = np.empty((4,) + ang.shape)
+    bar, hat, g_im, g_re = stack[0], stack[1], stack[2], stack[3]
+    np.multiply(scale, np.sin(ang, out=g_im), out=g_im)
+    np.multiply(scale, np.cos(ang, out=g_re), out=g_re)
+    np.multiply(g_re, -terms.tan_th, out=bar)  # base = g_re * -tan_th
+    np.subtract(bar, g_im, out=hat)  # base - g_im
+    np.add(g_im, bar, out=bar)  # g_im + base
+    return stack, (bar, hat, g_im, g_re, q)
 
 
 def _all_branches(terms: SubproblemTerms, x):
     """phi-bar and phi-hat for every (m, k) pair, with the g-components and
     distances they came from; x may carry candidate axes before the rows."""
-    q, f = _q_f(terms, x)
-    ang = f[..., None, :] + terms.phase_off  # (..., m, k)
-    scale = terms.amp[..., :, None] / q[..., None, :]
-    g_im = scale * np.sin(ang)
-    g_re = scale * np.cos(ang)
-    base = g_re * -terms.tan_th  # same bits as -g_re * tan_th
-    return g_im + base, base - g_im, g_im, g_re, q
+    return _branch_stack(terms, x)[1]
 
 
 def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
@@ -142,7 +175,7 @@ def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
     """
     bar, hat, *_ = _all_branches(terms, x) if branches is None else branches
     e = np.asarray(eps, dtype=float)[..., None, None]  # one per row, over (m, k)
-    out = (e * np.logaddexp(bar / e, hat / e)).sum(axis=(-2, -1))
+    out = np.add.reduce(e * np.logaddexp(bar / e, hat / e), axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,19 +190,23 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     x = np.asarray(x, dtype=float)
     qk = q[..., None, :]  # broadcast the per-user pieces over the m axis
     dq = ((x[..., None] - terms.user_x) / q)[..., None, :]  # dq/dx per user
-    t, b0, b1 = terms.tan_th, terms.beta0, terms.beta1
-    dbar = g_re * (dq * (-b0 + t / qk) - b1) - g_im * (dq * (b0 * t + 1.0 / qk) + b1 * t)
-    dhat = g_re * (dq * (b0 + t / qk) + b1) - g_im * (dq * (b0 * t - 1.0 / qk) + b1 * t)
+    # the four factors of
+    #   dbar = g_re * (dq * (-b0 + t/q) - b1) - g_im * (dq * (b0*t + 1/q) + b1*t)
+    #   dhat = g_re * (dq * (b0 + t/q) + b1) - g_im * (dq * (b0*t - 1/q) + b1*t)
+    # on one leading axis; a - b is computed as a + (-b) and a + b as a - (-b),
+    # which IEEE arithmetic rounds identically
+    num, off, add = terms.slope_coefs.reshape((3, 4) + (1,) * qk.ndim)
+    c = dq * (off + num / qk) + add
+    d = g_re * c[:2] - g_im * c[2:]
     # stable softmax weight of the bar branch: sigma((bar - hat)/eps)
     wbar = _sigmoid((bar - hat) / np.asarray(eps, dtype=float)[..., None, None])
-    out = np.sum(wbar * dbar + (1.0 - wbar) * dhat, axis=(-2, -1))
+    out = np.add.reduce(wbar * d[0] + (1.0 - wbar) * d[1], axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(u))
-    d = 1.0 + e
-    return np.where(u >= 0, 1.0 / d, e / d)
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams, branches=None):
@@ -190,27 +227,31 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
     Returns per row the point, its objective and its branches; a row without a
     hit keeps (x, f0) and the branches of a rejected candidate."""
     g2 = np.float_power(g, 2)  # libm pow, the bits of Python's float ** 2
-    x_new, f_new, branches = x.copy(), f0.copy(), None
-    pending = np.arange(x.size)  # rows without a hit so far
+    c1_steps = (c1 * steps)[:, None]
     half = -(-steps.size // 2)
-    for part in (steps[:half, None], steps[half:, None]):
-        cands = np.clip(x[pending] - part * g[pending], lower[pending], upper[pending])
-        br = _all_branches(terms, cands)
-        vals = subproblem_objective(terms, cands, eps[pending], br)
-        ok = vals <= f0[pending] - c1 * part * g2[pending]
-        first = np.argmax(ok, axis=0), np.arange(pending.size)
+    cands = np.minimum(np.maximum(x - steps[:half, None] * g, lower), upper)
+    stack, br = _branch_stack(terms, cands)
+    vals = subproblem_objective(terms, cands, eps, br)
+    ok = vals <= f0 - c1_steps[:half] * g2
+    first = ok.argmax(axis=0), np.arange(x.size)
+    hit = ok[first]
+    x_new, f_new = cands[first], vals[first]
+    stack, q = stack[(slice(None), *first)], br[4][first]
+    if np.count_nonzero(hit) < x.size:
+        miss = np.flatnonzero(~hit)
+        x_new[miss], f_new[miss] = x[miss], f0[miss]
+        terms, g, g2 = terms.rows(miss), g[miss], g2[miss]
+        cands = np.minimum(np.maximum(x[miss] - steps[half:, None] * g, lower[miss]),
+                           upper[miss])
+        miss_stack, br = _branch_stack(terms, cands)
+        vals = subproblem_objective(terms, cands, eps[miss], br)
+        ok = vals <= f0[miss] - c1_steps[half:] * g2
+        first = ok.argmax(axis=0), np.arange(miss.size)
         hit = ok[first]
-        x_new[pending[hit]] = cands[first][hit]
-        f_new[pending[hit]] = vals[first][hit]
-        if branches is None:
-            branches = tuple(b[first] for b in br)
-        else:
-            for out, b in zip(branches, br):
-                out[pending] = b[first]
-        if hit.all():
-            break
-        pending, terms = pending[~hit], terms.rows(~hit)
-    return x_new, f_new, branches
+        x_new[miss[hit]] = cands[first][hit]
+        f_new[miss[hit]] = vals[first][hit]
+        stack[:, miss], q[miss] = miss_stack[(slice(None), *first)], br[4][first]
+    return x_new, f_new, (stack[0], stack[1], stack[2], stack[3], q)
 
 
 def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init,
@@ -234,7 +275,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     rows = terms.amp.shape[0]
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), rows) for b in region)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), rows)
-    x = np.clip(np.broadcast_to(np.asarray(x_init, dtype=float), rows), lower, upper)
+    x = np.minimum(np.maximum(np.asarray(x_init, dtype=float), lower), upper)
     if branches is None:
         branches = _all_branches(terms, x)
     f = subproblem_objective(terms, x, eps, branches)
@@ -245,20 +286,28 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
 
     report()
     steps = cfg.init_step * cfg.shrink ** np.arange(cfg.max_backtracks + 1)
-    active = np.arange(rows)
+    # the rows still stepping, with their point, objective, bounds and eps;
+    # x and f are written back when rows retire and at the end
+    active, x_act, f_act = np.arange(rows), x.copy(), f.copy()
     for _ in range(cfg.max_iters):
-        x_act = x[active]
         g = subproblem_gradient(terms, x_act, eps, branches)
-        x_next, f[active], branches = _armijo_rows(
-            terms, lower, upper, eps, f[active], g, x_act, steps, cfg.armijo_c1)
-        x[active] = x_next
-        report()
-        go = ~(np.abs(x_next - x_act) <= cfg.step_tol)
-        if not go.any():
+        x_next, f_act, branches = _armijo_rows(
+            terms, lower, upper, eps, f_act, g, x_act, steps, cfg.armijo_c1)
+        stay = np.abs(x_next - x_act) <= cfg.step_tol
+        x_act = x_next
+        if callback is not None:
+            x[active], f[active] = x_act, f_act
+            report()
+        stopped = np.count_nonzero(stay)
+        if stopped == stay.size:
             break
-        if not go.all():
+        if stopped:
+            x[active], f[active] = x_act, f_act
+            go = np.flatnonzero(~stay)
             active, lower, upper, eps = active[go], lower[go], upper[go], eps[go]
+            x_act, f_act = x_act[go], f_act[go]
             terms, branches = terms.rows(go), tuple(b[go] for b in branches)
+    x[active] = x_act
     return float(x[0]) if single else x
 
 
@@ -298,7 +347,7 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
     prev = [None] * geom.num_waveguides
     for l, init in enumerate(initial_regions(geom)):
         lower = np.array([updated_region(l, p, init, geom.min_spacing).lower for p in prev])
-        x_warm = np.clip(x_new[:, l], lower, init.upper)
+        x_warm = np.minimum(np.maximum(x_new[:, l], lower), init.upper)
         branches = _all_branches(terms, x_warm)
         eps = pick_eps(terms, x_warm, smoothing, branches)
         x_new[:, l] = prev = _solve_region(terms, MovableRegion(lower, init.upper), eps, cfg,

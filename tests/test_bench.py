@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -73,8 +75,10 @@ class TestConfig:
             load_config(str(path))
 
 
-# JSON integers are unbounded; 10**400 does not fit in a float
-JSON_NUMBERS = st.integers() | st.integers(-(10**400), 10**400) | st.floats()
+# JSON integers are unbounded; 10**400 does not fit in a float. Python's json
+# reads and writes Infinity and NaN, so the non-finite floats are weighted up.
+JSON_NUMBERS = (st.integers() | st.integers(-(10**400), 10**400) | st.floats()
+                | st.sampled_from([math.inf, -math.inf, math.nan]))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
@@ -97,17 +101,27 @@ def _value_for(key):
 _KEYS = st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__))
 CONFIG_OBJECTS = (st.lists(_KEYS, unique=True, max_size=2) | st.lists(_KEYS, unique=True)).flatmap(
     lambda keys: st.fixed_dictionaries({k: _value_for(k) for k in keys}))
+# A single sub-config with one or two numeric fields passes the other checks
+# often enough to reach the value checks on every field.
+SUBCONFIG_OBJECTS = st.sampled_from(sorted(SUBCONFIG_TYPES)).flatmap(
+    lambda key: st.dictionaries(st.sampled_from(sorted(SUBCONFIG_TYPES[key].__dataclass_fields__)),
+                                JSON_NUMBERS, max_size=2).map(lambda sub: {key: sub}))
 
 
 class TestConfigFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(CONFIG_OBJECTS)
+    @given(CONFIG_OBJECTS | SUBCONFIG_OBJECTS)
     def test_any_object_builds_or_raises_config_error(self, data):
         try:
             cfg = config_from_dict(json.loads(json.dumps(data)))
         except ConfigError:
             return
         assert isinstance(cfg, ExperimentConfig)
+        p = cfg.params
+        reals = [p.wavelength, p.eta, p.beta0, p.beta1]
+        for sub in (cfg.smoothing, cfg.pgd, cfg.ao):  # the fields with a float default
+            reals += [getattr(sub, f.name) for f in fields(sub) if type(f.default) is float]
+        assert all(abs(v) <= sys.float_info.max for v in reals)
 
 
 class TestGenerateScenario:
@@ -313,6 +327,17 @@ class TestCli:
         ({"psk_order": 2}, "BPSK"),
         ({"carrier_freq_hz": 10**400}, "carrier_freq_hz must be a finite number"),
         ({"num_pas": 10**400}, "waveguide_length_m cannot fit"),
+        ({"carrier_freq_hz": 5e-324, "min_spacing_m": 0.01}, "carrier_freq_hz 5e-324"),
+        ({"carrier_freq_hz": 5e-324}, "carrier_freq_hz 5e-324"),
+        ({"carrier_freq_hz": 1e300, "refractive_index": 1e300}, "carrier_freq_hz 1e+300"),
+        ({"smoothing": {"kappa": math.inf}}, "smoothing: eps, kappa and floor must be finite"),
+        ({"smoothing": {"eps": math.inf}}, "smoothing: eps, kappa and floor must be finite"),
+        ({"pgd": {"init_step": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
+        ({"pgd": {"step_tol": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
+        ({"pgd": {"armijo_c1": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
+        ({"pgd": {"shrink": math.inf}}, "pgd: shrink factor must be < 1"),
+        ({"pgd": {"init_step": math.nan}}, "pgd: all PGD settings must be positive"),
+        ({"ao": {"rel_tol": math.inf}}, "ao: rel_tol must be positive and finite"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
@@ -390,6 +415,59 @@ GOLDEN_PLACEMENTS = {
 }
 
 
+# Shapes the cases above miss, recorded as float.hex before the PGD step was
+# fused: (N, K, L, smoothing, pgd) -> row-major N x L entries. K = 1 is a 1 x 1
+# pair axis; init_step=1e6 misses the first half of the Armijo schedule at
+# every step; max_iters=3 stops every solve at its iteration limit.
+GOLDEN_SHAPES = {
+    (4, 1, 3, SmoothingParams(), PGDConfig()): (
+        "0x1.b56f1e284f03ep+1 0x1.4cc4f27b5e599p+3 0x1.1a099f3474bf3p+4 "
+        "0x1.e2b9706e08956p+1 0x1.3253a5689f791p+3 0x1.8be5e2b8690c9p+3 "
+        "0x1.aabfc64b2b870p+1 0x1.e9b70a71c2f70p+2 0x1.fe8dbfb4af083p+3 "
+        "0x1.3dbaa0cca5fe7p+1 0x1.40058de82379ep+3 0x1.0aabb4b48d70ep+4"
+    ),
+    (4, 6, 3, SmoothingParams(), PGDConfig()): (
+        "0x1.b1ed40936eb50p+1 0x1.4eb4578b3db4dp+3 0x1.0bd0cf739c019p+4 "
+        "0x1.5dd9cda50d2abp+1 0x1.8c8b3259f4b6dp+3 0x1.94ba893675a39p+3 "
+        "0x1.3f2e657b82669p+2 0x1.9bdd96aa4c520p+3 0x1.4000000000000p+4 "
+        "0x1.231c6dd814511p+2 0x1.81dc2e964bb7ap+3 0x1.c011abed273c2p+3"
+    ),
+    (1, 4, 5, SmoothingParams(), PGDConfig()): (
+        "0x1.fa5e16457fefdp+1 0x1.86e8bb0236f92p+2 0x1.0b553f4c7a804p+3 "
+        "0x1.acdc9182ab058p+3 0x1.ae0179a7d2b75p+3"
+    ),
+    (3, 2, 4, SmoothingParams(), PGDConfig(restarts=1)): (
+        "0x0.0p+0 0x1.10093425c2fa3p+3 0x1.7a913fa38a73dp+3 0x1.996f47b0497aep+3 "
+        "0x1.0707a57728bd7p-1 0x1.3fea1283c3ccfp+3 0x1.4191cdd37f2bap+3 "
+        "0x1.1dd8512765acfp+4 0x1.94c55b6eec6cbp+0 0x1.e191442fd1ba8p+2 "
+        "0x1.65847c1d762b0p+3 0x1.cde5f77da1228p+3"
+    ),
+    (4, 4, 3, SmoothingParams(), PGDConfig(init_step=1e6)): (
+        "0x1.d86253b1c878cp+1 0x1.aa9c0c57d7de0p+3 0x1.35399ac733a38p+4 "
+        "0x1.aa70315f5f780p+2 0x1.8c68b308e8c58p+3 0x1.1737bf15e3e81p+4 "
+        "0x1.a9c98f7e2f598p+0 0x1.689617c53c808p+1 0x1.3357e8fccec81p+3 "
+        "0x1.515ab08031e9ep-2 0x1.aa97f8bbcc96cp+3 0x1.aac3d3b444fccp+3"
+    ),
+    (4, 4, 3, SmoothingParams(), PGDConfig(max_iters=3)): (
+        "0x1.a4d204336ccc2p+1 0x1.4ef4a7335ed5ap+3 0x1.127c12623d4bep+4 "
+        "0x1.b005fb2409537p+1 0x1.50076045abdb4p+3 0x1.06f851697cdc7p+4 "
+        "0x1.08e7d1c9d8eddp-2 0x1.35a289768b26ep+1 0x1.e5e57d1fd4975p+3 "
+        "0x1.6ea8ca00dbc04p+1 0x1.aa95d05a3028ap+3 0x1.c4edbe26ac583p+3"
+    ),
+}
+
+
+def _golden_sweep(N, K, L, smoothing, pgd):
+    """One position sweep of seeded scenario L with N waveguides and K users,
+    from the uniform grid, under rank-one beams drawn from (77, L)."""
+    cfg = ExperimentConfig(master_seed=77, num_waveguides=N, num_users=K)
+    geom, symbols = generate_scenario(cfg, L, num_pas=L)
+    rng = np.random.default_rng([77, L])
+    W = recover_beam_matrix(0.2 * (rng.normal(size=N) + 1j * rng.normal(size=N)), symbols)
+    return optimize_all_positions(geom, fixed_uniform_placement(geom), W, symbols.s, cfg.params,
+                                  cfg.theta_th, smoothing, pgd)
+
+
 class TestGoldenOutputs:
     """Bit-identity against outputs recorded before the placement sweep was
     batched: a pure speed-up must not move a single bit."""
@@ -408,13 +486,36 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("case", list(GOLDEN_PLACEMENTS), ids=lambda c: f"L{c[0]}")
     def test_optimize_all_positions(self, case):
-        L, smoothing, pgd = case
-        cfg = ExperimentConfig(master_seed=77)
-        geom, symbols = generate_scenario(cfg, L, num_pas=L)
-        rng = np.random.default_rng([77, L])
-        W = recover_beam_matrix(0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4)), symbols)
-        x = optimize_all_positions(
-            geom, fixed_uniform_placement(geom), W, symbols.s, cfg.params,
-            cfg.theta_th, smoothing, pgd,
-        )
+        x = _golden_sweep(4, 4, *case)
         assert [v.hex() for v in x.ravel().tolist()] == GOLDEN_PLACEMENTS[case].split()
+
+    @pytest.mark.parametrize("case", list(GOLDEN_SHAPES), ids=[
+        "K1", "K6", "N1", "N3-restarts", "armijo-second-half", "max-iters"])
+    def test_optimize_all_positions_shapes(self, case):
+        x = _golden_sweep(*case)
+        assert [v.hex() for v in x.ravel().tolist()] == GOLDEN_SHAPES[case].split()
+
+
+class TestTraceHooks:
+    """The per-layer counters of the benchmark tracer wrap these module-level
+    names of pinchslp.placement and count their calls; the counts below were
+    recorded before the PGD step was fused. A kernel that stopped calling
+    them through the module would read 0 in every traced run."""
+
+    def test_placement_call_counts(self, monkeypatch):
+        from pinchslp import placement
+
+        counts = dict.fromkeys(("pgd_solve", "subproblem_gradient", "subproblem_objective",
+                                "pick_eps"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(placement, name, counting(name, getattr(placement, name)))
+        _golden_sweep(4, 4, 5, SmoothingParams(), PGDConfig(restarts=2))
+        assert counts == {"pgd_solve": 5, "subproblem_gradient": 75,
+                          "subproblem_objective": 100, "pick_eps": 5}
