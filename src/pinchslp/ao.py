@@ -95,7 +95,7 @@ def ao_solve(
 
     for _ in range(ao_cfg.max_iters):
         x_cand = optimize_all_positions(
-            geom, x, W, symbols.s, params, theta_th, smoothing, pgd_cfg
+            geom, x, sol.x_opt, symbols.s, params, theta_th, smoothing, pgd_cfg
         )
         sol_cand = _solve_at(geom, x_cand, params, symbols, gamma, noise_power, theta_th)
         if ao_cfg.guard_enabled and sol_cand.power > power:

@@ -36,6 +36,9 @@ class SubproblemTerms:
     coordinate x. An optional leading row axis on amp, phase_off and
     waveguide_y stacks independent subproblems that share the users; a
     position array then carries the row axis last, after any candidate axes.
+    mult counts how many identical copies each m row stands for: the objective
+    and gradient multiply their pair sum by it, outside the log-sum-exp, so a
+    fixed eps keeps its meaning (see build_subproblem_terms).
     """
 
     amp: np.ndarray
@@ -47,6 +50,7 @@ class SubproblemTerms:
     beta0: float
     beta1: float
     tan_th: float
+    mult: float = 1.0
 
     @property
     def num_users(self) -> int:
@@ -70,7 +74,7 @@ class SubproblemTerms:
         constants already cached carried along."""
         out = SubproblemTerms(self.amp[idx], self.phase_off[idx], self.user_x, self.user_y,
                               np.asarray(self.waveguide_y)[idx], self.height, self.beta0,
-                              self.beta1, self.tan_th)
+                              self.beta1, self.tan_th, self.mult)
         cached = self.__dict__
         if "dy2" in cached:
             out.__dict__["dy2"] = cached["dy2"][idx]
@@ -82,15 +86,25 @@ class SubproblemTerms:
 def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray,
                            params: WaveformParams, theta_th: float) -> SubproblemTerms:
     """Terms of the subproblems on waveguide n for beams W and symbols s; an
-    array of waveguide indices n gives one stacked row per entry."""
-    w_row = W[n, :]  # w_{m,n} over users m
-    amp = np.abs(w_row)
-    phase_off = np.angle(w_row)[..., :, None] + np.angle(s)[:, None] - np.angle(s)[None, :]
+    array of waveguide indices n gives one stacked row per entry.
+
+    W is the N x K beam matrix, with one m row per user. Passing the precoded
+    vector x (length N) instead selects the rank-one beams W = x s^H / K. For
+    unit-modulus (PSK) symbols their K rows m are equal, amp |x_n|/K and phase
+    angle(x_n) - angle(s_k), so one row is kept with mult = K.
+    """
+    if np.ndim(W) == 1:
+        x_n, mult = W[n, None], float(s.size)
+        amp, phase_off = np.abs(x_n) / mult, np.angle(x_n)[..., None] - np.angle(s)
+    else:
+        w_row, mult = W[n, :], 1.0  # w_{m,n} over users m
+        amp = np.abs(w_row)
+        phase_off = np.angle(w_row)[..., :, None] + np.angle(s)[:, None] - np.angle(s)[None, :]
     return SubproblemTerms(
         amp=amp, phase_off=phase_off,
         user_x=geom.user_xy[:, 0], user_y=geom.user_xy[:, 1],
         waveguide_y=np.asarray(geom.waveguide_y)[n], height=geom.height,
-        beta0=params.beta0, beta1=params.beta1, tan_th=math.tan(theta_th),
+        beta0=params.beta0, beta1=params.beta1, tan_th=math.tan(theta_th), mult=mult,
     )
 
 
@@ -169,13 +183,13 @@ def _all_branches(terms: SubproblemTerms, x):
 
 
 def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
-    """Smoothed subproblem objective, summed over all (m, k) pairs. Vectorized
-    over x: a scalar input yields a float, an array input an array of the same
-    shape. branches, when given, are _all_branches(terms, x).
+    """Smoothed subproblem objective, summed over all (m, k) pairs, times
+    mult. Vectorized over x: a scalar input yields a float, an array input an
+    array of the same shape. branches, when given, are _all_branches(terms, x).
     """
     bar, hat, *_ = _all_branches(terms, x) if branches is None else branches
     e = np.asarray(eps, dtype=float)[..., None, None]  # one per row, over (m, k)
-    out = np.add.reduce(e * np.logaddexp(bar / e, hat / e), axis=(-2, -1))
+    out = np.add.reduce(e * np.logaddexp(bar / e, hat / e), axis=(-2, -1)) * terms.mult
     return float(out) if out.ndim == 0 else out
 
 
@@ -200,7 +214,7 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     d = g_re * c[:2] - g_im * c[2:]
     # stable softmax weight of the bar branch: sigma((bar - hat)/eps)
     wbar = _sigmoid((bar - hat) / np.asarray(eps, dtype=float)[..., None, None])
-    out = np.add.reduce(wbar * d[0] + (1.0 - wbar) * d[1], axis=(-2, -1))
+    out = np.add.reduce(wbar * d[0] + (1.0 - wbar) * d[1], axis=(-2, -1)) * terms.mult
     return float(out) if out.ndim == 0 else out
 
 
@@ -337,6 +351,8 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
                            smoothing: SmoothingParams, cfg: PGDConfig) -> np.ndarray:
     """Sweep every antenna once: left to right on each waveguide, each over
     its movable region updated from the previous antenna's new position.
+    W is the beam matrix or, for rank-one beams, the precoded vector x (see
+    build_subproblem_terms).
 
     The waveguides are independent, so antenna l of all of them is one
     stacked solve. Warm starts from the current placement projected into each

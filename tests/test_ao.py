@@ -184,3 +184,26 @@ class TestAoSolve:
         assert len(trace.placement_objectives) == len(trace.powers)
         assert len(trace.accepted) == len(trace.powers)
         assert all(math.isfinite(v) for v in trace.placement_objectives)
+
+    def test_placement_kernels_sum_one_m_row(self, monkeypatch):
+        # beams are rank one, W = x s^H / K, so the sweep receives x and every
+        # branch stack of its PGD kernels has an m axis of length 1; a fall-back
+        # to the K x K pair sum fails here, not only in the benchmark
+        from pinchslp import placement
+
+        m_axes, mults = [], set()
+
+        def spy(terms, x):
+            stack, branches = branch_stack(terms, x)
+            m_axes.append(stack.shape[-2])
+            mults.add(terms.mult)
+            return stack, branches
+
+        branch_stack = placement._branch_stack
+        monkeypatch.setattr(placement, "_branch_stack", spy)
+        geom, symbols = scenario(35, num_users=3)
+        _, _, trace = ao_solve(geom, PARAMS, symbols, np.full(3, 100.0), NOISE_W, THETA,
+                               fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=2))
+        assert trace.iterations >= 1
+        assert m_axes and set(m_axes) == {1}
+        assert mults == {3.0}

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pinchslp import placement
 from pinchslp.channel import WaveformParams, ci_margin
 from pinchslp.geometry import (
     MovableRegion,
@@ -577,6 +578,122 @@ class TestLockstepRows:
             assert got[i] == single
         assert np.all(np.diff(np.array(seen), axis=0) <= 0.0)
         assert np.array_equal(pick_eps(stack_rows(rows), x0, SmoothingParams()), eps)
+
+
+U = 2.0 ** -53  # unit roundoff of float64
+
+
+def rank_one_terms(seed, K, n):
+    """General terms of W = x s^H / K and the collapsed terms of x itself,
+    for waveguide index (or indices) n of a seeded K-user demo scenario."""
+    rng = np.random.default_rng([40, K, seed])
+    geom, symbols, _ = demo_setup(rng, num_users=K)
+    x_opt = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    W = recover_beam_matrix(x_opt, symbols)
+    return (build_subproblem_terms(geom, n, W, symbols.s, PARAMS, THETA),
+            build_subproblem_terms(geom, n, x_opt, symbols.s, PARAMS, THETA), rng)
+
+
+def phase_tol(terms, q, x):
+    """Bound on the difference between two roundings of the pair phase
+    ang = -beta0*q - beta1*x + phase_off, where |ang| <= A. Each side rounds
+    ang itself (two additions, <= 2uA) and q (a few ulp, which moves beta0*q
+    by <= 4uA), so the two sides differ by <= 12uA. phase_off (three angles
+    and two additions of size <= 3*pi), amp, sin and cos differ by O(50u),
+    which is < 4uA since A > beta0 * height > 1e3 here. Total: 16uA."""
+    A = terms.beta0 * np.max(q) + terms.beta1 * np.max(np.abs(x)) + 3 * np.pi
+    return 16 * U * A
+
+
+class TestRankOneCollapse:
+    """The precoded vector x collapses the K equal m rows of W = x s^H / K into
+    one row with mult = K. The two forms differ only by rounding, bounded
+    through phase_tol: with r = |g| = amp/q per pair and t = tan(th),
+    - each branch g_im -/+ t*g_re moves by <= (1 + t)*r*delta;
+    - the adaptive eps, kappa * max|branch|, by kappa*(1 + t)*max(r)*delta
+      plus its own rounding;
+    - the objective, a sum of log-sum-exp terms, each 1-Lipschitz in the
+      branches, by (1 + t)*delta*sum(r), plus (K^2 + 8)u of the summed
+      |pair terms| <= (1 + t)*r + eps*log(2) for the summation;
+    - the gradient, sum of w*d_bar + (1 - w)*d_hat: each branch derivative
+      d = g_re*c - g_im*c' with |c| + |c'| <= C = (1 + t)(beta0 + beta1 + 1/q)
+      moves by <= C*r*delta, and the softmax weight w = sigmoid(2*g_im/eps),
+      whose slope is <= 1/4, by <= (1 + t)*r*delta/(2*eps), times
+      |d_bar - d_hat| <= 2*C*r; plus (K^2 + 8)u of C*sum(r) for rounding.
+    The bounds are worst-case: no tie or cancellation in the net sums is
+    assumed, so f and g are compared against sums of pair magnitudes."""
+
+    @pytest.mark.parametrize("smoothing", [SmoothingParams(),
+                                           SmoothingParams(eps=1e-6, adaptive=False)],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("K", [1, 2, 4, 6])
+    def test_matches_general_terms(self, K, smoothing):
+        for seed in range(4):
+            gen, col, rng = rank_one_terms(seed, K, np.arange(4))
+            assert (col.amp.shape, col.phase_off.shape, col.mult) == ((4, 1), (4, 1, K), K)
+            assert gen.mult == 1.0
+            xs = rng.uniform(0, 20, (8, 4))  # 8 candidates for each of the 4 rows
+            bar, hat, g_im, g_re, q = br = _all_branches(gen, xs)
+            cbar, chat, *_ = _all_branches(col, xs)
+            t, delta, r = gen.tan_th, phase_tol(gen, q, xs), np.hypot(g_im, g_re)
+            assert np.all(np.abs(cbar - bar) <= (1 + t) * delta * r)
+            assert np.all(np.abs(chat - hat) <= (1 + t) * delta * r)
+
+            eps = pick_eps(gen, xs[0], smoothing)
+            if smoothing.adaptive:
+                tol = smoothing.kappa * (1 + t) * delta * r[0].max(axis=(-2, -1)) + 2 * U * eps
+                assert np.all(np.abs(pick_eps(col, xs[0], smoothing) - eps) <= tol)
+            else:
+                assert pick_eps(col, xs[0], smoothing) == eps
+            e = np.asarray(eps)[..., None, None]
+
+            size = (1 + t) * r + e * math.log(2)
+            tol = ((1 + t) * delta * r + (K * K + 8) * U * size).sum(axis=(-2, -1))
+            f = subproblem_objective(gen, xs, eps, br)
+            assert np.all(np.abs(subproblem_objective(col, xs, eps) - f) <= tol)
+
+            C = (1 + t) * (gen.beta0 + gen.beta1 + 1 / q.min())
+            tol = (C * r * (delta * (1 + (1 + t) * r / e) + (K * K + 8) * U)).sum(axis=(-2, -1))
+            g = subproblem_gradient(gen, xs, eps, br)
+            assert np.all(np.abs(subproblem_gradient(col, xs, eps) - g) <= tol)
+
+    @pytest.mark.parametrize("K", [2, 4, 6])
+    def test_objective_matches_pair_oracle(self, K):
+        # the scalar oracle sums every one of the K x K pairs of the general
+        # terms; the collapsed objective sums K pairs and multiplies by K
+        gen, col, rng = rank_one_terms(7, K, 1)
+        for x in rng.uniform(0, 20, 6):
+            for eps in (1e-6, pick_eps(gen, float(x), SmoothingParams())):
+                ref = sum(smooth_term(gen, float(x), m, k, eps)
+                          for m in range(K) for k in range(K))
+                _, _, g_im, g_re, q = _all_branches(gen, float(x))
+                r, t = np.hypot(g_im, g_re), gen.tan_th
+                size = (1 + t) * r + eps * math.log(2)
+                tol = ((1 + t) * phase_tol(gen, q, x) * r + (K * K + 8) * U * size).sum()
+                assert abs(subproblem_objective(col, float(x), eps) - ref) <= tol
+
+    def test_rows_carry_mult_and_cached_constants(self, monkeypatch):
+        _, col, _ = rank_one_terms(0, 4, np.arange(4))
+        dy2, coefs = col.dy2, col.slope_coefs
+        sub = col.rows(np.array([2, 0, 2]))
+        assert sub.mult == 4.0
+        assert np.array_equal(sub.__dict__["dy2"], dy2[[2, 0, 2]])
+        assert sub.__dict__["slope_coefs"] is coefs
+        # _solve_region stacks its restart starts as extra rows of one pgd_solve
+        seen = []
+
+        def spy(terms, *args, **kwargs):
+            seen.append(terms)
+            return pgd_solve(terms, *args, **kwargs)
+
+        monkeypatch.setattr(placement, "pgd_solve", spy)
+        eps = pick_eps(col, np.full(4, 3.0), SmoothingParams())
+        placement._solve_region(col, MovableRegion(np.zeros(4), np.full(4, 8.0)), eps,
+                                PGDConfig(restarts=2), np.full(4, 3.0))
+        (rows,) = seen
+        assert rows.amp.shape == (12, 1) and rows.mult == 4.0
+        assert np.array_equal(rows.__dict__["dy2"], np.tile(dy2, (3, 1)))
+        assert rows.__dict__["slope_coefs"] is coefs
 
 
 class TestPlacementObjectiveExact:
