@@ -30,7 +30,6 @@ from .geometry import (
     Vec3,
     initial_regions,
     make_geometry,
-    updated_region,
     validate_placement,
 )
 from .placement import (
@@ -71,7 +70,7 @@ __all__ = [
     "effective_channels", "received_lambda", "sinr",
     # geometry
     "MovableRegion", "PlacementReport", "SystemGeometry", "Vec3", "initial_regions",
-    "make_geometry", "updated_region", "validate_placement",
+    "make_geometry", "validate_placement",
     # placement
     "PGDConfig", "SmoothingParams", "SubproblemTerms", "build_subproblem_terms",
     "optimize_all_positions", "pgd_solve", "placement_objective_exact",

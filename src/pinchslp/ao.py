@@ -78,7 +78,8 @@ def ao_solve(
     """Alternate precoder solves and placement sweeps from x_init.
 
     Returns the final beam matrix, placement, and trace. Precoder
-    infeasibility at x_init propagates to the caller.
+    infeasibility at x_init propagates to the caller, and so does the
+    ValueError of an x_init that breaks the placement constraints.
     """
     gamma = np.asarray(gamma, dtype=float)
     x = np.array(x_init, dtype=float, copy=True)

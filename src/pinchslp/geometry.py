@@ -160,27 +160,22 @@ def initial_regions(geom: SystemGeometry) -> list[MovableRegion]:
     ]
 
 
-def updated_region(
-    l: int,
-    prev_opt: float | None,
-    init: MovableRegion,
-    min_spacing: float,
-) -> MovableRegion:
-    """Movable region for antenna l once antenna l-1 has been placed.
+def placement_cells(geom: SystemGeometry, x_coords: np.ndarray) -> MovableRegion:
+    """Movable cell of every antenna around a placement, as N x L bound arrays.
 
-    The lower edge advances to prev_opt + min_spacing (antenna 0 keeps lower 0);
-    the upper edge is the initial slot's upper edge. A collapsed interval
-    degenerates to the single point at the upper edge so sequential sweeps
-    always stay feasible.
+    Antenna l's cell runs from min_spacing/2 past its midpoint with antenna
+    l-1 (from 0 for the first) to min_spacing/2 short of its midpoint with
+    antenna l+1 (to waveguide_length for the last), widened to hold x[n, l]
+    against rounding. The cells of a feasible placement lie in
+    [0, waveguide_length] and min_spacing apart, so any one point per cell is
+    feasible; a pair exactly min_spacing apart leaves each no room towards
+    the other.
     """
-    if l == 0:
-        return MovableRegion(0.0, init.upper)
-    if prev_opt is None:
-        raise ValueError("prev_opt required for antennas after the first")
-    lower = max(prev_opt + min_spacing, 0.0)
-    if lower > init.upper:
-        lower = init.upper
-    return MovableRegion(lower, init.upper)
+    x = np.asarray(x_coords, dtype=float)
+    mid, half = (x[:, :-1] + x[:, 1:]) / 2, geom.min_spacing / 2
+    lower = np.pad(mid + half, ((0, 0), (1, 0)))
+    upper = np.pad(mid - half, ((0, 0), (0, 1)), constant_values=geom.waveguide_length)
+    return MovableRegion(np.minimum(lower, x), np.maximum(upper, x))
 
 
 class PlacementViolation(NamedTuple):
@@ -219,7 +214,7 @@ def validate_placement(
     for n in range(N):
         for l in range(L):
             v = x[n, l]
-            if v < -tol:
+            if not v >= -tol:  # NaN fails here too
                 violations.append(PlacementViolation("range", n, l, -v))
             elif v > geom.waveguide_length + tol:
                 violations.append(

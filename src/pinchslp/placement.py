@@ -5,8 +5,9 @@ subproblem per antenna: a double sum over user pairs of |g_im| - g_re*tan(th),
 where g_im/g_re are the imaginary/real parts of that antenna's contribution to
 the received point. The |.| kink is smoothed by log-sum-exp of its two branches
 and each subproblem is solved by projected gradient descent with Armijo
-backtracking over the antenna's movable region. Waveguides are independent, so
-antenna l of every waveguide is solved as one stack of rows stepping together.
+backtracking over the antenna's movable cell. The cells come from the current
+placement and keep neighbours apart, so all N x L subproblems are independent
+and one sweep is a single stack of rows stepping together.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .channel import WaveformParams, effective_channels
-from .geometry import (MovableRegion, SystemGeometry, initial_regions, offset_distances,
-                       updated_region, validate_placement)
+from .geometry import (MovableRegion, SystemGeometry, offset_distances, placement_cells,
+                       validate_placement)
 
 
 @dataclass(frozen=True)
@@ -349,27 +350,30 @@ def _solve_region(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDCo
 def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.ndarray,
                            s: np.ndarray, params: WaveformParams, theta_th: float,
                            smoothing: SmoothingParams, cfg: PGDConfig) -> np.ndarray:
-    """Sweep every antenna once: left to right on each waveguide, each over
-    its movable region updated from the previous antenna's new position.
-    W is the beam matrix or, for rank-one beams, the precoded vector x (see
+    """Sweep every antenna once, each within its cell of x_current (see
+    geometry.placement_cells), warm-started at its current position. W is the
+    beam matrix or, for rank-one beams, the precoded vector x (see
     build_subproblem_terms).
 
-    The waveguides are independent, so antenna l of all of them is one
-    stacked solve. Warm starts from the current placement projected into each
-    region; the output always satisfies the range and spacing constraints.
+    The cells keep neighbours min_spacing apart, so the N x L subproblems are
+    independent: one stacked solve with a row per antenna, row-major in
+    (waveguide, antenna). x_current must satisfy the range and spacing
+    constraints, else ValueError names the violations; the output always
+    satisfies them.
     """
-    terms = build_subproblem_terms(geom, np.arange(geom.num_waveguides), W, s, params, theta_th)
-    x_new = np.array(x_current, dtype=float, copy=True)
-    prev = [None] * geom.num_waveguides
-    for l, init in enumerate(initial_regions(geom)):
-        lower = np.array([updated_region(l, p, init, geom.min_spacing).lower for p in prev])
-        x_warm = np.minimum(np.maximum(x_new[:, l], lower), init.upper)
-        branches = _all_branches(terms, x_warm)
-        eps = pick_eps(terms, x_warm, smoothing, branches)
-        x_new[:, l] = prev = _solve_region(terms, MovableRegion(lower, init.upper), eps, cfg,
-                                           x_warm, branches)
+    report = validate_placement(geom, x_current)
+    if not report.ok:
+        raise ValueError(f"x_current violates the placement constraints: {report.violations}")
+    N, L = geom.num_waveguides, geom.num_pas_per_waveguide
+    terms = build_subproblem_terms(geom, np.repeat(np.arange(N), L), W, s, params, theta_th)
+    cells = placement_cells(geom, x_current)
+    x_warm = np.asarray(x_current, dtype=float).ravel()
+    branches = _all_branches(terms, x_warm)
+    eps = pick_eps(terms, x_warm, smoothing, branches)
+    x_new = _solve_region(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps,
+                          cfg, x_warm, branches).reshape(N, L)
     report = validate_placement(geom, x_new)
-    if not report.ok:  # regions enforce this by construction
+    if not report.ok:  # cells enforce this by construction
         raise AssertionError(f"position sweep produced violations: {report.violations}")
     return x_new
 

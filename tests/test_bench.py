@@ -382,32 +382,33 @@ def _csv_sha256(records, tmp_path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# Placements of the position sweep, recorded as float.hex before the sweep
-# was batched over waveguides; (L, smoothing, pgd) -> row-major N x L entries.
+# Placements of the position sweep, recorded as float.hex when the sweep
+# became one stacked solve over the cells of the current placement;
+# (L, smoothing, pgd) -> row-major N x L entries.
 GOLDEN_PLACEMENTS = {
     (3, SmoothingParams(), PGDConfig()): (
         "0x1.a4c2f5bc8cf21p+1 0x1.4ef182499bb5cp+3 0x1.127dcf2ed1d1bp+4 "
         "0x1.de19161cc786dp+1 0x1.50057aef79a29p+3 0x1.072028f4184acp+4 "
-        "0x1.08fd58108306ap-2 0x1.f8cc8b95c9ddep-1 0x1.e5e631cc2a2d8p+3 "
-        "0x1.3faf338e06edep+1 0x1.aa97ee9f3139dp+3 0x1.c9ffc701fe98cp+3"
+        "0x1.08fd58108306ap-2 0x1.15dd815b10f1cp+3 0x1.e5e631cc2a2d8p+3 "
+        "0x1.3faf338e06edep+1 0x1.aa94bd2e6e77bp+3 0x1.c9ffc701fe98cp+3"
     ),
     (5, SmoothingParams(), PGDConfig(restarts=2)): (
-        "0x1.0cb9cc3365fc6p+1 0x1.3be708e6da6dcp+2 0x1.48124c4905921p+2 "
-        "0x1.7ce19b5f84347p+3 0x1.206c48afdd8c9p+4 0x1.2c94cb3a30c7fp+0 "
-        "0x1.4b87ee23e464ap+0 0x1.6eb2b3d86174bp+3 0x1.a46e4cc94695ap+3 "
-        "0x1.3fec14ed5cf8bp+4 0x1.f4e4dad83f89dp+1 0x1.f0bb076d58f8fp+2 "
-        "0x1.7f5116f9f9d7ap+3 0x1.db89dc68d00a5p+3 0x1.3fbaf3f2918d3p+4 "
-        "0x1.288bb000dddf3p+1 0x1.681e0faf827bap+2 0x1.538fd6b8bdb88p+3 "
-        "0x1.f474d4e179342p+3 0x1.f7a2346263723p+3"
+        "0x1.0cb9cb1d71eb1p+1 0x1.9e35d68e8a952p+2 0x1.21bc06cd48496p+3 "
+        "0x1.abd605f2c0a61p+3 0x1.206c48afdd8c9p+4 0x1.2c94cb3a30c7fp+0 "
+        "0x1.002bdaf878660p+2 0x1.6eb2b3d86174bp+3 0x1.ffea1283c3cd0p+3 "
+        "0x1.3fec14ed5cf8bp+4 0x1.971db32dc3244p+0 0x1.f0bb076d58f8fp+2 "
+        "0x1.13f2e6fc12630p+3 0x1.ffe583e360bc6p+3 0x1.3fbaf3f2918d3p+4 "
+        "0x1.288bb000dddf3p+1 0x1.13dc8a470cd45p+2 0x1.538fd6b8bdb88p+3 "
+        "0x1.f474d4e179342p+3 0x1.37a5cdcd6d872p+4"
     ),
     (7, SmoothingParams(eps=1e-6, adaptive=False), PGDConfig()): (
         "0x1.b6fbbdc28f870p+0 0x1.1bca7690077d0p+2 0x1.03b5a7fb07e59p+3 "
-        "0x1.4216836711944p+3 0x1.831c3dd9e0d8cp+3 0x1.124602a51bf8bp+4 "
-        "0x1.29302c40070ffp+4 0x1.924eefe81b213p+0 0x1.6d7834e62f6e4p+2 "
-        "0x1.12301528dfc5bp+3 0x1.1526780f1e1c9p+3 0x1.a535534a1d815p+3 "
-        "0x1.a5642800e57f5p+3 0x1.4000000000000p+4 0x1.7d74a7a9b7fc1p+0 "
-        "0x1.5e7ccbe6c53e9p+2 0x1.b2a133fde5780p+2 0x1.3fb75691b63c1p+3 "
-        "0x1.c9180a946fe2ep+3 0x1.f9a982270092bp+3 0x1.f9d55d1f78f8bp+3 "
+        "0x1.4216836711944p+3 0x1.6dccc8e9f30e7p+3 0x1.0b5723167ef06p+4 "
+        "0x1.29302c40070ffp+4 0x1.924eefe81b213p+0 0x1.41add094f3316p+2 "
+        "0x1.e432f6034ae1ap+2 0x1.1526780f1e1c9p+3 0x1.a535534a1d815p+3 "
+        "0x1.123e2dd42b0b1p+4 0x1.4000000000000p+4 0x1.6aea2bace43aep+1 "
+        "0x1.5e7ccbe6c53e9p+2 0x1.a003f2a32311ep+2 0x1.6d9ff2b3604d9p+3 "
+        "0x1.891d1ca706cf8p+3 0x1.f9a982270092bp+3 0x1.12969198cd0f8p+4 "
         "0x1.0d21c9fa6f966p-5 0x1.04b3052fa85a0p+2 0x1.0ebd9098f1579p+3 "
         "0x1.4cb2b18fd14a1p+3 0x1.9d467e2e61185p+3 0x1.ea27cfc93a60ap+3 "
         "0x1.2c9618a3792b7p+4"
@@ -415,44 +416,44 @@ GOLDEN_PLACEMENTS = {
 }
 
 
-# Shapes the cases above miss, recorded as float.hex before the PGD step was
-# fused: (N, K, L, smoothing, pgd) -> row-major N x L entries. K = 1 is a 1 x 1
-# pair axis; init_step=1e6 misses the first half of the Armijo schedule at
-# every step; max_iters=3 stops every solve at its iteration limit.
+# Shapes the cases above miss, recorded with them: (N, K, L, smoothing, pgd)
+# -> row-major N x L entries. K = 1 is a 1 x 1 pair axis; init_step=1e6 misses
+# the first half of the Armijo schedule at every step; max_iters=3 stops the
+# solve at its iteration limit.
 GOLDEN_SHAPES = {
     (4, 1, 3, SmoothingParams(), PGDConfig()): (
         "0x1.b56f1e284f03ep+1 0x1.4cc4f27b5e599p+3 0x1.1a099f3474bf3p+4 "
-        "0x1.e2b9706e08956p+1 0x1.3253a5689f791p+3 0x1.8be5e2b8690c9p+3 "
+        "0x1.e2b9706e08956p+1 0x1.3253a5689f791p+3 0x1.1c933daf4df12p+4 "
         "0x1.aabfc64b2b870p+1 0x1.e9b70a71c2f70p+2 0x1.fe8dbfb4af083p+3 "
         "0x1.3dbaa0cca5fe7p+1 0x1.40058de82379ep+3 0x1.0aabb4b48d70ep+4"
     ),
     (4, 6, 3, SmoothingParams(), PGDConfig()): (
         "0x1.b1ed40936eb50p+1 0x1.4eb4578b3db4dp+3 0x1.0bd0cf739c019p+4 "
-        "0x1.5dd9cda50d2abp+1 0x1.8c8b3259f4b6dp+3 0x1.94ba893675a39p+3 "
+        "0x1.5dd9cda50d2abp+1 0x1.8c8b3259f4b6dp+3 0x1.0a7de4c0f3300p+4 "
         "0x1.3f2e657b82669p+2 0x1.9bdd96aa4c520p+3 0x1.4000000000000p+4 "
-        "0x1.231c6dd814511p+2 0x1.81dc2e964bb7ap+3 0x1.c011abed273c2p+3"
+        "0x1.aa7ecfb23244bp+2 0x1.81dc2e964bb7ap+3 0x1.c011abed273c2p+3"
     ),
     (1, 4, 5, SmoothingParams(), PGDConfig()): (
-        "0x1.fa5e16457fefdp+1 0x1.86e8bb0236f92p+2 0x1.0b553f4c7a804p+3 "
-        "0x1.acdc9182ab058p+3 0x1.ae0179a7d2b75p+3"
+        "0x1.fa5e16457fefdp+1 0x1.002bdaf878660p+2 0x1.0b553f4c7a804p+3 "
+        "0x1.acdc9182ab058p+3 0x1.000cd86aca8fep+4"
     ),
     (3, 2, 4, SmoothingParams(), PGDConfig(restarts=1)): (
-        "0x0.0p+0 0x1.10093425c2fa3p+3 0x1.7a913fa38a73dp+3 0x1.996f47b0497aep+3 "
-        "0x1.0707a57728bd7p-1 0x1.3fea1283c3ccfp+3 0x1.4191cdd37f2bap+3 "
-        "0x1.1dd8512765acfp+4 0x1.94c55b6eec6cbp+0 0x1.e191442fd1ba8p+2 "
-        "0x1.65847c1d762b0p+3 0x1.cde5f77da1228p+3"
+        "0x0.0p+0 0x1.aa9eb0728893dp+2 0x1.428541daebeb0p+3 "
+        "0x1.e4099e88ebb49p+3 0x1.0707a57728bd7p-1 0x1.3fea1283c3cd0p+3 "
+        "0x1.4191cde32eea7p+3 0x1.1dd8512765acfp+4 0x1.94c55b6eec6cbp+0 "
+        "0x1.e191442fd1ba8p+2 0x1.8f6d561d866f1p+3 0x1.e01cfddcc876bp+3"
     ),
     (4, 4, 3, SmoothingParams(), PGDConfig(init_step=1e6)): (
-        "0x1.d86253b1c878cp+1 0x1.aa9c0c57d7de0p+3 0x1.35399ac733a38p+4 "
-        "0x1.aa70315f5f780p+2 0x1.8c68b308e8c58p+3 0x1.1737bf15e3e81p+4 "
-        "0x1.a9c98f7e2f598p+0 0x1.689617c53c808p+1 0x1.3357e8fccec81p+3 "
-        "0x1.515ab08031e9ep-2 0x1.aa97f8bbcc96cp+3 0x1.aac3d3b444fccp+3"
+        "0x1.d86253b1c878cp+1 0x1.70b92cbe61b4ap+3 0x1.35399ac733a38p+4 "
+        "0x1.aa72b675da42cp+2 0x1.8c68b308e8c58p+3 0x1.1737bf15e3e81p+4 "
+        "0x1.a9c98f7e2f598p+0 0x1.d5ecbab11ab89p+2 0x1.4000000000000p+4 "
+        "0x1.515ab08031e9ep-2 0x1.aa94bd2e6e77bp+3 0x1.aac09826e6ddbp+3"
     ),
     (4, 4, 3, SmoothingParams(), PGDConfig(max_iters=3)): (
         "0x1.a4d204336ccc2p+1 0x1.4ef4a7335ed5ap+3 0x1.127c12623d4bep+4 "
         "0x1.b005fb2409537p+1 0x1.50076045abdb4p+3 0x1.06f851697cdc7p+4 "
-        "0x1.08e7d1c9d8eddp-2 0x1.35a289768b26ep+1 0x1.e5e57d1fd4975p+3 "
-        "0x1.6ea8ca00dbc04p+1 0x1.aa95d05a3028ap+3 0x1.c4edbe26ac583p+3"
+        "0x1.08e7d1c9d8eddp-2 0x1.17c9ac26510efp+3 0x1.e5e57d1fd4975p+3 "
+        "0x1.6ea8ca00dbc04p+1 0x1.aa94bd2e6e77bp+3 0x1.c4edbe26ac583p+3"
     ),
 }
 
@@ -470,21 +471,22 @@ def _golden_sweep(N, K, L, smoothing, pgd):
 
 class TestGoldenOutputs:
     """Bit-identity against recorded outputs: a pure speed-up must not move a
-    single bit. The placements pass a beam matrix W and were recorded before
-    the sweep was batched. The two CSVs run the AO, whose sweep takes the
-    collapsed rank-one terms; they were re-recorded when that collapse changed
-    its rounding."""
+    single bit. All four pin the cell-based sweep, in which every antenna
+    moves within its cell of the current placement and all N x L of them are
+    one stacked solve; they were recorded when the sweep took that form. The
+    placements pass a beam matrix W; the two CSVs run the AO, whose sweep
+    takes the collapsed rank-one terms."""
 
     def test_convergence_csv(self, tmp_path):
         cfg = ExperimentConfig(trials=2, num_pas=(3, 5), gamma_db=16.0, schemes=("proposed",))
         assert _csv_sha256(run_convergence(cfg), tmp_path) == (
-            "12cda86d6362465a361e6314d691f5d94f6ad2ae012e58226e6f773fb686390a"
+            "85345f405c1b9da518783c48f16168b02a36ac5e75986a1aa9436806f9151056"
         )
 
     def test_power_vs_sinr_csv_with_restarts(self, tmp_path):
         cfg = ExperimentConfig(trials=1, gamma_db=(10.0, 20.0), pgd=PGDConfig(restarts=2))
         assert _csv_sha256(run_power_vs_sinr(cfg), tmp_path) == (
-            "2dee7f00b932047eaf829aec6a2deeed716279f5ce86ba1620b87e50f92ef5b5"
+            "7791b62ea703fe81cb46092300097140ceab408806eb203ea36337d0ea0bd648"
         )
 
     @pytest.mark.parametrize("case", list(GOLDEN_PLACEMENTS), ids=lambda c: f"L{c[0]}")
@@ -501,9 +503,8 @@ class TestGoldenOutputs:
 
 class TestTraceHooks:
     """The per-layer counters of the benchmark tracer wrap these module-level
-    names of pinchslp.placement and count their calls; the counts below were
-    recorded before the PGD step was fused. A kernel that stopped calling
-    them through the module would read 0 in every traced run."""
+    names of pinchslp.placement and count their calls. A kernel that stopped
+    calling them through the module would read 0 in every traced run."""
 
     def test_placement_call_counts(self, monkeypatch):
         from pinchslp import placement
@@ -520,5 +521,9 @@ class TestTraceHooks:
         for name in counts:
             monkeypatch.setattr(placement, name, counting(name, getattr(placement, name)))
         _golden_sweep(4, 4, 5, SmoothingParams(), PGDConfig(restarts=2))
-        assert counts == {"pgd_solve": 5, "subproblem_gradient": 75,
-                          "subproblem_objective": 100, "pick_eps": 5}
+        # the cells make all 4 x 5 antennas, times 3 starts, the rows of one
+        # pgd_solve with one pick_eps: 15 lockstep steps, each with one
+        # gradient and one or two objective batches, plus the first
+        # objective and the pick of the best start
+        assert counts == {"pgd_solve": 1, "subproblem_gradient": 15,
+                          "subproblem_objective": 22, "pick_eps": 1}

@@ -11,7 +11,7 @@ from pinchslp.geometry import (
     distances,
     initial_regions,
     make_geometry,
-    updated_region,
+    placement_cells,
     validate_placement,
 )
 
@@ -153,43 +153,42 @@ class TestInitialRegions:
             assert validate_placement(geom, x).ok
 
 
-class TestUpdatedRegion:
-    def test_first_pa_keeps_zero_lower(self):
-        r = updated_region(0, None, MovableRegion(0.0, 3.0), 0.1)
-        assert r.lower == 0.0
+@st.composite
+def feasible_placements(draw):
+    """A geometry and a feasible placement on it. Each waveguide spreads its
+    slack length - (L-1)*min_spacing over the L + 1 gaps by random shares;
+    zero shares are drawn often, so touching pairs and antennas at 0 and at
+    waveguide_length are common."""
+    L, N = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    d = draw(st.sampled_from([HALF_WAVELENGTH_28GHZ, 0.5, 2.0]))
+    length = (L - 1) * d + draw(st.floats(0.0, 20.0))
+    share = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(share, min_size=N * (L + 1), max_size=N * (L + 1))))
+    w = w.reshape(N, L + 1)
+    total = w.sum(axis=1, keepdims=True)
+    free = np.cumsum(w, axis=1)[:, :L] / np.where(total > 0, total, 1.0)
+    x = np.minimum(free * (length - (L - 1) * d) + np.arange(L) * d, length)
+    return demo_geometry(num_pas=L, spacing=d, num_waveguides=N, length=length), x
 
-    def test_lower_advances_past_previous(self):
-        init = MovableRegion(2.05, 4.0)
-        r = updated_region(1, 2.0, init, 0.1)
-        assert r.lower == pytest.approx(2.1)
-        assert r.upper == 4.0
 
-    def test_nonempty_when_prev_at_slot_edge(self):
-        geom = demo_geometry()
-        regions = initial_regions(geom)
-        for l in range(1, len(regions)):
-            prev_upper = regions[l - 1].upper
-            r = updated_region(l, prev_upper, regions[l], geom.min_spacing)
-            assert r.lower <= r.upper
-            assert r.lower == pytest.approx(regions[l].lower, rel=1e-9)
+class TestPlacementCells:
+    @given(feasible_placements())
+    def test_cells_hold_their_point_and_stay_apart(self, case):
+        geom, x = case
+        assert validate_placement(geom, x).ok
+        lower, upper = placement_cells(geom, x)
+        assert lower.shape == upper.shape == x.shape
+        assert np.all((lower <= x) & (x <= upper))
+        assert np.all((lower >= 0.0) & (upper <= geom.waveguide_length))
+        assert np.all(lower[:, 1:] - upper[:, :-1] >= geom.min_spacing - 1e-9)
 
-    def test_collapsed_region_degenerates_to_upper(self):
-        r = updated_region(2, 5.0, MovableRegion(1.0, 3.0), 0.5)
-        assert r.lower == r.upper == 3.0
-
-    def test_sequential_draws_stay_valid(self):
-        geom = demo_geometry()
-        regions = initial_regions(geom)
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            x = np.empty((geom.num_waveguides, geom.num_pas_per_waveguide))
-            for n in range(geom.num_waveguides):
-                prev = None
-                for l, init in enumerate(regions):
-                    r = updated_region(l, prev, init, geom.min_spacing)
-                    x[n, l] = rng.uniform(r.lower, r.upper)
-                    prev = x[n, l]
-            assert validate_placement(geom, x).ok
+    def test_midpoint_example(self):
+        # the first cell starts at 0 and the last ends at the waveguide end;
+        # the touching pair (4, 4.5) leaves each no room towards the other
+        geom = demo_geometry(num_pas=4, spacing=0.5, num_waveguides=1)
+        lower, upper = placement_cells(geom, np.array([[0.0, 4.0, 4.5, 20.0]]))
+        assert lower.tolist() == [[0.0, 2.25, 4.5, 12.5]]
+        assert upper.tolist() == [[1.75, 4.0, 12.0, 20.0]]
 
 
 class TestValidatePlacement:

@@ -17,7 +17,7 @@ EXPORTED = {
     "placement_objective_exact", "precoder", "psk_constellation",
     "psk_symbols", "random_placement", "received_lambda", "recover_beam_matrix", "sinr",
     "solve_min_power", "subproblem_gradient", "subproblem_objective",
-    "transmit_power", "updated_region", "validate_placement",
+    "transmit_power", "validate_placement",
     "watts_to_dbm",
 }
 
@@ -25,7 +25,7 @@ EXPORTED = {
 REMOVED = {
     "armijo_step", "project", "pa_position", "user_pa_distance",
     "g_terms", "phi_branches", "smooth_term", "freespace_channel", "waveguide_phase_vector",
-    "user_distance",
+    "user_distance", "updated_region",
 }
 
 

@@ -11,7 +11,6 @@ from pinchslp.geometry import (
     Vec3,
     initial_regions,
     make_geometry,
-    updated_region,
     validate_placement,
 )
 from pinchslp.oracles import (
@@ -476,6 +475,32 @@ class TestOptimizeAllPositions:
             assert report.ok
             assert np.all(np.diff(x, axis=1) >= geom.min_spacing - 1e-12)
 
+    def test_rejects_infeasible_input(self):
+        rng = np.random.default_rng(20)
+        geom, symbols, W = demo_setup(rng)
+        grid = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
+        for n, l, v, kind in ((1, 2, grid[1, 1] + geom.min_spacing / 2, "spacing"),
+                              (3, 4, 20.5, "range"), (0, 0, -1e-6, "range"),
+                              (2, 3, math.nan, "range")):
+            x0 = grid.copy()
+            x0[n, l] = v
+            with pytest.raises(ValueError, match=f"kind='{kind}', waveguide={n}"):
+                optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA,
+                                       SmoothingParams(), PGDConfig())
+
+    def test_touching_input_stays_valid(self):
+        # every gap exactly min_spacing: the inner cells hold only their point
+        # (to rounding), the end antennas can move outwards
+        rng = np.random.default_rng(21)
+        geom, symbols, W = demo_setup(rng)
+        x0 = np.tile(8.0 + np.arange(5) * geom.min_spacing, (4, 1))
+        assert validate_placement(geom, x0).ok
+        x = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, SmoothingParams(),
+                                   PGDConfig())
+        assert validate_placement(geom, x).ok
+        assert np.all(np.abs(x[:, 1:-1] - x0[:, 1:-1]) <= 1e-12)
+        assert np.all(x[:, 0] <= x0[:, 0]) and np.all(x[:, -1] >= x0[:, -1])
+
     def test_single_pa_independent_regions(self):
         rng = np.random.default_rng(18)
         geom, symbols, W = demo_setup(rng, num_pas=1)
@@ -497,27 +522,28 @@ def stack_rows(rows):
     )
 
 
-def sequential_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
-    """The per-antenna sweep built from one-row calls: each waveguide on its
-    own, each start its own pgd_solve, the first best start kept."""
-    regions = initial_regions(geom)
-    x = np.array(x_current, dtype=float, copy=True)
-    for n in range(geom.num_waveguides):
+def one_row_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
+    """The sweep built from one-row calls: each antenna alone on its own cell
+    of x_current, each start its own pgd_solve, the first best start kept."""
+    x = np.asarray(x_current, dtype=float)
+    N, L = x.shape
+    d, out = geom.min_spacing, np.empty_like(x)
+    for n in range(N):
         terms = build_subproblem_terms(geom, n, W, s, PARAMS, THETA)
-        prev = None
-        for l in range(geom.num_pas_per_waveguide):
-            region = updated_region(l, prev, regions[l], geom.min_spacing)
-            x_warm = min(max(x[n, l], region.lower), region.upper)
-            eps = pick_eps(terms, x_warm, smoothing)
-            starts = [x_warm, *np.linspace(region.lower, region.upper, cfg.restarts)]
+        for l in range(L):
+            lo = 0.0 if l == 0 else (x[n, l - 1] + x[n, l]) / 2 + d / 2
+            hi = geom.waveguide_length if l == L - 1 else (x[n, l] + x[n, l + 1]) / 2 - d / 2
+            region = MovableRegion(min(lo, x[n, l]), max(hi, x[n, l]))
+            eps = pick_eps(terms, x[n, l], smoothing)
+            starts = [x[n, l], *np.linspace(region.lower, region.upper, cfg.restarts)]
             seen = []
             ends = [pgd_solve(terms, region, eps, cfg, x0, callback=lambda t, f: seen.append(t))
                     for x0 in starts]
             if iterations is not None:
                 iterations[n, l] = len(seen) - len(starts)
             vals = [subproblem_objective(terms, e, eps) for e in ends]
-            x[n, l] = prev = ends[int(np.argmin(vals))]
-    return x
+            out[n, l] = ends[int(np.argmin(vals))]
+    return out
 
 
 class TestLockstepRows:
@@ -535,23 +561,31 @@ class TestLockstepRows:
         rng = np.random.default_rng(30)
         for num_users, num_pas in ((4, 5), (3, 1), (5, 3)):
             geom, symbols, W = demo_setup(rng, num_users=num_users, num_pas=num_pas)
-            x0 = np.tile((np.arange(num_pas) + 0.5) * 20.0 / num_pas, (4, 1))
-            expected = sequential_sweep(geom, x0, W, symbols.s, smoothing, cfg)
-            got = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing, cfg)
-            assert np.array_equal(got, expected)
+            grid = np.tile((np.arange(num_pas) + 0.5) * 20.0 / num_pas, (4, 1))
+            touching = grid.copy()  # antenna 0 against antenna 1 (at 0 when L = 1)
+            touching[:, 0] = 0.0 if num_pas == 1 else grid[:, 1] - geom.min_spacing
+            for x0 in (grid, touching):
+                expected = one_row_sweep(geom, x0, W, symbols.s, smoothing, cfg)
+                got = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing,
+                                             cfg)
+                assert np.array_equal(got, expected)
 
     def test_rows_retiring_at_different_iterations(self):
         # waveguide 0 has zero beams and stops after one step; waveguide 1
-        # starts from its own converged sweep and stops within a few; the
-        # others descend for many steps while those rows sit retired
+        # starts from two sweeps of its own and stops within a few (one sweep
+        # is not enough: the cells move with the placement, so an antenna
+        # that ended on its cell edge can go on); the others descend for many
+        # steps while those rows sit retired
         rng = np.random.default_rng(31)
         geom, symbols, W = demo_setup(rng)
         W[0] = 0.0
         smoothing, cfg = SmoothingParams(), PGDConfig()
         x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
-        x0[1] = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing, cfg)[1]
+        for _ in range(2):
+            x0[1] = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing,
+                                           cfg)[1]
         iterations = np.zeros((4, 5), dtype=int)
-        expected = sequential_sweep(geom, x0, W, symbols.s, smoothing, cfg, iterations)
+        expected = one_row_sweep(geom, x0, W, symbols.s, smoothing, cfg, iterations)
         got = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA, smoothing, cfg)
         assert np.array_equal(got, expected)
         assert np.array_equal(got[0], x0[0])
