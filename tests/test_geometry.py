@@ -191,6 +191,56 @@ class TestPlacementCells:
         assert upper.tolist() == [[1.75, 4.0, 12.0, 20.0]]
 
 
+class TestUpdatedRegion:
+    """The region an antenna may move in during one placement sweep: its
+    cell from placement_cells, given where its neighbours are now."""
+
+    def test_first_pa_keeps_zero_lower(self):
+        geom = demo_geometry(num_pas=3, spacing=0.1, num_waveguides=1, length=3.0)
+        lower, _ = placement_cells(geom, np.array([[1.0, 2.0, 2.5]]))
+        assert lower[0, 0] == 0.0
+
+    def test_lower_advances_past_previous(self):
+        geom = demo_geometry(num_pas=3, spacing=0.1, num_waveguides=1, length=4.0)
+        lower, upper = placement_cells(geom, np.array([[2.0, 2.2, 4.0]]))
+        assert lower[0, 1] == pytest.approx(2.15)  # midpoint 2.1 + min_spacing/2
+        assert upper[0, 1] == pytest.approx(3.05)  # midpoint 3.1 - min_spacing/2
+        assert lower[0, 1] - upper[0, 0] == pytest.approx(geom.min_spacing)
+
+    def test_nonempty_when_prev_at_slot_edge(self):
+        # antennas 2j and 2j+1 sit on the facing edges of their initial slots,
+        # exactly min_spacing apart; the cells still hold them
+        geom = demo_geometry()
+        regions = initial_regions(geom)
+        row = [r.upper if l % 2 == 0 else r.lower for l, r in enumerate(regions)]
+        x = np.tile(row, (geom.num_waveguides, 1))
+        assert validate_placement(geom, x).ok
+        lower, upper = placement_cells(geom, x)
+        assert np.all((lower <= x) & (x <= upper))
+        for l in range(1, len(regions), 2):
+            assert lower[0, l] == pytest.approx(regions[l].lower, rel=1e-9)
+
+    def test_collapsed_region_degenerates_to_upper(self):
+        # antenna 1 touches both neighbours, so its cell is the single point x
+        geom = demo_geometry(num_pas=3, spacing=0.5, num_waveguides=1, length=6.0)
+        lower, upper = placement_cells(geom, np.array([[2.5, 3.0, 3.5]]))
+        assert lower[0, 1] == upper[0, 1] == 3.0
+
+    def test_sequential_draws_stay_valid(self):
+        # each round moves every antenna to a random point of its cell
+        geom = demo_geometry()
+        regions = initial_regions(geom)
+        rng = np.random.default_rng(6)
+        x = np.array(
+            [[rng.uniform(r.lower, r.upper) for r in regions]
+             for _ in range(geom.num_waveguides)]
+        )
+        for _ in range(50):
+            lower, upper = placement_cells(geom, x)
+            x = rng.uniform(lower, upper)
+            assert validate_placement(geom, x).ok
+
+
 class TestValidatePlacement:
     def test_uniform_grid_ok(self):
         geom = demo_geometry()
