@@ -2,9 +2,9 @@
 
 Each round solves the minimum-power precoder at the current placement, sweeps
 the antenna positions against the resulting beams, re-solves the precoder at
-the candidate placement, and (with the guard on) keeps the candidate only if
-it does not increase power. The guarded power sequence is non-increasing, so
-the relative-change stopping rule always terminates.
+the candidate placement, and keeps the candidate only if it does not increase
+power. This guard makes the power sequence non-increasing, so the
+relative-change stopping rule always terminates.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .precoder import (
 class AOConfig:
     max_iters: int = 30
     rel_tol: float = 1e-3
-    guard_enabled: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.max_iters, Integral) and not isinstance(self.max_iters, bool)
@@ -44,8 +43,6 @@ class AOConfig:
             raise ValueError("max_iters must be a non-negative integer")
         if not 0 < self.rel_tol <= sys.float_info.max:
             raise ValueError("rel_tol must be positive and finite")
-        if not isinstance(self.guard_enabled, bool):
-            raise ValueError("guard_enabled must be true or false")
 
 
 @dataclass
@@ -99,7 +96,7 @@ def ao_solve(
             geom, x, sol.x_opt, symbols.s, params, theta_th, smoothing, pgd_cfg
         )
         sol_cand = _solve_at(geom, x_cand, params, symbols, gamma, noise_power, theta_th)
-        if ao_cfg.guard_enabled and sol_cand.power > power:
+        if sol_cand.power > power:
             accepted = False
             new_power = power
         else:
@@ -138,14 +135,9 @@ def fixed_uniform_placement(geom: SystemGeometry) -> np.ndarray:
 def random_placement(geom: SystemGeometry, seed) -> np.ndarray:
     """One uniform draw per initial movable region on each waveguide, so the
     spacing constraint holds by construction; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    regions = initial_regions(geom)
-    N, L = geom.num_waveguides, geom.num_pas_per_waveguide
-    x = np.empty((N, L))
-    for n in range(N):
-        for l, r in enumerate(regions):
-            x[n, l] = rng.uniform(r.lower, r.upper)
-    return x
+    lower, upper = np.array(initial_regions(geom)).T
+    return np.random.default_rng(seed).uniform(
+        lower, upper, (geom.num_waveguides, geom.num_pas_per_waveguide))
 
 
 def conventional_array_snapshot(

@@ -2,6 +2,11 @@
 CSV emission for the three experiment families (power vs. SINR target, power
 vs. antennas per waveguide, AO convergence traces).
 
+The three families are one sweep driver, `_sweep`, over different axes: the
+SINR targets at the first antenna count, or the antenna counts at the first
+target; convergence keeps every AO round of the proposed scheme. It is the
+only loop over trials and the only place records are built.
+
 Every trial derives its RNG from (master_seed, trial), so results are
 bit-identical across runs and independent of execution order.
 """
@@ -214,23 +219,6 @@ class ExperimentRecord:
     converged: bool
 
 
-def _record(experiment, trial, seed, scheme, gamma_db, num_pas, power_w,
-            ao_iters, converged) -> ExperimentRecord:
-    dbm = watts_to_dbm(power_w) if power_w > 0 and math.isfinite(power_w) else math.nan
-    return ExperimentRecord(
-        experiment=experiment,
-        trial=trial,
-        seed=seed,
-        scheme=scheme,
-        gamma_db=gamma_db,
-        num_pas=num_pas,
-        power_w=power_w,
-        power_dbm=dbm,
-        ao_iters=ao_iters,
-        converged=converged,
-    )
-
-
 def generate_scenario(
     cfg: ExperimentConfig, trial: int, num_pas: int | None = None
 ) -> tuple[SystemGeometry, SymbolVector]:
@@ -262,101 +250,74 @@ def _run_scheme(
     symbols: SymbolVector,
     gamma_lin: np.ndarray,
     trial: int,
-) -> tuple[float, int, bool]:
-    """Power, AO iteration count, and convergence flag for one scheme."""
+) -> tuple[list[float], bool]:
+    """Power after every AO round (one entry for a baseline) and the
+    convergence flag of one scheme; an infeasible point is ([nan], False)."""
     params = cfg.params
-    if scheme == "proposed":
-        x0 = fixed_uniform_placement(geom)
-        _, _, trace = ao_solve(
-            geom, params, symbols, gamma_lin, cfg.noise_w, cfg.theta_th, x0,
-            ao_cfg=cfg.ao, pgd_cfg=cfg.pgd, smoothing=cfg.smoothing,
-        )
-        return trace.powers[-1], trace.iterations, trace.converged
-    if scheme == "fixed":
-        snapshot = effective_channels(geom, fixed_uniform_placement(geom), params)
-    elif scheme == "random":
-        x = random_placement(geom, [cfg.master_seed, trial, _RANDOM_PLACEMENT_TAG])
-        snapshot = effective_channels(geom, x, params)
-    elif scheme == "conventional":
-        snapshot = conventional_array_snapshot(geom, params)
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
-    qp = build_ci_qp(snapshot, symbols, gamma_lin, cfg.noise_w, cfg.theta_th)
-    sol = solve_min_power(qp)
-    return sol.power, 0, sol.feasible
+    try:
+        if scheme == "proposed":
+            _, _, trace = ao_solve(
+                geom, params, symbols, gamma_lin, cfg.noise_w, cfg.theta_th,
+                fixed_uniform_placement(geom),
+                ao_cfg=cfg.ao, pgd_cfg=cfg.pgd, smoothing=cfg.smoothing,
+            )
+            return trace.powers, trace.converged
+        if scheme == "fixed":
+            snapshot = effective_channels(geom, fixed_uniform_placement(geom), params)
+        elif scheme == "random":
+            x = random_placement(geom, [cfg.master_seed, trial, _RANDOM_PLACEMENT_TAG])
+            snapshot = effective_channels(geom, x, params)
+        else:  # "conventional"; ExperimentConfig admits no other scheme
+            snapshot = conventional_array_snapshot(geom, params)
+        sol = solve_min_power(build_ci_qp(snapshot, symbols, gamma_lin, cfg.noise_w,
+                                          cfg.theta_th))
+        return [sol.power], sol.feasible
+    except InfeasibleProblemError:
+        return [math.nan], False
+
+
+def _sweep(cfg: ExperimentConfig, experiment: str, gammas: Sequence[float],
+           pas: Sequence[int], schemes: Sequence[str],
+           every_round: bool = False) -> list[ExperimentRecord]:
+    """The scenario loop of every experiment: each trial's scenario at each
+    antenna count L, solved by each scheme at each SINR target. A record
+    carries the power of the last AO round, with ao_iters its index, or with
+    every_round one record per round; infeasible points are recorded, not
+    fatal."""
+    records = []
+    for trial in range(cfg.trials):
+        for L in pas:
+            geom, symbols = generate_scenario(cfg, trial, num_pas=L)
+            for gamma_db in gammas:
+                gamma_lin = np.full(cfg.num_users, db_to_linear(gamma_db))
+                for scheme in schemes:
+                    powers, converged = _run_scheme(cfg, scheme, geom, symbols, gamma_lin,
+                                                    trial)
+                    first = 0 if every_round else len(powers) - 1
+                    for it, p in enumerate(powers[first:], first):
+                        dbm = watts_to_dbm(p) if p > 0 and math.isfinite(p) else math.nan
+                        records.append(ExperimentRecord(experiment, trial, cfg.master_seed,
+                                                        scheme, gamma_db, L, p, dbm, it,
+                                                        converged))
+    return sort_records(records)
 
 
 def run_power_vs_sinr(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Sweep the SINR target at fixed antenna count (one record per trial,
-    scheme, and target); infeasible trials are recorded, not fatal."""
-    gammas = cfg.gamma_sweep()
-    L = cfg.num_pas_sweep()[0]
-    records = []
-    for trial in range(cfg.trials):
-        geom, symbols = generate_scenario(cfg, trial, num_pas=L)
-        for gamma_db in gammas:
-            gamma_lin = np.full(cfg.num_users, db_to_linear(gamma_db))
-            for scheme in cfg.schemes:
-                records.append(
-                    _one_record(cfg, "power-vs-sinr", scheme, geom, symbols,
-                                gamma_lin, trial, gamma_db, L)
-                )
-    return sort_records(records)
+    """Sweep the SINR target at the first antenna count."""
+    return _sweep(cfg, "power-vs-sinr", cfg.gamma_sweep(), cfg.num_pas_sweep()[:1], cfg.schemes)
 
 
 def run_power_vs_numpas(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Sweep antennas per waveguide at a fixed SINR target."""
-    gamma_db = cfg.gamma_sweep()[0]
-    gamma_lin = np.full(cfg.num_users, db_to_linear(gamma_db))
-    records = []
-    for trial in range(cfg.trials):
-        for L in cfg.num_pas_sweep():
-            geom, symbols = generate_scenario(cfg, trial, num_pas=L)
-            for scheme in cfg.schemes:
-                records.append(
-                    _one_record(cfg, "power-vs-numpas", scheme, geom, symbols,
-                                gamma_lin, trial, gamma_db, L)
-                )
-    return sort_records(records)
-
-
-def _one_record(cfg, experiment, scheme, geom, symbols, gamma_lin, trial,
-                gamma_db, L) -> ExperimentRecord:
-    try:
-        power, iters, converged = _run_scheme(cfg, scheme, geom, symbols, gamma_lin, trial)
-    except InfeasibleProblemError:
-        power, iters, converged = math.nan, 0, False
-    return _record(experiment, trial, cfg.master_seed, scheme, gamma_db, L,
-                   power, iters, converged)
+    """Sweep antennas per waveguide at the first SINR target."""
+    return _sweep(cfg, "power-vs-numpas", cfg.gamma_sweep()[:1], cfg.num_pas_sweep(),
+                  cfg.schemes)
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    """Emit the per-iteration AO power trace of the proposed scheme, one row
-    per iteration with ao_iters carrying the iteration index."""
-    gamma_db = cfg.gamma_sweep()[0]
-    gamma_lin = np.full(cfg.num_users, db_to_linear(gamma_db))
-    params = cfg.params
-    records = []
-    for trial in range(cfg.trials):
-        for L in cfg.num_pas_sweep():
-            geom, symbols = generate_scenario(cfg, trial, num_pas=L)
-            try:
-                _, _, trace = ao_solve(
-                    geom, params, symbols, gamma_lin, cfg.noise_w, cfg.theta_th,
-                    fixed_uniform_placement(geom),
-                    ao_cfg=cfg.ao, pgd_cfg=cfg.pgd, smoothing=cfg.smoothing,
-                )
-                for it, p in enumerate(trace.powers):
-                    records.append(
-                        _record("convergence", trial, cfg.master_seed, "proposed",
-                                gamma_db, L, p, it, trace.converged)
-                    )
-            except InfeasibleProblemError:
-                records.append(
-                    _record("convergence", trial, cfg.master_seed, "proposed",
-                            gamma_db, L, math.nan, 0, False)
-                )
-    return sort_records(records)
+    """Per-round AO power trace of the proposed scheme over antennas per
+    waveguide at the first SINR target, ao_iters holding the round index."""
+    return _sweep(cfg, "convergence", cfg.gamma_sweep()[:1], cfg.num_pas_sweep(),
+                  ("proposed",), every_round=True)
 
 
 EXPERIMENTS = {

@@ -204,26 +204,23 @@ def validate_placement(
     Reports every violated bound (entry outside [0, waveguide_length]) and
     every adjacent pair closer than min_spacing, with the violation magnitude.
     Violations below tol (default 1 nm, far under any spacing of interest) are
-    treated as floating-point noise.
+    treated as floating-point noise. The list is sorted by waveguide, then
+    range before spacing, then antenna.
     """
     x = np.asarray(x_coords, dtype=float)
     N, L = geom.num_waveguides, geom.num_pas_per_waveguide
     if x.shape != (N, L):
         raise ValueError(f"placement shape {x.shape} != ({N}, {L})")
-    violations: list[PlacementViolation] = []
-    for n in range(N):
-        for l in range(L):
-            v = x[n, l]
-            if not v >= -tol:  # NaN fails here too
-                violations.append(PlacementViolation("range", n, l, -v))
-            elif v > geom.waveguide_length + tol:
-                violations.append(
-                    PlacementViolation("range", n, l, v - geom.waveguide_length)
-                )
-        for l in range(L - 1):
-            gap = x[n, l + 1] - x[n, l]
-            if gap < geom.min_spacing - tol:
-                violations.append(
-                    PlacementViolation("spacing", n, l, geom.min_spacing - gap)
-                )
+    gap = x[:, 1:] - x[:, :-1]
+    violations = [
+        PlacementViolation(kind, n, l, amount[n, l])
+        for kind, mask, amount in (
+            ("range", ~(x >= -tol), -x),  # NaN counts as below
+            ("range", x > geom.waveguide_length + tol, x - geom.waveguide_length),
+            ("spacing", gap < geom.min_spacing - tol, geom.min_spacing - gap),
+        )
+        if mask.any()
+        for n, l in np.argwhere(mask).tolist()
+    ]
+    violations.sort(key=lambda v: (v.waveguide, v.kind, v.pa))
     return PlacementReport(violations)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinchslp.bench import (
+    SCHEMES,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -22,7 +23,7 @@ from pinchslp.bench import (
 from pinchslp.ao import AOConfig, fixed_uniform_placement
 from pinchslp.cli import main as cli_main
 from pinchslp.placement import PGDConfig, SmoothingParams, optimize_all_positions
-from pinchslp.precoder import recover_beam_matrix
+from pinchslp.precoder import InfeasibleProblemError, recover_beam_matrix
 
 FAST = dict(
     num_waveguides=2,
@@ -205,6 +206,24 @@ class TestRunners:
         if records[0].converged:
             assert abs(powers[-1] - powers[-2]) / powers[-2] <= cfg.ao.rel_tol
 
+    @pytest.mark.parametrize("experiment", ["power-vs-sinr", "convergence"])
+    def test_infeasible_point_recorded(self, monkeypatch, experiment):
+        from pinchslp import bench
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleProblemError("no feasible precoder", np.ones(1))
+
+        monkeypatch.setattr(bench, "ao_solve", infeasible)
+        monkeypatch.setattr(bench, "solve_min_power", infeasible)
+        cfg = ExperimentConfig(**{**FAST, "schemes": SCHEMES, "num_pas": (1, 2)})
+        records = bench.EXPERIMENTS[experiment](cfg)
+        # convergence writes one row per (trial, L) and scheme "proposed" only
+        expected = {"power-vs-sinr": 2 * 4, "convergence": 2 * 2}[experiment]
+        assert len(records) == expected
+        for r in records:
+            assert math.isnan(r.power_w) and math.isnan(r.power_dbm)
+            assert r.ao_iters == 0 and not r.converged
+
     def test_bit_identical_reruns(self):
         cfg = ExperimentConfig(**FAST)
         r1 = run_power_vs_sinr(cfg)
@@ -338,6 +357,7 @@ class TestCli:
         ({"pgd": {"shrink": math.inf}}, "pgd: shrink factor must be < 1"),
         ({"pgd": {"init_step": math.nan}}, "pgd: all PGD settings must be positive"),
         ({"ao": {"rel_tol": math.inf}}, "ao: rel_tol must be positive and finite"),
+        ({"ao": {"guard_enabled": False}}, "unknown ao keys: ['guard_enabled']"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
@@ -471,7 +491,8 @@ def _golden_sweep(N, K, L, smoothing, pgd):
 
 class TestGoldenOutputs:
     """Bit-identity against recorded outputs: a pure speed-up must not move a
-    single bit. All four pin the cell-based sweep, in which every antenna
+    single bit. The power-vs-numpas CSV was recorded before the three
+    experiment loops became one sweep driver. The others pin the cell-based sweep, in which every antenna
     moves within its cell of the current placement and all N x L of them are
     one stacked solve; they were recorded when the sweep took that form. The
     placements pass a beam matrix W; the two CSVs run the AO, whose sweep
@@ -489,6 +510,12 @@ class TestGoldenOutputs:
             "7791b62ea703fe81cb46092300097140ceab408806eb203ea36337d0ea0bd648"
         )
 
+    def test_power_vs_numpas_csv(self, tmp_path):
+        cfg = ExperimentConfig(trials=2, num_pas=(1, 3, 5), gamma_db=(14.0, 20.0))
+        assert _csv_sha256(run_power_vs_numpas(cfg), tmp_path) == (
+            "54993cee3d4930d27099d5fec8538b8582f16da2fc770d86fad00b2cdaa89619"
+        )
+
     @pytest.mark.parametrize("case", list(GOLDEN_PLACEMENTS), ids=lambda c: f"L{c[0]}")
     def test_optimize_all_positions(self, case):
         x = _golden_sweep(4, 4, *case)
@@ -502,8 +529,8 @@ class TestGoldenOutputs:
 
 
 class TestTraceHooks:
-    """The per-layer counters of the benchmark tracer wrap these module-level
-    names of pinchslp.placement and count their calls. A kernel that stopped
+    """The per-layer counters of the benchmark tracer wrap module-level names
+    of pinchslp.placement and pinchslp.bench and count their calls. A kernel that stopped
     calling them through the module would read 0 in every traced run."""
 
     def test_placement_call_counts(self, monkeypatch):
@@ -527,3 +554,38 @@ class TestTraceHooks:
         # objective and the pick of the best start
         assert counts == {"pgd_solve": 1, "subproblem_gradient": 15,
                           "subproblem_objective": 22, "pick_eps": 1}
+
+    # Counts recorded with the three hand-written experiment loops; a small
+    # config with two trials, targets (10, 14) dB and L in (2, 3).
+    BENCH_COUNTS = {
+        "power-vs-sinr": {"generate_scenario": 2, "ao_solve": 4, "effective_channels": 8,
+                          "build_ci_qp": 12, "solve_min_power": 12},
+        "power-vs-numpas": {"generate_scenario": 4, "ao_solve": 4, "effective_channels": 8,
+                            "build_ci_qp": 12, "solve_min_power": 12},
+        "convergence": {"generate_scenario": 4, "ao_solve": 4, "effective_channels": 0,
+                        "build_ci_qp": 0, "solve_min_power": 0},
+    }
+
+    @pytest.mark.parametrize("experiment", list(BENCH_COUNTS))
+    def test_bench_call_counts(self, monkeypatch, experiment):
+        """The tracer also wraps these five names of pinchslp.bench. Only the
+        first SINR target runs power-vs-numpas and convergence, only the first
+        L runs power-vs-sinr, and convergence runs the proposed scheme alone,
+        whatever the config's schemes say."""
+        from pinchslp import bench
+
+        counts = dict.fromkeys(self.BENCH_COUNTS[experiment], 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(bench, name, counting(name, getattr(bench, name)))
+        cfg = ExperimentConfig(num_waveguides=2, num_users=2, num_pas=(2, 3), trials=2,
+                               gamma_db=(10.0, 14.0),
+                               schemes=("fixed",) if experiment == "convergence" else SCHEMES)
+        bench.EXPERIMENTS[experiment](cfg)
+        assert counts == self.BENCH_COUNTS[experiment]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from pinchslp.channel import WaveformParams, effective_channels
 from pinchslp.geometry import (
     MovableRegion,
+    PlacementViolation,
     Vec3,
     distances,
     initial_regions,
@@ -266,6 +267,55 @@ class TestValidatePlacement:
         v = report.violations[0]
         assert v.kind == "range" and (v.waveguide, v.pa) == (0, 4)
         assert v.amount == pytest.approx(0.01)
+
+
+def _validate_placement_loop(geom, x, tol=1e-9):
+    """The element-by-element check validate_placement replaced, kept as a
+    term-by-term reference for its violation list."""
+    violations = []
+    for n in range(geom.num_waveguides):
+        for l in range(geom.num_pas_per_waveguide):
+            v = x[n, l]
+            if not v >= -tol:  # NaN fails here too
+                violations.append(PlacementViolation("range", n, l, -v))
+            elif v > geom.waveguide_length + tol:
+                violations.append(PlacementViolation("range", n, l, v - geom.waveguide_length))
+        for l in range(geom.num_pas_per_waveguide - 1):
+            gap = x[n, l + 1] - x[n, l]
+            if gap < geom.min_spacing - tol:
+                violations.append(PlacementViolation("spacing", n, l, geom.min_spacing - gap))
+    return violations
+
+
+class TestValidatePlacementReference:
+    """validate_placement against the loop on placements that break every
+    constraint at once: out of range, unsorted, too close, NaN and infinite
+    entries, and values at the tolerance edges."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [(v.kind, v.waveguide, v.pa) for v in got] == [
+            (v.kind, v.waveguide, v.pa) for v in want]
+        assert all(type(v.waveguide) is int and type(v.pa) is int for v in got)
+        for g, w in zip(got, want):
+            assert type(g.amount) is type(w.amount)
+            assert g.amount == w.amount or (math.isnan(g.amount) and math.isnan(w.amount))
+
+    @pytest.mark.parametrize("N, L", [(1, 1), (1, 4), (3, 2), (4, 5), (4, 7)])
+    def test_matches_loop(self, N, L):
+        geom = demo_geometry(num_pas=L, num_waveguides=N, spacing=0.5)
+        rng = np.random.default_rng([N, L])
+        edges = np.array([-1e-9, -2e-9, 20.0 + 1e-9, 20.0 + 2e-9, np.nan, np.inf, -np.inf])
+        for trial in range(60):
+            x = rng.uniform(-2.0, 22.0, (N, L))
+            if trial % 3 == 0:  # sorted, with some gaps near min_spacing
+                x = np.cumsum(rng.uniform(0.45, 0.55, (N, L)), axis=1) + rng.uniform(-1, 1)
+            picks = rng.random((N, L)) < 0.2
+            x[picks] = rng.choice(edges, picks.sum())
+            with np.errstate(invalid="ignore"):  # inf - inf in a gap
+                want = _validate_placement_loop(geom, x)
+                got = validate_placement(geom, x).violations
+            self.assert_same(got, want)
 
 
 class TestGeometryInvariants:
