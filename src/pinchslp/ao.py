@@ -1,10 +1,11 @@
 """Alternating optimization of beams and antenna positions, plus baseline schemes.
 
-Each round solves the minimum-power precoder at the current placement, sweeps
-the antenna positions against the resulting beams, re-solves the precoder at
-the candidate placement, and keeps the candidate only if it does not increase
-power. This guard makes the power sequence non-increasing, so the
-relative-change stopping rule always terminates.
+Each round takes a candidate placement (round 0: the initial one; later: a
+sweep of the antenna positions against the kept beams), builds its channel
+once for both the precoder solve and the exact objective, and keeps the
+candidate only if its power does not rise; round 0 is always kept. This guard
+makes the power sequence non-increasing, so the relative-change stopping rule
+always terminates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .placement import (
     placement_objective_exact,
 )
 from .precoder import (
-    QPSolution,
     SymbolVector,
     build_ci_qp,
     recover_beam_matrix,
@@ -75,54 +75,34 @@ def ao_solve(
     """Alternate precoder solves and placement sweeps from x_init.
 
     Returns the final beam matrix, placement, and trace. Precoder
-    infeasibility at x_init propagates to the caller, and so does the
-    ValueError of an x_init that breaks the placement constraints.
+    infeasibility at x_init or at a candidate propagates to the caller, and
+    so does the ValueError of an x_init that breaks the placement constraints.
     """
     gamma = np.asarray(gamma, dtype=float)
-    x = np.array(x_init, dtype=float, copy=True)
-    sol = _solve_at(geom, x, params, symbols, gamma, noise_power, theta_th)
-    power = sol.power
-    W = recover_beam_matrix(sol.x_opt, symbols)
-
+    x_cand = np.array(x_init, dtype=float, copy=True)
     trace = AOTrace()
-    trace.powers.append(power)
-    trace.placement_objectives.append(
-        placement_objective_exact(geom, x, params, W, symbols.s, gamma, noise_power, theta_th)
-    )
-    trace.accepted.append(True)
-
-    for _ in range(ao_cfg.max_iters):
-        x_cand = optimize_all_positions(
-            geom, x, sol.x_opt, symbols.s, params, theta_th, smoothing, pgd_cfg
-        )
-        sol_cand = _solve_at(geom, x_cand, params, symbols, gamma, noise_power, theta_th)
-        if sol_cand.power > power:
-            accepted = False
-            new_power = power
-        else:
-            accepted = True
-            x, sol = x_cand, sol_cand
-            W = recover_beam_matrix(sol.x_opt, symbols)
-            new_power = sol.power
-        trace.powers.append(new_power)
-        trace.placement_objectives.append(
-            placement_objective_exact(
-                geom, x, params, W, symbols.s, gamma, noise_power, theta_th
+    for it in range(ao_cfg.max_iters + 1):
+        if it:
+            x_cand = optimize_all_positions(
+                geom, x, sol.x_opt, symbols.s, params, theta_th, smoothing, pgd_cfg
             )
+        snap_cand = effective_channels(geom, x_cand, params)
+        sol_cand = solve_min_power(build_ci_qp(snap_cand, symbols, gamma, noise_power, theta_th))
+        accepted = not it or sol_cand.power <= sol.power
+        if accepted:
+            x, snapshot, sol = x_cand, snap_cand, sol_cand
+            W = recover_beam_matrix(sol.x_opt, symbols)
+        trace.powers.append(sol.power)
+        trace.placement_objectives.append(
+            placement_objective_exact(snapshot, W, symbols.s, gamma, noise_power, theta_th)
         )
         trace.accepted.append(accepted)
-        rel_change = abs(new_power - power) / max(power, 1e-300)
-        power = new_power
-        if rel_change <= ao_cfg.rel_tol:
-            trace.converged = True
-            break
+        if it:
+            old = trace.powers[-2]
+            if abs(sol.power - old) / max(old, 1e-300) <= ao_cfg.rel_tol:
+                trace.converged = True
+                break
     return W, x, trace
-
-
-def _solve_at(geom, x, params, symbols, gamma, noise_power, theta_th) -> QPSolution:
-    snapshot = effective_channels(geom, x, params)
-    qp = build_ci_qp(snapshot, symbols, gamma, noise_power, theta_th)
-    return solve_min_power(qp)
 
 
 def fixed_uniform_placement(geom: SystemGeometry) -> np.ndarray:

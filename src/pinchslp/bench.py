@@ -118,14 +118,11 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigError("master_seed must be non-negative")
         try:
-            p = self.params
-            waveform_ok = all(0 < v < math.inf for v in (p.wavelength, p.eta, p.beta0, p.beta1))
-        except ZeroDivisionError:  # the guide wavelength underflowed to 0
-            waveform_ok = False
-        if not waveform_ok:
+            self.params
+        except ValueError as exc:
             raise ConfigError(f"carrier_freq_hz {self.carrier_freq_hz} with refractive_index "
                               f"{self.refractive_index} gives a wavelength or wavenumber "
-                              "outside the float range")
+                              "outside the float range") from exc
         if self.min_spacing_m is not None and not (
                 _is_real(self.min_spacing_m) and self.min_spacing_m >= 0):
             raise ConfigError("min_spacing_m must be null or a non-negative number")

@@ -39,14 +39,20 @@ class WaveformParams:
             raise ValueError("carrier frequency and refractive index must be positive")
         wavelength = SPEED_OF_LIGHT / carrier_freq
         guide_wavelength = wavelength / n_eff
+        eta = wavelength / (4.0 * math.pi)
+        beta0 = 2.0 * math.pi / wavelength if wavelength else math.inf
+        beta1 = 2.0 * math.pi / guide_wavelength if guide_wavelength else math.inf
+        if not all(0 < v < math.inf for v in (wavelength, eta, beta0, beta1)):
+            raise ValueError(f"carrier frequency {carrier_freq} with refractive index {n_eff} "
+                             "gives a wavelength or wavenumber outside the float range")
         return cls(
             carrier_freq=carrier_freq,
             n_eff=n_eff,
             wavelength=wavelength,
             guide_wavelength=guide_wavelength,
-            eta=wavelength / (4.0 * math.pi),
-            beta0=2.0 * math.pi / wavelength,
-            beta1=2.0 * math.pi / guide_wavelength,
+            eta=eta,
+            beta0=beta0,
+            beta1=beta1,
         )
 
 

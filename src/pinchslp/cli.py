@@ -8,7 +8,6 @@ import sys
 from dataclasses import replace
 
 from .bench import EXPERIMENTS, ConfigError, emit_csv, load_config
-from .precoder import InfeasibleProblemError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,9 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     if not any(r.converged for r in records):
         print("error: every trial was infeasible", file=sys.stderr)
         return 1

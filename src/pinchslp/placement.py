@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import WaveformParams, effective_channels
+from .channel import ChannelSnapshot, WaveformParams
 from .geometry import (MovableRegion, SystemGeometry, offset_distances, placement_cells,
                        validate_placement)
 
@@ -224,11 +224,11 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
-def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams, branches=None):
+def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
     """Subproblem temperature (one per row) under the adaptive policy."""
     if not smoothing.adaptive:
         return smoothing.eps
-    bar, hat, *_ = _all_branches(terms, x0) if branches is None else branches
+    bar, hat, *_ = _all_branches(terms, x0)
     scale = np.maximum(np.abs(bar).max(axis=(-2, -1), initial=0.0),
                        np.abs(hat).max(axis=(-2, -1), initial=0.0))
     eps = np.maximum(smoothing.kappa * scale, smoothing.floor)
@@ -270,7 +270,7 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
 
 
 def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init,
-              callback: Callable | None = None, branches=None):
+              callback: Callable | None = None):
     """Projected gradient descent over one movable region per row.
 
     Iterates x <- Proj(x - mu * grad), with mu backtracked on the projected
@@ -279,20 +279,17 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     is non-increasing and the returned point is feasible. Stacked rows step
     together (region bounds, eps and x_init broadcast over them), and a row
     stops once its own change drops below step_tol, so it follows the path it
-    would follow alone. branches, when given, are _all_branches(terms, x_init)
-    for x_init inside the region. The callback gets (x, f) at the start and
-    after every step: floats for unstacked terms, row arrays otherwise.
+    would follow alone. The callback gets (x, f) at the start and after every
+    step: floats for unstacked terms, row arrays otherwise.
     """
     single = np.ndim(terms.waveguide_y) == 0
     if single:  # one row
         terms = terms.rows(np.newaxis)
-        branches = branches and tuple(b[np.newaxis] for b in branches)
     rows = terms.amp.shape[0]
     lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), rows) for b in region)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), rows)
     x = np.minimum(np.maximum(np.asarray(x_init, dtype=float), lower), upper)
-    if branches is None:
-        branches = _all_branches(terms, x)
+    branches = _all_branches(terms, x)
     f = subproblem_objective(terms, x, eps, branches)
 
     def report():
@@ -326,13 +323,12 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     return float(x[0]) if single else x
 
 
-def _solve_region(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_warm,
-                  branches=None):
+def _solve_region(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_warm):
     """One subproblem solve per row: the warm start plus cfg.restarts evenly
     spaced starts, stacked as extra rows of one pgd_solve; each row keeps its
-    first best start. branches are passed on when there are no restarts."""
+    first best start."""
     if not cfg.restarts:
-        return pgd_solve(terms, region, eps, cfg, x_warm, branches=branches)
+        return pgd_solve(terms, region, eps, cfg, x_warm)
     single = np.ndim(terms.waveguide_y) == 0
     terms = terms.rows(np.newaxis) if single else terms
     n, starts = terms.amp.shape[0], 1 + cfg.restarts
@@ -368,22 +364,21 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
     terms = build_subproblem_terms(geom, np.repeat(np.arange(N), L), W, s, params, theta_th)
     cells = placement_cells(geom, x_current)
     x_warm = np.asarray(x_current, dtype=float).ravel()
-    branches = _all_branches(terms, x_warm)
-    eps = pick_eps(terms, x_warm, smoothing, branches)
+    eps = pick_eps(terms, x_warm, smoothing)
     x_new = _solve_region(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps,
-                          cfg, x_warm, branches).reshape(N, L)
+                          cfg, x_warm).reshape(N, L)
     report = validate_placement(geom, x_new)
     if not report.ok:  # cells enforce this by construction
         raise AssertionError(f"position sweep produced violations: {report.violations}")
     return x_new
 
 
-def placement_objective_exact(geom: SystemGeometry, x_coords: np.ndarray,
-                              params: WaveformParams, W: np.ndarray, s: np.ndarray,
+def placement_objective_exact(snapshot: ChannelSnapshot, W: np.ndarray, s: np.ndarray,
                               gamma: np.ndarray, noise_power: float, theta_th: float) -> float:
     """Exact (unsmoothed, un-decomposed) placement objective: the negated sum
-    of the CI margins of the received points lam = h_eff @ (W s) / s."""
-    lam = effective_channels(geom, x_coords, params).effective @ (W @ s) / s
+    of the CI margins of the received points lam = h_eff @ (W s) / s, with
+    h_eff the effective rows of the snapshot taken at the placement."""
+    lam = snapshot.effective @ (W @ s) / s
     t = math.tan(theta_th)
     thresh = np.sqrt(np.asarray(gamma, dtype=float) * noise_power)
     return float(np.sum(np.abs(lam.imag) - (lam.real - thresh) * t))

@@ -113,19 +113,14 @@ def build_ci_qp(
     if np.any(gamma <= 0):
         raise ValueError("SINR targets must be positive")
     t = math.tan(theta_th)
-    A = np.zeros((2 * K, 2 * N))
-    b = np.zeros(2 * K)
     row_users = np.repeat(np.arange(K), 2)
     row_signs = np.tile([1, -1], K)
-    for k in range(K):
-        a = snapshot.effective[k] / symbols.s[k]
-        re_row = np.concatenate([a.real, -a.imag])
-        im_row = np.concatenate([a.imag, a.real])
-        thresh = t * math.sqrt(gamma[k] * noise_power)
-        A[2 * k] = t * re_row + im_row
-        A[2 * k + 1] = t * re_row - im_row
-        b[2 * k] = thresh
-        b[2 * k + 1] = thresh
+    a = snapshot.effective / symbols.s[:, None]
+    re_rows = np.concatenate([a.real, -a.imag], axis=1)
+    im_rows = np.concatenate([a.imag, a.real], axis=1)
+    A = np.empty((2 * K, 2 * N))
+    A[0::2], A[1::2] = t * re_rows + im_rows, t * re_rows - im_rows
+    b = np.repeat(t * np.sqrt(gamma * noise_power), 2)
     return QPInstance(A=A, b=b, row_users=row_users, row_signs=row_signs, num_streams=N)
 
 
@@ -149,10 +144,11 @@ def solve_min_power(qp: QPInstance) -> QPSolution:
     violates a row by more than the loop's exit threshold raises a plain
     RuntimeError rather than being returned uncertified.
     """
-    m = qp.A.shape[0]
-    norms = np.linalg.norm(qp.A, axis=1)
+    A = np.ascontiguousarray(qp.A)  # row-major, so the result does not depend on layout
+    m = A.shape[0]
+    norms = np.linalg.norm(A, axis=1)
     norms = np.where(norms < 1e-300, 1.0, norms)  # zero rows stay zero
-    An = qp.A / norms[:, None]
+    An = A / norms[:, None]
     bn = qp.b / norms
     scale = float(np.abs(bn).max(initial=0.0))
 

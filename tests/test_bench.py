@@ -20,10 +20,10 @@ from pinchslp.bench import (
     run_power_vs_numpas,
     run_power_vs_sinr,
 )
-from pinchslp.ao import AOConfig, fixed_uniform_placement
+from pinchslp.ao import AOConfig, ao_solve, fixed_uniform_placement
 from pinchslp.cli import main as cli_main
 from pinchslp.placement import PGDConfig, SmoothingParams, optimize_all_positions
-from pinchslp.precoder import InfeasibleProblemError, recover_beam_matrix
+from pinchslp.precoder import InfeasibleProblemError, db_to_linear, recover_beam_matrix
 
 FAST = dict(
     num_waveguides=2,
@@ -367,6 +367,21 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_every_trial_infeasible_exits_1(self, tmp_path, capsys, monkeypatch):
+        from pinchslp import bench
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleProblemError("no feasible precoder", np.ones(1))
+
+        monkeypatch.setattr(bench, "ao_solve", infeasible)
+        monkeypatch.setattr(bench, "solve_min_power", infeasible)
+        cfg = self.write_cfg(tmp_path, schemes=list(SCHEMES))
+        code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
+                         "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: every trial was infeasible" in err and "Traceback" not in err
+
     def test_overlong_integer_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         # past the 4,300-digit limit of int() parsing where Python has one;
@@ -489,6 +504,49 @@ def _golden_sweep(N, K, L, smoothing, pgd):
                                   cfg.theta_th, smoothing, pgd)
 
 
+# Whole AO runs, recorded when round 0 and the later rounds were still two
+# copies of the round body: (L, trial, gamma_db, ao) -> sha256 over the
+# float.hex of every round's power and placement objective, the accepted
+# flags, the converged flag, and the bytes of the final W and placement.
+GOLDEN_AO = {
+    (3, 0, 10.0, AOConfig()): "c44b5e7b33e6723ab4f39358df81ca27aadc04c6f33674e8eb7db54b8e6fcb5c",
+    (3, 0, 20.0, AOConfig()): "828899c8e72c5dee132e222f7692fc241532f866921ccac801afa90fbd477d62",
+    (3, 1, 10.0, AOConfig()): "c7199c988b33c1d89d7d0f82d7932f4a9578cba8993e444d4d1ed1080a418111",
+    (3, 1, 20.0, AOConfig()): "1901549ee4d9ec574c6d69ae8156ffeaf9a1482fef1ac8749d7f479e2ff9d5cb",
+    (5, 0, 10.0, AOConfig()): "a01b767b4f4e2b2856c9fed31aa898bedfab4e132338c7a588ba9df6218cee7d",
+    (5, 0, 20.0, AOConfig()): "b8fc51b2209b4096d633cb72b2f0df5b8b08695c4bcfcf5d731774e92c55dc57",
+    (5, 1, 10.0, AOConfig()): "eda14c37d25960778fb06ccb458dc288f0aa6ad35e54a463d76314415d145966",
+    (5, 1, 20.0, AOConfig()): "c8e44a29213be8c7b878a576bde499c86b9d463f47a8344380eb5211af6cf8f3",
+    (7, 0, 10.0, AOConfig()): "a7e4770c86ceed567a33c9bfd1262a8bc9449fd2ea0fca0b417eb7ca4c1bc7d3",
+    (7, 0, 20.0, AOConfig()): "e8eb067e83d0e42a9a48b8c4cff717dc69e8c7538754b3cd1f33933cc64fd22d",
+    (7, 1, 10.0, AOConfig()): "9a88e483715bda10581226a7126e438fd69407aa433bf3e68d447c5926e14151",
+    (7, 1, 20.0, AOConfig()): "8225d6bea043ef252fc4c6fd2d2878e5c91686448f24f0dfc0c47697ff5ee21c",
+    # round 0 only; stopped at the round limit; a tolerance that only a
+    # rejected round meets
+    (3, 0, 10.0, AOConfig(max_iters=0)):
+        "6f179cf8eff63d4bef342aeb5e5d8687716612ad9dd4325910ba706bea5a10c3",
+    (3, 0, 10.0, AOConfig(max_iters=2)):
+        "dbc8f18f0c89314020ce7de3f5479eea88aa7d1476fe853d7ecc38d7211081e2",
+    (3, 0, 10.0, AOConfig(rel_tol=1e-9)):
+        "a97f64f0f7f9e9287a082b2b70f93c7ec3fb81df9d55145545dee34eaf38975d",
+}
+
+
+def _golden_ao(L, trial, gamma_db, ao):
+    """ao_solve on seeded scenario (77, trial) with L antennas per waveguide,
+    from the uniform grid at SINR target gamma_db; returns the result and
+    its digest as recorded in GOLDEN_AO."""
+    cfg = ExperimentConfig(master_seed=77, ao=ao)
+    geom, symbols = generate_scenario(cfg, trial, num_pas=L)
+    gamma = np.full(cfg.num_users, db_to_linear(gamma_db))
+    W, x, trace = ao_solve(geom, cfg.params, symbols, gamma, cfg.noise_w, cfg.theta_th,
+                           fixed_uniform_placement(geom), cfg.ao, cfg.pgd, cfg.smoothing)
+    text = " ".join(v.hex() for v in trace.powers + trace.placement_objectives)
+    text += f" {trace.accepted} {trace.converged}"
+    digest = hashlib.sha256(text.encode() + W.tobytes() + x.tobytes()).hexdigest()
+    return (W, x, trace), digest
+
+
 class TestGoldenOutputs:
     """Bit-identity against recorded outputs: a pure speed-up must not move a
     single bit. The power-vs-numpas CSV was recorded before the three
@@ -496,7 +554,8 @@ class TestGoldenOutputs:
     moves within its cell of the current placement and all N x L of them are
     one stacked solve; they were recorded when the sweep took that form. The
     placements pass a beam matrix W; the two CSVs run the AO, whose sweep
-    takes the collapsed rank-one terms."""
+    takes the collapsed rank-one terms. The AO runs (GOLDEN_AO) also pin what
+    the CSVs do not print: every placement objective, W and the placement."""
 
     def test_convergence_csv(self, tmp_path):
         cfg = ExperimentConfig(trials=2, num_pas=(3, 5), gamma_db=16.0, schemes=("proposed",))
@@ -516,6 +575,12 @@ class TestGoldenOutputs:
             "54993cee3d4930d27099d5fec8538b8582f16da2fc770d86fad00b2cdaa89619"
         )
 
+    @pytest.mark.parametrize("case", list(GOLDEN_AO), ids=lambda c: (
+        f"L{c[0]}-t{c[1]}-{c[2]:g}dB" + ("" if c[3] == AOConfig() else
+                                         f"-iters{c[3].max_iters}-tol{c[3].rel_tol:g}")))
+    def test_ao_solve(self, case):
+        assert _golden_ao(*case)[1] == GOLDEN_AO[case]
+
     @pytest.mark.parametrize("case", list(GOLDEN_PLACEMENTS), ids=lambda c: f"L{c[0]}")
     def test_optimize_all_positions(self, case):
         x = _golden_sweep(4, 4, *case)
@@ -530,8 +595,9 @@ class TestGoldenOutputs:
 
 class TestTraceHooks:
     """The per-layer counters of the benchmark tracer wrap module-level names
-    of pinchslp.placement and pinchslp.bench and count their calls. A kernel that stopped
-    calling them through the module would read 0 in every traced run."""
+    of pinchslp.placement, pinchslp.ao and pinchslp.bench and count their
+    calls. A kernel that stopped calling them through the module would read 0
+    in every traced run."""
 
     def test_placement_call_counts(self, monkeypatch):
         from pinchslp import placement
@@ -554,6 +620,28 @@ class TestTraceHooks:
         # objective and the pick of the best start
         assert counts == {"pgd_solve": 1, "subproblem_gradient": 15,
                           "subproblem_objective": 22, "pick_eps": 1}
+
+    def test_ao_call_counts(self, monkeypatch):
+        """The tracer wraps these five names of pinchslp.ao. Every round,
+        round 0 included, builds one channel, one CI-QP, one solve and one
+        exact objective; every round after round 0 makes one sweep."""
+        from pinchslp import ao
+
+        counts = dict.fromkeys(("effective_channels", "build_ci_qp", "solve_min_power",
+                                "optimize_all_positions", "placement_objective_exact"), 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(ao, name, counting(name, getattr(ao, name)))
+        (_, _, trace), _ = _golden_ao(3, 0, 20.0, AOConfig())
+        assert trace.accepted == [True] * 6 + [False]
+        assert counts == {"effective_channels": 7, "build_ci_qp": 7, "solve_min_power": 7,
+                          "optimize_all_positions": 6, "placement_objective_exact": 7}
 
     # Counts recorded with the three hand-written experiment loops; a small
     # config with two trials, targets (10, 14) dB and L in (2, 3).

@@ -54,6 +54,13 @@ class TestWaveformParams:
         assert PARAMS.beta1 == pytest.approx(PARAMS.n_eff * PARAMS.beta0, rel=1e-12)
         assert PARAMS.eta == pytest.approx(PARAMS.wavelength / (4 * math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("carrier, n_eff", [(5e-324, 1.4), (1e300, 1e300)])
+    def test_out_of_float_range_rejected(self, carrier, n_eff):
+        # an infinite wavelength (zero wavenumbers), or a guide wavelength
+        # that underflows to zero
+        with pytest.raises(ValueError, match="outside the float range"):
+            WaveformParams.from_carrier(carrier, n_eff)
+
 
 class TestWaveguidePhaseVector:
     def test_zero_position_no_phase(self):

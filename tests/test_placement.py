@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pinchslp import placement
-from pinchslp.channel import WaveformParams, ci_margin
+from pinchslp.channel import WaveformParams, ci_margin, effective_channels
 from pinchslp.geometry import (
     MovableRegion,
     Vec3,
@@ -731,6 +731,11 @@ class TestRankOneCollapse:
 
 
 class TestPlacementObjectiveExact:
+    def test_reads_the_snapshot(self):
+        # the AO passes the channel it built for the CI-QP; the placement
+        # module builds no channel of its own
+        assert not hasattr(placement, "effective_channels")
+
     def test_matches_negated_margin_sum(self):
         rng = np.random.default_rng(19)
         for _ in range(10):
@@ -738,7 +743,7 @@ class TestPlacementObjectiveExact:
             x = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
             gamma = np.full(4, 100.0)
             obj = placement_objective_exact(
-                geom, x, PARAMS, W, symbols.s, gamma, NOISE_W, THETA
+                effective_channels(geom, x, PARAMS), W, symbols.s, gamma, NOISE_W, THETA
             )
             # lam_k from the scalar oracles: free-space row times in-guide response
             margins = 0.0
@@ -759,8 +764,8 @@ class TestPlacementObjectiveExact:
         gamma = np.full(4, 100.0)
         x = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
         obj = placement_objective_exact(
-            geom, x, PARAMS, np.zeros((4, 4), dtype=complex), symbols.s, gamma,
-            NOISE_W, THETA,
+            effective_channels(geom, x, PARAMS), np.zeros((4, 4), dtype=complex), symbols.s,
+            gamma, NOISE_W, THETA,
         )
         assert obj == pytest.approx(4 * math.sqrt(100 * NOISE_W) * math.tan(THETA), rel=1e-12)
 
@@ -775,8 +780,9 @@ class TestPlacementObjectiveExact:
                 [[rng.uniform(r.lower, r.upper) for r in initial_regions(geom)]
                  for _ in range(4)]
             )
-            d1 = placement_objective_exact(geom, x, PARAMS, W, symbols.s, gamma1, NOISE_W, THETA)
-            d2 = placement_objective_exact(geom, x, PARAMS, W, symbols.s, gamma2, NOISE_W, THETA)
+            snapshot = effective_channels(geom, x, PARAMS)
+            d1 = placement_objective_exact(snapshot, W, symbols.s, gamma1, NOISE_W, THETA)
+            d2 = placement_objective_exact(snapshot, W, symbols.s, gamma2, NOISE_W, THETA)
             assert d2 - d1 == pytest.approx(shift, rel=1e-9)
 
     def test_decomposed_surrogate_upper_bounds_exact(self):
@@ -799,6 +805,6 @@ class TestPlacementObjectiveExact:
             lead = PARAMS.eta / math.sqrt(5)
             constants = 4 * math.sqrt(100 * NOISE_W) * math.tan(THETA)
             exact = placement_objective_exact(
-                geom, x, PARAMS, W, symbols.s, gamma, NOISE_W, THETA
+                effective_channels(geom, x, PARAMS), W, symbols.s, gamma, NOISE_W, THETA
             )
             assert lead * surrogate + constants >= exact - 1e-15

@@ -138,6 +138,37 @@ class TestBuildCiQp:
         assert np.allclose(qp1.A, qp2.A, atol=1e-18)
         assert np.allclose(qp1.b, qp2.b, atol=1e-18)
 
+    @staticmethod
+    def per_user_rows(effective, s, gamma, noise_power, theta_th):
+        """Reference: the two CI rows of each user written one user at a time."""
+        K, N = effective.shape
+        t = math.tan(theta_th)
+        A, b = np.zeros((2 * K, 2 * N)), np.zeros(2 * K)
+        for k in range(K):
+            a = effective[k] / s[k]
+            re_row = np.concatenate([a.real, -a.imag])
+            im_row = np.concatenate([a.imag, a.real])
+            A[2 * k], A[2 * k + 1] = t * re_row + im_row, t * re_row - im_row
+            b[2 * k] = b[2 * k + 1] = t * math.sqrt(gamma[k] * noise_power)
+        return A, b
+
+    def test_matches_per_user_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            K, N = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            order = int(rng.choice([3, 4, 8, 16]))
+            rows = rng.normal(size=(K, N)) + 1j * rng.normal(size=(K, N))
+            rows *= 10.0 ** rng.uniform(-6, -2)
+            symbols = psk_symbols(rng.integers(0, order, K), order)
+            gamma = 10.0 ** rng.uniform(0, 3, K)  # 0 to 30 dB
+            noise = 10.0 ** rng.uniform(-14, -9)
+            qp = build_ci_qp(snapshot_from_rows(rows), symbols, gamma, noise, math.pi / order)
+            A, b = self.per_user_rows(rows, symbols.s, gamma, noise, math.pi / order)
+            assert qp.A.flags.c_contiguous and qp.A.shape == (2 * K, 2 * N)
+            assert qp.A.tobytes() == A.tobytes() and qp.b.tobytes() == b.tobytes()
+            assert list(qp.row_users) == np.repeat(np.arange(K), 2).tolist()
+            assert list(qp.row_signs) == [1, -1] * K
+
 
 class TestSolveMinPower:
     def test_single_user_closed_form(self):
@@ -231,6 +262,17 @@ class TestSolveMinPower:
         s2 = solve_min_power(qp)
         assert np.array_equal(s1.x_opt, s2.x_opt)
         assert s1.power == s2.power
+
+    def test_independent_of_memory_layout(self):
+        rng = np.random.default_rng(8)
+        for num_users in (1, 2, 3, 4) * 3:
+            qp, *_ = random_instance(rng, num_users)
+            fortran = QPInstance(A=np.asfortranarray(qp.A), b=qp.b, row_users=qp.row_users,
+                                 row_signs=qp.row_signs, num_streams=qp.num_streams)
+            s1, s2 = solve_min_power(qp), solve_min_power(fortran)
+            assert s1.x_opt.tobytes() == s2.x_opt.tobytes()
+            assert s1.duals.tobytes() == s2.duals.tobytes()
+            assert (s1.power, s1.kkt_residual) == (s2.power, s2.kkt_residual)
 
     def test_zero_channel_infeasible(self):
         snap = snapshot_from_rows(np.zeros((1, 2), dtype=complex))
