@@ -418,8 +418,9 @@ def _csv_sha256(records, tmp_path):
 
 
 # Placements of the position sweep, recorded as float.hex when the sweep
-# became one stacked solve over the cells of the current placement;
-# (L, smoothing, pgd) -> row-major N x L entries.
+# became one stacked solve over the cells of the current placement (the L = 7
+# entry when the fixed-temperature mode it replaces was removed, recorded
+# before); (L, smoothing, pgd) -> row-major N x L entries.
 GOLDEN_PLACEMENTS = {
     (3, SmoothingParams(), PGDConfig()): (
         "0x1.a4c2f5bc8cf21p+1 0x1.4ef182499bb5cp+3 0x1.127dcf2ed1d1bp+4 "
@@ -436,17 +437,17 @@ GOLDEN_PLACEMENTS = {
         "0x1.288bb000dddf3p+1 0x1.13dc8a470cd45p+2 0x1.538fd6b8bdb88p+3 "
         "0x1.f474d4e179342p+3 0x1.37a5cdcd6d872p+4"
     ),
-    (7, SmoothingParams(eps=1e-6, adaptive=False), PGDConfig()): (
-        "0x1.b6fbbdc28f870p+0 0x1.1bca7690077d0p+2 0x1.03b5a7fb07e59p+3 "
-        "0x1.4216836711944p+3 0x1.6dccc8e9f30e7p+3 0x1.0b5723167ef06p+4 "
-        "0x1.29302c40070ffp+4 0x1.924eefe81b213p+0 0x1.41add094f3316p+2 "
-        "0x1.e432f6034ae1ap+2 0x1.1526780f1e1c9p+3 0x1.a535534a1d815p+3 "
-        "0x1.123e2dd42b0b1p+4 0x1.4000000000000p+4 0x1.6aea2bace43aep+1 "
-        "0x1.5e7ccbe6c53e9p+2 0x1.a003f2a32311ep+2 0x1.6d9ff2b3604d9p+3 "
-        "0x1.891d1ca706cf8p+3 0x1.f9a982270092bp+3 0x1.12969198cd0f8p+4 "
-        "0x1.0d21c9fa6f966p-5 0x1.04b3052fa85a0p+2 0x1.0ebd9098f1579p+3 "
-        "0x1.4cb2b18fd14a1p+3 0x1.9d467e2e61185p+3 0x1.ea27cfc93a60ap+3 "
-        "0x1.2c9618a3792b7p+4"
+    (7, SmoothingParams(), PGDConfig()): (
+        "0x1.b6fbc15bfb237p+0 0x1.1bca8b95bfb2dp+2 0x1.03b5a54c457b1p+3 "
+        "0x1.22fcf0dd093a0p+3 0x1.6dccc8e9f30e7p+3 0x1.0b571f9e9b5dep+4 "
+        "0x1.324cafe63bbdfp+4 0x1.9d13abd380e0dp+0 0x1.41add25af04a0p+2 "
+        "0x1.11433b3509905p+3 0x1.15267a040ca7fp+3 0x1.a53555b847a5dp+3 "
+        "0x1.123e2dd42b0b1p+4 0x1.4000000000000p+4 0x1.5ba8251796802p+1 "
+        "0x1.5e7ccbecc6b53p+2 0x1.a003ed756d2abp+2 0x1.6d9d8c871e800p+3 "
+        "0x1.891d1b59e2817p+3 0x1.f9a97f1435847p+3 0x1.129691c5c6655p+4 "
+        "0x1.ea47a65063019p-8 0x1.04b3020c88bfap+2 0x1.0ebd959f67429p+3 "
+        "0x1.4cb2b16e9fdd7p+3 0x1.9d467dfbb3456p+3 0x1.ea520b55798a0p+3 "
+        "0x1.2c9619853013fp+4"
     ),
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from pinchslp.geometry import (
     Vec3,
     initial_regions,
     make_geometry,
+    placement_cells,
     validate_placement,
 )
 from pinchslp.oracles import (
@@ -612,6 +614,54 @@ class TestLockstepRows:
             assert got[i] == single
         assert np.all(np.diff(np.array(seen), axis=0) <= 0.0)
         assert np.array_equal(pick_eps(stack_rows(rows), x0, SmoothingParams()), eps)
+
+
+def restart_cases():
+    """One unstacked row on a fixed region, and one sweep's stacked collapsed
+    terms on the cells of a uniform grid, each with its adaptive eps and warm
+    start: (terms, region, eps, x_warm) pairs."""
+    rng = np.random.default_rng(50)
+    geom, symbols, _ = demo_setup(rng)
+    x_opt = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
+    one = build_subproblem_terms(geom, 1, x_opt, symbols.s, PARAMS, THETA)
+    stacked = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), x_opt, symbols.s, PARAMS,
+                                     THETA)
+    cells = placement_cells(geom, x0)
+    return [(one, MovableRegion(2.0, 9.0), pick_eps(one, 5.0, SmoothingParams()), 5.0),
+            (stacked, MovableRegion(cells.lower.ravel(), cells.upper.ravel()),
+             pick_eps(stacked, x0.ravel(), SmoothingParams()), x0.ravel())]
+
+
+# _solve_region's ends for restart_cases(), recorded while it still stacked
+# the restarts itself: restarts -> sha256 over the float.hex of the unstacked
+# row's end followed by the 20 stacked rows' ends.
+GOLDEN_SOLVE_REGION = {
+    0: "2e9cac05203719aea5cbad92c1f9c1812e50a3f89a6c3cf34a136fa05ef52c8c",
+    1: "3d9d01412f0170b6a6f45461e906895c49b6341ee1779c56df29b625763379ff",
+    3: "5f0faaf8f99f9117b3079ae1245e455dac22428f24671f553e0328a5494ae266",
+}
+
+
+class TestRestarts:
+    """The warm start plus cfg.restarts evenly spaced starts per row, each
+    row keeping its first best end."""
+
+    @pytest.mark.parametrize("restarts", list(GOLDEN_SOLVE_REGION))
+    def test_solve_region_golden(self, restarts):
+        ends = [placement._solve_region(*case[:3], PGDConfig(restarts=restarts), case[3])
+                for case in restart_cases()]
+        assert isinstance(ends[0], float)
+        text = " ".join(float(v).hex() for v in [ends[0], *ends[1]])
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SOLVE_REGION[restarts]
+
+    def test_pgd_solve_runs_restarts(self):
+        for restarts in GOLDEN_SOLVE_REGION:
+            cfg = PGDConfig(restarts=restarts)
+            for terms, region, eps, x_warm in restart_cases():
+                got = pgd_solve(terms, region, eps, cfg, x_warm)
+                want = placement._solve_region(terms, region, eps, cfg, x_warm)
+                assert np.array_equal(got, want) and type(got) is type(want)
 
 
 U = 2.0 ** -53  # unit roundoff of float64
