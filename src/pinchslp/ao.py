@@ -2,10 +2,11 @@
 
 Each round takes a candidate placement (round 0: the initial one; later: a
 sweep of the antenna positions against the kept beams), builds its channel
-once for both the precoder solve and the exact objective, and keeps the
-candidate only if its power does not rise; round 0 is always kept. This guard
-makes the power sequence non-increasing, so the relative-change stopping rule
-always terminates.
+once, solves the precoder on it, and keeps the candidate only if its power
+does not rise; round 0 is always kept. This guard makes the power sequence
+non-increasing, so the relative-change stopping rule always terminates. A
+kept candidate's exact objective is evaluated on the same channel; a
+rejected round repeats the kept value.
 """
 
 from __future__ import annotations
@@ -90,12 +91,12 @@ def ao_solve(
         sol_cand = solve_min_power(build_ci_qp(snap_cand, symbols, gamma, noise_power, theta_th))
         accepted = not it or sol_cand.power <= sol.power
         if accepted:
-            x, snapshot, sol = x_cand, snap_cand, sol_cand
+            x, sol = x_cand, sol_cand
             W = recover_beam_matrix(sol.x_opt, symbols)
+            objective = placement_objective_exact(snap_cand, W, symbols.s, gamma, noise_power,
+                                                  theta_th)
         trace.powers.append(sol.power)
-        trace.placement_objectives.append(
-            placement_objective_exact(snapshot, W, symbols.s, gamma, noise_power, theta_th)
-        )
+        trace.placement_objectives.append(objective)
         trace.accepted.append(accepted)
         if it:
             old = trace.powers[-2]

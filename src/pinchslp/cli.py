@@ -4,6 +4,7 @@ write the records as CSV."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -43,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not any(r.converged for r in records):
+    if not any(math.isfinite(r.power_w) for r in records):
         print("error: every trial was infeasible", file=sys.stderr)
         return 1
     print(f"wrote {len(records)} records to {args.out}")

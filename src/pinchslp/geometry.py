@@ -173,8 +173,8 @@ def placement_cells(geom: SystemGeometry, x_coords: np.ndarray) -> MovableRegion
     """
     x = np.asarray(x_coords, dtype=float)
     mid, half = (x[:, :-1] + x[:, 1:]) / 2, geom.min_spacing / 2
-    lower = np.pad(mid + half, ((0, 0), (1, 0)))
-    upper = np.pad(mid - half, ((0, 0), (0, 1)), constant_values=geom.waveguide_length)
+    lower = np.concatenate((np.zeros_like(x[:, :1]), mid + half), axis=1)
+    upper = np.concatenate((mid - half, np.full_like(x[:, :1], geom.waveguide_length)), axis=1)
     return MovableRegion(np.minimum(lower, x), np.maximum(upper, x))
 
 

@@ -39,7 +39,7 @@ class SubproblemTerms:
     position array then carries the row axis last, after any candidate axes.
     mult counts how many identical copies each m row stands for: the objective
     and gradient multiply their pair sum by it, outside the log-sum-exp, so a
-    fixed eps keeps its meaning (see build_subproblem_terms).
+    given eps keeps its meaning (see build_subproblem_terms).
     """
 
     amp: np.ndarray
@@ -111,24 +111,17 @@ def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Log-sum-exp temperature policy.
+    """Log-sum-exp temperature policy: per subproblem, kappa times the largest
+    branch magnitude at the warm start, floored."""
 
-    When adaptive, the temperature per subproblem is kappa times the largest
-    branch magnitude at the warm start, floored; otherwise eps is used as-is.
-    """
-
-    eps: float = 1e-9
     kappa: float = 1e-3
     floor: float = 1e-15
-    adaptive: bool = True
 
     def __post_init__(self):
-        if not (self.eps > 0 and self.floor > 0 and self.eps >= self.floor and self.kappa > 0):
-            raise ValueError("need eps >= floor > 0 and kappa > 0")
-        if not all(abs(v) <= sys.float_info.max for v in (self.eps, self.kappa, self.floor)):
-            raise ValueError("eps, kappa and floor must be finite")
-        if not isinstance(self.adaptive, bool):
-            raise ValueError("adaptive must be true or false")
+        if not (self.floor > 0 and self.kappa > 0):
+            raise ValueError("need floor > 0 and kappa > 0")
+        if not all(abs(v) <= sys.float_info.max for v in (self.kappa, self.floor)):
+            raise ValueError("kappa and floor must be finite")
 
 
 @dataclass(frozen=True)
@@ -225,9 +218,7 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 
 
 def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
-    """Subproblem temperature (one per row) under the adaptive policy."""
-    if not smoothing.adaptive:
-        return smoothing.eps
+    """Subproblem temperature per row: kappa * max|branch| at x0, floored."""
     bar, hat, *_ = _all_branches(terms, x0)
     scale = np.maximum(np.abs(bar).max(axis=(-2, -1), initial=0.0),
                        np.abs(hat).max(axis=(-2, -1), initial=0.0))
@@ -279,28 +270,38 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     is non-increasing and the returned point is feasible. Stacked rows step
     together (region bounds, eps and x_init broadcast over them), and a row
     stops once its own change drops below step_tol, so it follows the path it
-    would follow alone. The callback gets (x, f) at the start and after every
-    step: floats for unstacked terms, row arrays otherwise.
+    would follow alone. Besides the warm start x_init, each row gets
+    cfg.restarts evenly spaced starts as further rows with its bounds and eps,
+    and returns its first best end. The callback gets (x, f) at the start and
+    after every step: floats for unstacked terms without restarts, arrays
+    over every row and start otherwise.
     """
     single = np.ndim(terms.waveguide_y) == 0
     if single:  # one row
         terms = terms.rows(np.newaxis)
-    rows = terms.amp.shape[0]
-    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), rows) for b in region)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), rows)
-    x = np.minimum(np.maximum(np.asarray(x_init, dtype=float), lower), upper)
+    n, starts = terms.amp.shape[0], 1 + cfg.restarts
+    lower, upper, eps = (np.tile(np.broadcast_to(np.asarray(v, dtype=float), n), starts)
+                         for v in (*region, eps))
+    x = np.broadcast_to(np.asarray(x_init, dtype=float), n)
+    if cfg.restarts:
+        spread = [np.linspace(a, b, cfg.restarts) for a, b in zip(lower[:n], upper[:n])]
+        x = np.concatenate([x, np.ravel(spread, order="F")])
+        terms = terms.rows(np.tile(np.arange(n), starts))
+    all_terms, all_eps = terms, eps
+    x = np.minimum(np.maximum(x, lower), upper)
     branches = _all_branches(terms, x)
     f = subproblem_objective(terms, x, eps, branches)
 
     def report():
         if callback is not None:
-            callback(*((float(x[0]), float(f[0])) if single else (x.copy(), f.copy())))
+            callback(*((float(x[0]), float(f[0])) if single and starts == 1
+                       else (x.copy(), f.copy())))
 
     report()
     steps = cfg.init_step * cfg.shrink ** np.arange(cfg.max_backtracks + 1)
     # the rows still stepping, with their point, objective, bounds and eps;
     # x and f are written back when rows retire and at the end
-    active, x_act, f_act = np.arange(rows), x.copy(), f.copy()
+    active, x_act, f_act = np.arange(x.size), x.copy(), f.copy()
     for _ in range(cfg.max_iters):
         g = subproblem_gradient(terms, x_act, eps, branches)
         x_next, f_act, branches = _armijo_rows(
@@ -320,27 +321,13 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
             x_act, f_act = x_act[go], f_act[go]
             terms, branches = terms.rows(go), tuple(b[go] for b in branches)
     x[active] = x_act
+    if cfg.restarts:  # the first best end of each row's starts
+        f = subproblem_objective(all_terms, x, all_eps).reshape(starts, n)
+        x = x.reshape(starts, n)[np.argmin(f, axis=0), np.arange(n)]
     return float(x[0]) if single else x
 
 
-def _solve_region(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_warm):
-    """One subproblem solve per row: the warm start plus cfg.restarts evenly
-    spaced starts, stacked as extra rows of one pgd_solve; each row keeps its
-    first best start."""
-    if not cfg.restarts:
-        return pgd_solve(terms, region, eps, cfg, x_warm)
-    single = np.ndim(terms.waveguide_y) == 0
-    terms = terms.rows(np.newaxis) if single else terms
-    n, starts = terms.amp.shape[0], 1 + cfg.restarts
-    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), n) for b in region)
-    spread = np.array([np.linspace(a, b, cfg.restarts) for a, b in zip(lower, upper)])
-    x0 = np.concatenate([np.broadcast_to(np.asarray(x_warm, dtype=float), n), spread.T.ravel()])
-    rows = terms.rows(np.tile(np.arange(n), starts))
-    eps = np.resize(eps, starts * n)  # every start keeps its row's temperature
-    x = pgd_solve(rows, MovableRegion(np.tile(lower, starts), np.tile(upper, starts)), eps, cfg, x0)
-    f = subproblem_objective(rows, x, eps).reshape(starts, n)
-    best = x.reshape(starts, n)[np.argmin(f, axis=0), np.arange(n)]
-    return float(best[0]) if single else best
+_solve_region = pgd_solve  # the name tests/test_acceptance.py imports
 
 
 def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.ndarray,
@@ -365,8 +352,8 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
     cells = placement_cells(geom, x_current)
     x_warm = np.asarray(x_current, dtype=float).ravel()
     eps = pick_eps(terms, x_warm, smoothing)
-    x_new = _solve_region(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps,
-                          cfg, x_warm).reshape(N, L)
+    x_new = pgd_solve(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps, cfg,
+                      x_warm).reshape(N, L)
     report = validate_placement(geom, x_new)
     if not report.ok:  # cells enforce this by construction
         raise AssertionError(f"position sweep produced violations: {report.violations}")

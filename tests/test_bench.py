@@ -338,7 +338,7 @@ class TestCli:
         ({"gamma_db": []}, "gamma_db must be one or more finite numbers"),
         ({"num_waveguides": 0}, "num_waveguides must be positive"),
         ({"pgd": {"restarts": -1}}, "restarts >= 0"),
-        ({"smoothing": {"adaptive": "no"}}, "smoothing: adaptive must be true or false"),
+        ({"smoothing": {"adaptive": "no"}}, "unknown smoothing keys: ['adaptive']"),
         ({"ao": {"max_iters": 2.5}}, "ao: max_iters must be a non-negative integer"),
         ({"schemes": []}, "schemes must name at least one scheme"),
         ({"num_pas": 5000}, "waveguide_length_m cannot fit 5000 antennas"),
@@ -349,8 +349,8 @@ class TestCli:
         ({"carrier_freq_hz": 5e-324, "min_spacing_m": 0.01}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 5e-324}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 1e300, "refractive_index": 1e300}, "carrier_freq_hz 1e+300"),
-        ({"smoothing": {"kappa": math.inf}}, "smoothing: eps, kappa and floor must be finite"),
-        ({"smoothing": {"eps": math.inf}}, "smoothing: eps, kappa and floor must be finite"),
+        ({"smoothing": {"kappa": math.inf}}, "smoothing: kappa and floor must be finite"),
+        ({"smoothing": {"eps": math.inf}}, "unknown smoothing keys: ['eps']"),
         ({"pgd": {"init_step": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
         ({"pgd": {"step_tol": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
         ({"pgd": {"armijo_c1": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
@@ -381,6 +381,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: every trial was infeasible" in err and "Traceback" not in err
+
+    def test_finite_powers_without_ao_convergence_exit_0(self, tmp_path, capsys):
+        # with no AO round after round 0 no record is converged, but every
+        # power is finite, so the run succeeded
+        cfg = self.write_cfg(tmp_path, num_waveguides=4, schemes=["proposed"], gamma_db=[10],
+                             ao={"max_iters": 0})
+        out = tmp_path / "r.csv"
+        code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
+                         "--out", str(out)])
+        assert code == 0 and "error" not in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(r[6])) and r[9] == "false" for r in rows)
 
     def test_overlong_integer_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -418,9 +431,9 @@ def _csv_sha256(records, tmp_path):
 
 
 # Placements of the position sweep, recorded as float.hex when the sweep
-# became one stacked solve over the cells of the current placement (the L = 7
-# entry when the fixed-temperature mode it replaces was removed, recorded
-# before); (L, smoothing, pgd) -> row-major N x L entries.
+# became one stacked solve over the cells of the current placement; the L = 7
+# entry, which replaced a fixed-temperature case, on the code just before that
+# mode was removed. (L, smoothing, pgd) -> row-major N x L entries.
 GOLDEN_PLACEMENTS = {
     (3, SmoothingParams(), PGDConfig()): (
         "0x1.a4c2f5bc8cf21p+1 0x1.4ef182499bb5cp+3 0x1.127dcf2ed1d1bp+4 "
@@ -624,8 +637,9 @@ class TestTraceHooks:
 
     def test_ao_call_counts(self, monkeypatch):
         """The tracer wraps these five names of pinchslp.ao. Every round,
-        round 0 included, builds one channel, one CI-QP, one solve and one
-        exact objective; every round after round 0 makes one sweep."""
+        round 0 included, builds one channel, one CI-QP and one solve; every
+        round after round 0 makes one sweep; only a kept round evaluates the
+        exact objective."""
         from pinchslp import ao
 
         counts = dict.fromkeys(("effective_channels", "build_ci_qp", "solve_min_power",
@@ -642,7 +656,7 @@ class TestTraceHooks:
         (_, _, trace), _ = _golden_ao(3, 0, 20.0, AOConfig())
         assert trace.accepted == [True] * 6 + [False]
         assert counts == {"effective_channels": 7, "build_ci_qp": 7, "solve_min_power": 7,
-                          "optimize_all_positions": 6, "placement_objective_exact": 7}
+                          "optimize_all_positions": 6, "placement_objective_exact": 6}
 
     # Counts recorded with the three hand-written experiment loops; a small
     # config with two trials, targets (10, 14) dB and L in (2, 3).

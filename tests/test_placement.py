@@ -526,7 +526,8 @@ def stack_rows(rows):
 
 def one_row_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
     """The sweep built from one-row calls: each antenna alone on its own cell
-    of x_current, each start its own pgd_solve, the first best start kept."""
+    of x_current, each start its own pgd_solve without restarts, the first
+    best start kept."""
     x = np.asarray(x_current, dtype=float)
     N, L = x.shape
     d, out = geom.min_spacing, np.empty_like(x)
@@ -538,8 +539,8 @@ def one_row_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
             region = MovableRegion(min(lo, x[n, l]), max(hi, x[n, l]))
             eps = pick_eps(terms, x[n, l], smoothing)
             starts = [x[n, l], *np.linspace(region.lower, region.upper, cfg.restarts)]
-            seen = []
-            ends = [pgd_solve(terms, region, eps, cfg, x0, callback=lambda t, f: seen.append(t))
+            seen, one = [], replace(cfg, restarts=0)
+            ends = [pgd_solve(terms, region, eps, one, x0, callback=lambda t, f: seen.append(t))
                     for x0 in starts]
             if iterations is not None:
                 iterations[n, l] = len(seen) - len(starts)
@@ -555,7 +556,7 @@ class TestLockstepRows:
         (SmoothingParams(), PGDConfig()),
         (SmoothingParams(), PGDConfig(restarts=2)),
         (SmoothingParams(), PGDConfig(max_iters=3, max_backtracks=6)),
-        (SmoothingParams(eps=1e-6, adaptive=False), PGDConfig(restarts=1)),
+        (SmoothingParams(), PGDConfig(restarts=1)),
     ]
 
     @pytest.mark.parametrize("smoothing, cfg", CASES)
@@ -707,11 +708,11 @@ class TestRankOneCollapse:
     The bounds are worst-case: no tie or cancellation in the net sums is
     assumed, so f and g are compared against sums of pair magnitudes."""
 
-    @pytest.mark.parametrize("smoothing", [SmoothingParams(),
-                                           SmoothingParams(eps=1e-6, adaptive=False)],
-                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("fixed_eps", [None, 1e-6], ids=["adaptive", "fixed"])
     @pytest.mark.parametrize("K", [1, 2, 4, 6])
-    def test_matches_general_terms(self, K, smoothing):
+    def test_matches_general_terms(self, K, fixed_eps):
+        # the adaptive eps of pick_eps, or a fixed temperature given straight
+        # to the kernels
         for seed in range(4):
             gen, col, rng = rank_one_terms(seed, K, np.arange(4))
             assert (col.amp.shape, col.phase_off.shape, col.mult) == ((4, 1), (4, 1, K), K)
@@ -723,12 +724,13 @@ class TestRankOneCollapse:
             assert np.all(np.abs(cbar - bar) <= (1 + t) * delta * r)
             assert np.all(np.abs(chat - hat) <= (1 + t) * delta * r)
 
-            eps = pick_eps(gen, xs[0], smoothing)
-            if smoothing.adaptive:
+            if fixed_eps is None:
+                smoothing = SmoothingParams()
+                eps = pick_eps(gen, xs[0], smoothing)
                 tol = smoothing.kappa * (1 + t) * delta * r[0].max(axis=(-2, -1)) + 2 * U * eps
                 assert np.all(np.abs(pick_eps(col, xs[0], smoothing) - eps) <= tol)
             else:
-                assert pick_eps(col, xs[0], smoothing) == eps
+                eps = fixed_eps
             e = np.asarray(eps)[..., None, None]
 
             size = (1 + t) * r + e * math.log(2)
@@ -763,18 +765,19 @@ class TestRankOneCollapse:
         assert sub.mult == 4.0
         assert np.array_equal(sub.__dict__["dy2"], dy2[[2, 0, 2]])
         assert sub.__dict__["slope_coefs"] is coefs
-        # _solve_region stacks its restart starts as extra rows of one pgd_solve
+        # pgd_solve stacks its restart starts as extra rows, with the cached
+        # constants of their rows
         seen = []
 
         def spy(terms, *args, **kwargs):
             seen.append(terms)
-            return pgd_solve(terms, *args, **kwargs)
+            return subproblem_gradient(terms, *args, **kwargs)
 
-        monkeypatch.setattr(placement, "pgd_solve", spy)
+        monkeypatch.setattr(placement, "subproblem_gradient", spy)
         eps = pick_eps(col, np.full(4, 3.0), SmoothingParams())
-        placement._solve_region(col, MovableRegion(np.zeros(4), np.full(4, 8.0)), eps,
-                                PGDConfig(restarts=2), np.full(4, 3.0))
-        (rows,) = seen
+        pgd_solve(col, MovableRegion(np.zeros(4), np.full(4, 8.0)), eps, PGDConfig(restarts=2),
+                  np.full(4, 3.0))
+        rows = seen[0]
         assert rows.amp.shape == (12, 1) and rows.mult == 4.0
         assert np.array_equal(rows.__dict__["dy2"], np.tile(dy2, (3, 1)))
         assert rows.__dict__["slope_coefs"] is coefs
