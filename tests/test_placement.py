@@ -665,6 +665,37 @@ class TestRestarts:
                 assert np.array_equal(got, want) and type(got) is type(want)
 
 
+def zigzag_row():
+    """One unstacked row, from demo_setup as restart_cases builds it: antenna
+    1 of waveguide 2 on its cell of a uniform grid. Its accepted Armijo step
+    lands just under 2/curvature near the upper cell edge, so it zigzags
+    inside one basin: (terms, region, eps, x_warm)."""
+    rng = np.random.default_rng(61)
+    geom, symbols, _ = demo_setup(rng)
+    x_opt = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
+    terms = build_subproblem_terms(geom, 2, x_opt, symbols.s, PARAMS, THETA)
+    cells = placement_cells(geom, x0)
+    return (terms, MovableRegion(cells.lower[2, 1], cells.upper[2, 1]),
+            pick_eps(terms, x0[2, 1], SmoothingParams()), x0[2, 1])
+
+
+# zigzag_row's end (float.hex) and step count under the Armijo schedule alone
+ZIGZAG_END, ZIGZAG_STEPS = "0x1.ffc48eccc44bcp+2", 109
+
+
+class TestZigzagTail:
+    def test_zigzag_row(self):
+        terms, region, eps, x_warm = zigzag_row()
+        seen = []
+        end = pgd_solve(terms, region, eps, PGDConfig(), x_warm,
+                        callback=lambda t, f: seen.append(t))
+        moves = np.diff(seen)
+        assert np.all(moves[4:-1] * moves[5:] < 0)  # every step after the fifth turns back
+        assert np.abs(moves[4:]).max() < 1e-4
+        assert len(seen) - 1 == ZIGZAG_STEPS and end.hex() == ZIGZAG_END
+
+
 U = 2.0 ** -53  # unit roundoff of float64
 
 
