@@ -5,7 +5,10 @@ subproblem per antenna: a double sum over user pairs of |g_im| - g_re*tan(th),
 where g_im/g_re are the imaginary/real parts of that antenna's contribution to
 the received point. The |.| kink is smoothed by log-sum-exp of its two branches
 and each subproblem is solved by projected gradient descent with Armijo
-backtracking over the antenna's movable cell. The cells come from the current
+backtracking over the antenna's movable cell; a row that stepped over a
+stationary point also tries the projected Barzilai-Borwein (secant) point and
+takes it when it is lower, which ends the zigzag of a step just under twice
+the inverse curvature. The cells come from the current
 placement and keep neighbours apart, so all N x L subproblems are independent
 and one sweep is a single stack of rows stepping together.
 """
@@ -226,23 +229,29 @@ def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
     return float(eps) if eps.ndim == 0 else eps
 
 
-def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
+def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     """Backtracking on the projected candidate, per row: the first step of the
     schedule whose clamped point passes the Armijo test. Steps [0, h) are tried
     for every row, [h, end) only for rows without a hit there, h = ceil(len/2).
     Returns per row the point, its objective and its branches; a row without a
-    hit keeps (x, f0) and the branches of a rejected candidate."""
+    hit keeps (x, f0) and the branches of a rejected candidate. extra, when
+    given, is one more point per row, evaluated in the first batch: a row takes
+    it, with its objective and branches, when its objective is strictly below
+    the backtracking outcome."""
     g2 = np.float_power(g, 2)  # libm pow, the bits of Python's float ** 2
     c1_steps = (c1 * steps)[:, None]
     half = -(-steps.size // 2)
     cands = np.minimum(np.maximum(x - steps[:half, None] * g, lower), upper)
-    stack, br = _branch_stack(terms, cands)
-    vals = subproblem_objective(terms, cands, eps, br)
+    if extra is not None:
+        cands = np.concatenate([cands, extra[None]])
+    all_stack, br = _branch_stack(terms, cands)
+    all_vals = subproblem_objective(terms, cands, eps, br)
+    all_q, vals = br[4], all_vals[:half]
     ok = vals <= f0 - c1_steps[:half] * g2
     first = ok.argmax(axis=0), np.arange(x.size)
     hit = ok[first]
     x_new, f_new = cands[first], vals[first]
-    stack, q = stack[(slice(None), *first)], br[4][first]
+    stack, q = all_stack[(slice(None), *first)], all_q[first]
     if np.count_nonzero(hit) < x.size:
         miss = np.flatnonzero(~hit)
         x_new[miss], f_new[miss] = x[miss], f0[miss]
@@ -257,6 +266,10 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
         x_new[miss[hit]] = cands[first][hit]
         f_new[miss[hit]] = vals[first][hit]
         stack[:, miss], q[miss] = miss_stack[(slice(None), *first)], br[4][first]
+    if extra is not None:
+        take = np.flatnonzero(all_vals[half] < f_new)
+        x_new[take], f_new[take] = extra[take], all_vals[half, take]
+        stack[:, take], q[take] = all_stack[:, half, take], all_q[half, take]
     return x_new, f_new, (stack[0], stack[1], stack[2], stack[3], q)
 
 
@@ -266,8 +279,12 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
 
     Iterates x <- Proj(x - mu * grad), with mu backtracked on the projected
     candidate per the Armijo-Goldstein decrease test, until the position
-    change drops below step_tol or max_iters is hit. The objective sequence
-    is non-increasing and the returned point is feasible. Stacked rows step
+    change drops below step_tol or max_iters is hit. From the second step
+    on, a row whose gradient changed sign since its previous point also
+    evaluates, in the first backtracking batch, the projected Barzilai-Borwein
+    point x - g * (x - x_prev) / (g - g_prev), and moves there instead when
+    its objective is strictly lower. The objective sequence is
+    non-increasing and the returned point is feasible. Stacked rows step
     together (region bounds, eps and x_init broadcast over them), and a row
     stops once its own change drops below step_tol, so it follows the path it
     would follow alone. Besides the warm start x_init, each row gets
@@ -302,12 +319,19 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     # the rows still stepping, with their point, objective, bounds and eps;
     # x and f are written back when rows retire and at the end
     active, x_act, f_act = np.arange(x.size), x.copy(), f.copy()
+    x_prev = g_prev = None  # each active row's previous point and gradient
     for _ in range(cfg.max_iters):
         g = subproblem_gradient(terms, x_act, eps, branches)
+        extra = None
+        if g_prev is not None:
+            flip = g * g_prev < 0  # the row stepped over a stationary point
+            if flip.any():  # the projected Barzilai-Borwein (secant) point
+                xs = x_act - g * (x_act - x_prev) / np.where(flip, g - g_prev, 1.0)
+                extra = np.where(flip, np.minimum(np.maximum(xs, lower), upper), x_act)
         x_next, f_act, branches = _armijo_rows(
-            terms, lower, upper, eps, f_act, g, x_act, steps, cfg.armijo_c1)
+            terms, lower, upper, eps, f_act, g, x_act, steps, cfg.armijo_c1, extra)
         stay = np.abs(x_next - x_act) <= cfg.step_tol
-        x_act = x_next
+        x_prev, g_prev, x_act = x_act, g, x_next
         if callback is not None:
             x[active], f[active] = x_act, f_act
             report()
@@ -318,7 +342,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
             x[active], f[active] = x_act, f_act
             go = np.flatnonzero(~stay)
             active, lower, upper, eps = active[go], lower[go], upper[go], eps[go]
-            x_act, f_act = x_act[go], f_act[go]
+            x_act, f_act, x_prev, g_prev = x_act[go], f_act[go], x_prev[go], g_prev[go]
             terms, branches = terms.rows(go), tuple(b[go] for b in branches)
     x[active] = x_act
     if cfg.restarts:  # the first best end of each row's starts

@@ -680,20 +680,81 @@ def zigzag_row():
             pick_eps(terms, x0[2, 1], SmoothingParams()), x0[2, 1])
 
 
-# zigzag_row's end (float.hex) and step count under the Armijo schedule alone
+# zigzag_row's end (float.hex) and step count under the Armijo schedule
+# alone, before the Barzilai-Borwein candidate joined it
 ZIGZAG_END, ZIGZAG_STEPS = "0x1.ffc48eccc44bcp+2", 109
 
 
 class TestZigzagTail:
-    def test_zigzag_row(self):
+    def test_zigzag_row_stops_early_in_its_basin(self):
         terms, region, eps, x_warm = zigzag_row()
         seen = []
         end = pgd_solve(terms, region, eps, PGDConfig(), x_warm,
                         callback=lambda t, f: seen.append(t))
-        moves = np.diff(seen)
-        assert np.all(moves[4:-1] * moves[5:] < 0)  # every step after the fifth turns back
-        assert np.abs(moves[4:]).max() < 1e-4
-        assert len(seen) - 1 == ZIGZAG_STEPS and end.hex() == ZIGZAG_END
+        assert len(seen) - 1 <= 20 < ZIGZAG_STEPS
+        assert abs(end - float.fromhex(ZIGZAG_END)) <= 1e-5
+
+
+class TestBarzilaiBorweinCandidate:
+    """_armijo_rows' extra point per row, and pgd_solve's use of it."""
+
+    STEPS = 0.1 * 0.5 ** np.arange(41)
+
+    def test_extra_taken_iff_strictly_below(self):
+        rng = np.random.default_rng(33)
+        base = random_terms(rng)
+        n, eps = 60, np.full(60, 1e-7)
+        terms = stack_rows([replace(base, amp=rng.uniform(0, 0.1, 4),
+                                    phase_off=rng.uniform(-np.pi, np.pi, (4, 4)),
+                                    waveguide_y=float(rng.uniform(0, 20))) for _ in range(n)])
+        lower, upper = np.zeros(n), np.full(n, 20.0)
+        x = rng.uniform(0, 20, n)
+        f0, g = subproblem_objective(terms, x, eps), subproblem_gradient(terms, x, eps)
+        args = terms, lower, upper, eps, f0, g, x, self.STEPS, 1e-4
+        x_arm, f_arm, br_arm = _armijo_rows(*args)
+        extra = np.where(np.arange(n) % 3 == 0, x, x + rng.normal(0, 1e-3, n)).clip(0, 20)
+        x_new, f_new, br_new = _armijo_rows(*args, extra)
+        f_extra = subproblem_objective(terms, extra, eps)
+        take = f_extra < f_arm
+        assert 0 < np.count_nonzero(take) < np.count_nonzero(extra != x)
+        assert np.array_equal(x_new, np.where(take, extra, x_arm))
+        assert np.array_equal(f_new, np.where(take, f_extra, f_arm))
+        for got, arm, at_extra in zip(br_new, br_arm, _all_branches(terms, extra)):
+            assert np.array_equal(got[take], at_extra[take])
+            assert np.array_equal(got[~take], arm[~take])
+        # a row whose extra point is its own x comes out as without one
+        same = extra == x
+        assert not take[same].any()
+        assert np.array_equal(_armijo_rows(*args, x)[0], x_arm)
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_random_sweeps_descend_inside_their_cells(self, restarts, monkeypatch):
+        taken = []
+
+        def armijo_rows(*args):
+            out = _armijo_rows(*args)
+            if len(args) > 9 and args[9] is not None:
+                taken.append(np.count_nonzero((out[0] == args[9]) & (args[9] != args[6])))
+            return out
+
+        monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)
+        rng = np.random.default_rng(34)
+        cfg = PGDConfig(restarts=restarts)
+        for _ in range(4):
+            geom, symbols, W = demo_setup(rng)
+            x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1)) + rng.uniform(-1.5, 1.5, (4, 5))
+            terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), W, symbols.s,
+                                           PARAMS, THETA)
+            cells = placement_cells(geom, x0)
+            lower, upper = (np.tile(b.ravel(), 1 + restarts) for b in cells)
+            eps = pick_eps(terms, x0.ravel(), SmoothingParams())
+            seen = []
+            pgd_solve(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps, cfg,
+                      x0.ravel(), callback=lambda t, f: seen.append((t, f)))
+            xs, fs = (np.array(v) for v in zip(*seen))
+            assert np.all(np.diff(fs, axis=0) <= 0.0)
+            assert np.all((lower <= xs) & (xs <= upper))
+        assert sum(taken) > 0  # the sweeps did take Barzilai-Borwein points
 
 
 U = 2.0 ** -53  # unit roundoff of float64
