@@ -634,13 +634,13 @@ def restart_cases():
              pick_eps(stacked, x0.ravel(), SmoothingParams()), x0.ravel())]
 
 
-# _solve_region's ends for restart_cases(), recorded while it still stacked
-# the restarts itself: restarts -> sha256 over the float.hex of the unstacked
-# row's end followed by the 20 stacked rows' ends.
+# _solve_region's ends for restart_cases(), re-recorded when PGD gained its
+# Barzilai-Borwein candidate: restarts -> sha256 over the float.hex of the
+# unstacked row's end followed by the 20 stacked rows' ends.
 GOLDEN_SOLVE_REGION = {
-    0: "2e9cac05203719aea5cbad92c1f9c1812e50a3f89a6c3cf34a136fa05ef52c8c",
-    1: "3d9d01412f0170b6a6f45461e906895c49b6341ee1779c56df29b625763379ff",
-    3: "5f0faaf8f99f9117b3079ae1245e455dac22428f24671f553e0328a5494ae266",
+    0: "88c4df0bd53cf79dd5300227229ad5c4b4116031fa3202e705e8ac9b75ffdc6e",
+    1: "de7ba6d3ae1174dc128c6030d2da2009fd77e198ccbff9f50fb1abb2c02316ff",
+    3: "0ecd0557ebfcfb9d41b3362f4d45172f61a1863edaa8b75e7c7af3ac51a5cb5a",
 }
 
 
