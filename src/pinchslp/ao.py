@@ -22,6 +22,7 @@ from .geometry import SystemGeometry, distances, initial_regions
 from .placement import (
     PGDConfig,
     SmoothingParams,
+    _check_numbers,
     optimize_all_positions,
     placement_objective_exact,
 )
@@ -42,6 +43,7 @@ class AOConfig:
         if not (isinstance(self.max_iters, Integral) and not isinstance(self.max_iters, bool)
                 and self.max_iters >= 0):
             raise ValueError("max_iters must be a non-negative integer")
+        _check_numbers(self, "rel_tol")
         if not 0 < self.rel_tol <= sys.float_info.max:
             raise ValueError("rel_tol must be positive and finite")
 

@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -112,6 +112,14 @@ def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray
     )
 
 
+def _check_numbers(cfg, *names):
+    """ValueError naming the first of the fields that is a bool or no real number."""
+    for name in names:
+        v = getattr(cfg, name)
+        if isinstance(v, bool) or not isinstance(v, Real):
+            raise ValueError(f"{name} must be a number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class SmoothingParams:
     """Log-sum-exp temperature policy: per subproblem, kappa times the largest
@@ -121,6 +129,7 @@ class SmoothingParams:
     floor: float = 1e-15
 
     def __post_init__(self):
+        _check_numbers(self, "kappa", "floor")
         if not (self.floor > 0 and self.kappa > 0):
             raise ValueError("need floor > 0 and kappa > 0")
         if not all(abs(v) <= sys.float_info.max for v in (self.kappa, self.floor)):
@@ -144,6 +153,7 @@ class PGDConfig:
         if not all(isinstance(v, Integral) and not isinstance(v, bool)
                    for v in (self.max_iters, self.max_backtracks, self.restarts)):
             raise ValueError("max_iters, max_backtracks and restarts must be integers")
+        _check_numbers(self, "step_tol", "init_step", "armijo_c1", "shrink")
         if not all(v > 0 for v in (self.max_iters, self.step_tol, self.init_step,
                                    self.armijo_c1, self.shrink, self.max_backtracks)):
             raise ValueError("all PGD settings must be positive (restarts may be 0)")

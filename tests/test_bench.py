@@ -358,6 +358,10 @@ class TestCli:
         ({"pgd": {"init_step": math.nan}}, "pgd: all PGD settings must be positive"),
         ({"ao": {"rel_tol": math.inf}}, "ao: rel_tol must be positive and finite"),
         ({"ao": {"guard_enabled": False}}, "unknown ao keys: ['guard_enabled']"),
+        ({"smoothing": {"kappa": True}}, "smoothing: kappa must be a number, got True"),
+        ({"pgd": {"step_tol": True}}, "pgd: step_tol must be a number, got True"),
+        ({"ao": {"rel_tol": True}}, "ao: rel_tol must be a number, got True"),
+        ({"pgd": {"init_step": "0.1"}}, "pgd: init_step must be a number, got '0.1'"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
