@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,16 @@ from pinchslp.ao import (
     fixed_uniform_placement,
     random_placement,
 )
+from pinchslp.bench import ExperimentConfig, generate_scenario
 from pinchslp.channel import WaveformParams, ci_margin, effective_channels, received_lambda
 from pinchslp.geometry import Vec3, make_geometry, validate_placement
-from pinchslp.precoder import build_ci_qp, psk_symbols, solve_min_power
+from pinchslp.precoder import (
+    SymbolVector,
+    build_ci_qp,
+    db_to_linear,
+    psk_symbols,
+    solve_min_power,
+)
 
 PARAMS = WaveformParams.from_carrier(2.8e10)
 NOISE_W = 1e-11
@@ -98,6 +106,41 @@ class TestConventionalArray:
         expected = PARAMS.eta * np.exp(-1j * PARAMS.beta0 * snap.distances[:, :, 0])
         expected /= snap.distances[:, :, 0]
         assert np.allclose(snap.effective, expected, atol=1e-18)
+
+
+def baseline_power(scheme, geom, symbols, gamma, noise, seed):
+    """Minimum CI power of a baseline scheme: one precoder solve on the
+    channel of its fixed placement (random: drawn from seed) or array."""
+    if scheme == "conventional":
+        snap = conventional_array_snapshot(geom, PARAMS)
+    else:
+        x = fixed_uniform_placement(geom) if scheme == "fixed" else random_placement(geom, seed)
+        snap = effective_channels(geom, x, PARAMS)
+    return solve_min_power(build_ci_qp(snap, symbols, gamma, noise, THETA)).power
+
+
+class TestBaselineMetamorphic:
+    """A baseline's channel depends on neither the targets nor the noise, and
+    every CI-QP row has b = tan(theta) * sqrt(gamma * sigma^2): scaling gamma
+    or sigma^2 by 4 doubles b exactly, and with it every step of the exact
+    solver, so the power scales by exactly 4. Relabelling the users together
+    with their symbols only reorders the rows."""
+
+    @pytest.mark.parametrize("scheme", ["fixed", "random", "conventional"])
+    def test_scaling_and_relabelling(self, scheme):
+        cfg = ExperimentConfig(master_seed=2026, num_pas=5)
+        gamma = np.full(cfg.num_users, db_to_linear(16.0))
+        perm = np.array([2, 0, 3, 1])
+        for trial in range(12):
+            geom, symbols = generate_scenario(cfg, trial)
+            seed = [cfg.master_seed, trial]
+            p = baseline_power(scheme, geom, symbols, gamma, NOISE_W, seed)
+            assert baseline_power(scheme, geom, symbols, 4 * gamma, NOISE_W, seed) == 4 * p
+            assert baseline_power(scheme, geom, symbols, gamma, 4 * NOISE_W, seed) == 4 * p
+            relabelled = (replace(geom, users=tuple(geom.users[i] for i in perm)),
+                          SymbolVector(symbols.s[perm], symbols.order))
+            assert baseline_power(scheme, *relabelled, gamma, NOISE_W, seed) == pytest.approx(
+                p, rel=1e-13, abs=0.0)
 
 
 class TestAoSolve:
