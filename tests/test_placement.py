@@ -723,9 +723,10 @@ class TestBarzilaiBorweinCandidate:
             assert np.array_equal(got[take], at_extra[take])
             assert np.array_equal(got[~take], arm[~take])
         # a row whose extra point is its own x comes out as without one
-        same = extra == x
-        assert not take[same].any()
-        assert np.array_equal(_armijo_rows(*args, x)[0], x_arm)
+        assert not take[extra == x].any()
+        x_same, f_same, br_same = _armijo_rows(*args, x)
+        assert np.array_equal(x_same, x_arm) and np.array_equal(f_same, f_arm)
+        assert all(np.array_equal(a, b) for a, b in zip(br_same, br_arm))
 
     @pytest.mark.parametrize("restarts", [0, 2])
     def test_random_sweeps_descend_inside_their_cells(self, restarts, monkeypatch):
