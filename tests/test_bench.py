@@ -3,6 +3,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -102,11 +103,13 @@ def _value_for(key):
 _KEYS = st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__))
 CONFIG_OBJECTS = (st.lists(_KEYS, unique=True, max_size=2) | st.lists(_KEYS, unique=True)).flatmap(
     lambda keys: st.fixed_dictionaries({k: _value_for(k) for k in keys}))
-# A single sub-config with one or two numeric fields passes the other checks
-# often enough to reach the value checks on every field.
+# A single sub-config with one or two scalar fields passes the other checks
+# often enough to reach the value checks on every field, booleans and
+# strings included.
 SUBCONFIG_OBJECTS = st.sampled_from(sorted(SUBCONFIG_TYPES)).flatmap(
     lambda key: st.dictionaries(st.sampled_from(sorted(SUBCONFIG_TYPES[key].__dataclass_fields__)),
-                                JSON_NUMBERS, max_size=2).map(lambda sub: {key: sub}))
+                                JSON_NUMBERS | st.booleans() | st.text(max_size=8),
+                                max_size=2).map(lambda sub: {key: sub}))
 
 
 class TestConfigFuzz:
@@ -122,6 +125,7 @@ class TestConfigFuzz:
         reals = [p.wavelength, p.eta, p.beta0, p.beta1]
         for sub in (cfg.smoothing, cfg.pgd, cfg.ao):  # the fields with a float default
             reals += [getattr(sub, f.name) for f in fields(sub) if type(f.default) is float]
+        assert all(isinstance(v, Real) and not isinstance(v, bool) for v in reals)
         assert all(abs(v) <= sys.float_info.max for v in reals)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -238,6 +239,26 @@ class TestSubproblemObjective:
             )
             assert subproblem_objective(terms, float(x), eps) >= lower - 1e-15
 
+    @pytest.mark.parametrize("K", [1, 4, 6])
+    def test_within_mult_pairs_eps_log2_of_max_branch_sum(self, K):
+        # the upper half of the sandwich, on stacked general terms and on their
+        # collapsed rank-one form: f <= mult * (sum of max(bar, hat) + pairs *
+        # eps * log 2), up to the rounding of the summed pair magnitudes
+        for seed in range(3):
+            for terms in rank_one_terms(seed, K, np.arange(4))[:2]:
+                rng = np.random.default_rng([41, K, seed])
+                xs = rng.uniform(0, 20, (8, 4))
+                for eps in (np.full(4, 1e-9), pick_eps(terms, xs[0], SmoothingParams()), 1e-3):
+                    bar, hat, *_ = _all_branches(terms, xs)
+                    e = np.asarray(eps)[..., None, None]
+                    pairs = bar.shape[-2] * bar.shape[-1]
+                    upper = np.maximum(bar, hat).sum(axis=(-2, -1)) + pairs * eps * math.log(2)
+                    size = (np.abs(bar) + np.abs(hat) + e).sum(axis=(-2, -1))
+                    f = subproblem_objective(terms, xs, eps)
+                    assert np.all(f <= terms.mult * (upper + (pairs + 8) * U * size))
+                    assert np.all(f >= terms.mult * (upper - pairs * eps * math.log(2)
+                                                      - (pairs + 8) * U * size))
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(9)
         terms = random_terms(rng)
@@ -246,6 +267,32 @@ class TestSubproblemObjective:
         batch = subproblem_objective(terms, xs, eps)
         singles = np.array([subproblem_objective(terms, float(x), eps) for x in xs])
         assert np.allclose(batch, singles, rtol=1e-14)
+
+
+def zero_collapsed_rows(rows=3, num_users=4):
+    """Stacked collapsed terms (one m row, mult = K) whose beams are all zero."""
+    base = zero_terms(num_users)
+    return replace(base, amp=np.zeros((rows, 1)), phase_off=np.zeros((rows, 1, num_users)),
+                   waveguide_y=np.linspace(4.0, 16.0, rows), mult=float(num_users))
+
+
+class TestTemperatureFloor:
+    """Zero beams at the smallest temperature SmoothingParams allows: every
+    pair term is eps*log(2), which rounds to eps itself, and the slope is 0."""
+
+    def test_zero_rows_at_the_subnormal_floor(self):
+        terms, x = zero_collapsed_rows(), np.array([2.0, 9.5, 17.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = pick_eps(terms, x, SmoothingParams(floor=5e-324))
+            f = subproblem_objective(terms, x, eps)
+            g = subproblem_gradient(terms, x, eps)
+            end = pgd_solve(terms, MovableRegion(np.zeros(3), np.full(3, 20.0)), eps, PGDConfig(),
+                            x)
+        assert np.array_equal(eps, np.full(3, 5e-324))
+        assert np.array_equal(f, np.full(3, 8e-323))  # 4 pairs of 5e-324, times mult 4
+        assert np.array_equal(g, np.zeros(3))
+        assert np.array_equal(end, x)
 
 
 class TestSubproblemGradient:
