@@ -107,13 +107,15 @@ def distances(ux: np.ndarray, uy: np.ndarray, x, y, height: float) -> np.ndarray
 
     x and y broadcast against each other; the users go on a new last axis.
     """
-    return offset_distances(ux, x, (uy - np.asarray(y)[..., None]) ** 2, height**2)
+    return offset_distances(ux, np.asarray(x)[..., None], (uy - np.asarray(y)[..., None]) ** 2,
+                            height**2)
 
 
 def offset_distances(ux: np.ndarray, x, dy2, h2: float) -> np.ndarray:
     """distances() from the two terms that x does not move, dy2 = (uy - y)**2
-    per user and h2 = height**2, summed in the same order."""
-    return np.sqrt((ux - np.asarray(x)[..., None]) ** 2 + dy2 + h2)
+    per user and h2 = height**2, summed in the same order; ux, x and dy2
+    broadcast as given."""
+    return np.sqrt((ux - x) ** 2 + dy2 + h2)
 
 
 def make_geometry(

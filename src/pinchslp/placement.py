@@ -61,9 +61,13 @@ class SubproblemTerms:
         return self.user_x.size
 
     @cached_property
-    def dy2(self) -> np.ndarray:
-        """(user_y - waveguide_y)**2 per row and user: the distance term x does not move."""
-        return (self.user_y - np.asarray(self.waveguide_y)[..., None]) ** 2
+    def pair_consts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """amp (m, rows), phase_off (m, k, rows) and dy2 = (user_y - waveguide_y)**2
+        (k, rows), the distance term x does not move: the per-row constants
+        with the pair axes first and the row axis last (absent when unstacked)."""
+        dy2 = (self.user_y - np.asarray(self.waveguide_y)[..., None]) ** 2
+        return tuple(np.moveaxis(a, 0, -1) if a.ndim > n else a
+                     for a, n in ((self.amp, 1), (self.phase_off, 2), (dy2, 1)))
 
     @cached_property
     def slope_coefs(self) -> np.ndarray:
@@ -80,8 +84,8 @@ class SubproblemTerms:
                               np.asarray(self.waveguide_y)[idx], self.height, self.beta0,
                               self.beta1, self.tan_th, self.mult)
         cached = self.__dict__
-        if "dy2" in cached:
-            out.__dict__["dy2"] = cached["dy2"][idx]
+        if "pair_consts" in cached:
+            out.__dict__["pair_consts"] = tuple(a[..., idx] for a in cached["pair_consts"])
         if "slope_coefs" in cached:
             out.__dict__["slope_coefs"] = cached["slope_coefs"]
         return out
@@ -164,39 +168,54 @@ class PGDConfig:
             raise ValueError("step_tol, init_step and armijo_c1 must be finite")
 
 
-def _branch_stack(terms: SubproblemTerms, x):
-    """bar, hat, g_im and g_re of every (m, k) pair, stacked on a new leading
-    axis of length 4, and the same four as views followed by the distance q
-    to each user (the _all_branches tuple)."""
+def _pair_parts(terms: SubproblemTerms, x):
+    """g_im and g_re of every (m, k) pair, stacked as g[0] and g[1], and the
+    distance q to each user, with the pair axes first: g is (2, m, k, *x.shape)
+    and q (k, *x.shape), so elementwise work runs over candidates and rows."""
     x = np.asarray(x, dtype=float)
-    q = offset_distances(terms.user_x, x, terms.dy2, terms.height**2)
-    f = -terms.beta0 * q - terms.beta1 * x[..., None]  # position-dependent phase per user
-    ang = f[..., None, :] + terms.phase_off  # (..., m, k)
-    scale = terms.amp[..., :, None] / q[..., None, :]
-    stack = np.empty((4,) + ang.shape)
-    bar, hat, g_im, g_re = stack[0], stack[1], stack[2], stack[3]
-    np.multiply(scale, np.sin(ang, out=g_im), out=g_im)
-    np.multiply(scale, np.cos(ang, out=g_re), out=g_re)
-    np.multiply(g_re, -terms.tan_th, out=bar)  # base = g_re * -tan_th
-    np.subtract(bar, g_im, out=hat)  # base - g_im
-    np.add(g_im, bar, out=bar)  # g_im + base
-    return stack, (bar, hat, g_im, g_re, q)
+    amp, off, dy2 = terms.pair_consts
+    pad = (1,) * (x.ndim - (amp.ndim - 1))  # the candidate axes of x
+    K = terms.num_users
+    q = offset_distances(terms.user_x.reshape((K,) + (1,) * x.ndim), x,
+                         dy2.reshape((K,) + pad + dy2.shape[1:]), terms.height**2)
+    ang = (-terms.beta0 * q - terms.beta1 * x) + off.reshape(off.shape[:2] + pad + off.shape[2:])
+    scale = amp.reshape(amp.shape[:1] + (1,) + pad + amp.shape[1:]) / q
+    g = np.empty((2,) + ang.shape)
+    np.multiply(scale, np.sin(ang, out=g[0]), out=g[0])
+    np.multiply(scale, np.cos(ang, out=g[1]), out=g[1])
+    return g, q
+
+
+def _branches(terms: SubproblemTerms, g_im, g_re):
+    """phi-bar = g_im - t*g_re and phi-hat = -g_im - t*g_re."""
+    base = g_re * -terms.tan_th
+    return g_im + base, base - g_im
+
+
+def _pair_sum(v):
+    """Sum over the two leading pair axes, in the order of a C-contiguous
+    pair-last reduction."""
+    return np.add.reduce(np.moveaxis(v, (0, 1), (-2, -1)).copy(), axis=(-2, -1))
 
 
 def _all_branches(terms: SubproblemTerms, x):
     """phi-bar and phi-hat for every (m, k) pair, with the g-components and
-    distances they came from; x may carry candidate axes before the rows."""
-    return _branch_stack(terms, x)[1]
+    distances they came from, on trailing (m, k) and (k) axes; x may carry
+    candidate axes before the rows."""
+    (g_im, g_re), q = _pair_parts(terms, x)
+    out = (*_branches(terms, g_im, g_re), g_im, g_re)
+    return (*(np.moveaxis(v, (0, 1), (-2, -1)) for v in out), np.moveaxis(q, 0, -1))
 
 
 def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
     """Smoothed subproblem objective, summed over all (m, k) pairs, times
     mult. Vectorized over x: a scalar input yields a float, an array input an
-    array of the same shape. branches, when given, are _all_branches(terms, x).
+    array of the same shape. branches, when given, are _pair_parts(terms, x).
     """
-    bar, hat, *_ = _all_branches(terms, x) if branches is None else branches
-    e = np.asarray(eps, dtype=float)[..., None, None]  # one per row, over (m, k)
-    out = np.add.reduce(e * np.logaddexp(bar / e, hat / e), axis=(-2, -1)) * terms.mult
+    (g_im, g_re), _ = _pair_parts(terms, x) if branches is None else branches
+    bar, hat = _branches(terms, g_im, g_re)
+    e = np.asarray(eps, dtype=float)
+    out = _pair_sum(e * np.logaddexp(bar / e, hat / e)) * terms.mult
     return float(out) if out.ndim == 0 else out
 
 
@@ -207,10 +226,10 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     derivatives; the branch derivatives follow from differentiating the
     g-components through q(x) and the phase -beta0*q - beta1*x.
     """
-    bar, hat, g_im, g_re, q = _all_branches(terms, x) if branches is None else branches
+    (g_im, g_re), q = _pair_parts(terms, x) if branches is None else branches
     x = np.asarray(x, dtype=float)
-    qk = q[..., None, :]  # broadcast the per-user pieces over the m axis
-    dq = ((x[..., None] - terms.user_x) / q)[..., None, :]  # dq/dx per user
+    qk = q[None]  # broadcast the per-user pieces over the m axis
+    dq = ((x - terms.user_x.reshape((-1,) + (1,) * x.ndim)) / q)[None]  # dq/dx per user
     # the four factors of
     #   dbar = g_re * (dq * (-b0 + t/q) - b1) - g_im * (dq * (b0*t + 1/q) + b1*t)
     #   dhat = g_re * (dq * (b0 + t/q) + b1) - g_im * (dq * (b0*t - 1/q) + b1*t)
@@ -220,8 +239,9 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     c = dq * (off + num / qk) + add
     d = g_re * c[:2] - g_im * c[2:]
     # stable softmax weight of the bar branch: sigma((bar - hat)/eps)
-    wbar = _sigmoid((bar - hat) / np.asarray(eps, dtype=float)[..., None, None])
-    out = np.add.reduce(wbar * d[0] + (1.0 - wbar) * d[1], axis=(-2, -1)) * terms.mult
+    bar, hat = _branches(terms, g_im, g_re)
+    wbar = _sigmoid((bar - hat) / np.asarray(eps, dtype=float))
+    out = _pair_sum(wbar * d[0] + (1.0 - wbar) * d[1]) * terms.mult
     return float(out) if out.ndim == 0 else out
 
 
@@ -231,10 +251,11 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 
 
 def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
-    """Subproblem temperature per row: kappa * max|branch| at x0, floored."""
-    bar, hat, *_ = _all_branches(terms, x0)
-    scale = np.maximum(np.abs(bar).max(axis=(-2, -1), initial=0.0),
-                       np.abs(hat).max(axis=(-2, -1), initial=0.0))
+    """Subproblem temperature per row: kappa times the largest branch
+    magnitude max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0,
+    floored."""
+    (g_im, g_re), _ = _pair_parts(terms, x0)
+    scale = (np.abs(g_im) + terms.tan_th * np.abs(g_re)).max(axis=(0, 1), initial=0.0)
     eps = np.maximum(smoothing.kappa * scale, smoothing.floor)
     return float(eps) if eps.ndim == 0 else eps
 
@@ -243,10 +264,10 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     """Backtracking on the projected candidate, per row: the first step of the
     schedule whose clamped point passes the Armijo test. Steps [0, h) are tried
     for every row, [h, end) only for rows without a hit there, h = ceil(len/2).
-    Returns per row the point, its objective and its branches; a row without a
-    hit keeps (x, f0) and the branches of a rejected candidate. extra, when
+    Returns per row the point, its objective and its _pair_parts; a row
+    without a hit keeps (x, f0) and the parts of a rejected candidate. extra, when
     given, is one more point per row, evaluated in the first batch: a row takes
-    it, with its objective and branches, when its objective is strictly below
+    it, with its objective and parts, when its objective is strictly below
     the backtracking outcome."""
     g2 = np.float_power(g, 2)  # libm pow, the bits of Python's float ** 2
     c1_steps = (c1 * steps)[:, None]
@@ -254,33 +275,33 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     cands = np.minimum(np.maximum(x - steps[:half, None] * g, lower), upper)
     if extra is not None:
         cands = np.concatenate([cands, extra[None]])
-    all_stack, br = _branch_stack(terms, cands)
-    all_vals = subproblem_objective(terms, cands, eps, br)
-    all_q, vals = br[4], all_vals[:half]
+    all_g, all_q = _pair_parts(terms, cands)
+    all_vals = subproblem_objective(terms, cands, eps, (all_g, all_q))
+    vals = all_vals[:half]
     ok = vals <= f0 - c1_steps[:half] * g2
     first = ok.argmax(axis=0), np.arange(x.size)
     hit = ok[first]
     x_new, f_new = cands[first], vals[first]
-    stack, q = all_stack[(slice(None), *first)], all_q[first]
+    g_new, q = all_g[(..., *first)], all_q[(..., *first)]
     if np.count_nonzero(hit) < x.size:
         miss = np.flatnonzero(~hit)
         x_new[miss], f_new[miss] = x[miss], f0[miss]
         terms, g, g2 = terms.rows(miss), g[miss], g2[miss]
         cands = np.minimum(np.maximum(x[miss] - steps[half:, None] * g, lower[miss]),
                            upper[miss])
-        miss_stack, br = _branch_stack(terms, cands)
-        vals = subproblem_objective(terms, cands, eps[miss], br)
+        miss_g, miss_q = _pair_parts(terms, cands)
+        vals = subproblem_objective(terms, cands, eps[miss], (miss_g, miss_q))
         ok = vals <= f0[miss] - c1_steps[half:] * g2
         first = ok.argmax(axis=0), np.arange(miss.size)
         hit = ok[first]
         x_new[miss[hit]] = cands[first][hit]
         f_new[miss[hit]] = vals[first][hit]
-        stack[:, miss], q[miss] = miss_stack[(slice(None), *first)], br[4][first]
+        g_new[..., miss], q[..., miss] = miss_g[(..., *first)], miss_q[(..., *first)]
     if extra is not None:
         take = np.flatnonzero(all_vals[half] < f_new)
         x_new[take], f_new[take] = extra[take], all_vals[half, take]
-        stack[:, take], q[take] = all_stack[:, half, take], all_q[half, take]
-    return x_new, f_new, (stack[0], stack[1], stack[2], stack[3], q)
+        g_new[..., take], q[..., take] = all_g[..., half, take], all_q[..., half, take]
+    return x_new, f_new, (g_new, q)
 
 
 def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init,
@@ -316,7 +337,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
         terms = terms.rows(np.tile(np.arange(n), starts))
     all_terms, all_eps = terms, eps
     x = np.minimum(np.maximum(x, lower), upper)
-    branches = _all_branches(terms, x)
+    branches = _pair_parts(terms, x)
     f = subproblem_objective(terms, x, eps, branches)
 
     def report():
@@ -353,7 +374,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
             go = np.flatnonzero(~stay)
             active, lower, upper, eps = active[go], lower[go], upper[go], eps[go]
             x_act, f_act, x_prev, g_prev = x_act[go], f_act[go], x_prev[go], g_prev[go]
-            terms, branches = terms.rows(go), tuple(b[go] for b in branches)
+            terms, branches = terms.rows(go), tuple(b[..., go] for b in branches)
     x[active] = x_act
     if cfg.restarts:  # the first best end of each row's starts
         f = subproblem_objective(all_terms, x, all_eps).reshape(starts, n)

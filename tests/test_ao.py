@@ -230,20 +230,20 @@ class TestAoSolve:
 
     def test_placement_kernels_sum_one_m_row(self, monkeypatch):
         # beams are rank one, W = x s^H / K, so the sweep receives x and every
-        # branch stack of its PGD kernels has an m axis of length 1; a fall-back
+        # pair stack of its PGD kernels has an m axis of length 1; a fall-back
         # to the K x K pair sum fails here, not only in the benchmark
         from pinchslp import placement
 
         m_axes, mults = [], set()
 
         def spy(terms, x):
-            stack, branches = branch_stack(terms, x)
-            m_axes.append(stack.shape[-2])
+            g, q = pair_parts(terms, x)
+            m_axes.append(g.shape[1])  # g is (2, m, k, *x.shape)
             mults.add(terms.mult)
-            return stack, branches
+            return g, q
 
-        branch_stack = placement._branch_stack
-        monkeypatch.setattr(placement, "_branch_stack", spy)
+        pair_parts = placement._pair_parts
+        monkeypatch.setattr(placement, "_pair_parts", spy)
         geom, symbols = scenario(35, num_users=3)
         _, _, trace = ao_solve(geom, PARAMS, symbols, np.full(3, 100.0), NOISE_W, THETA,
                                fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=2))

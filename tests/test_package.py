@@ -52,7 +52,7 @@ def test_removed_names_are_gone_from_the_library():
 
 # What oracles.py may take from the library: data types, plus the vectorized
 # subproblem objective that the grid search evaluates. Never the kernels the
-# oracles check (distances, effective_channels, _branch_stack, _all_branches).
+# oracles check (distances, effective_channels, _pair_parts, _all_branches).
 ORACLE_IMPORTS = {
     "WaveformParams", "MovableRegion", "Vec3", "SubproblemTerms", "subproblem_objective",
     "QPInstance", "QPSolution",

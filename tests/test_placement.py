@@ -30,6 +30,7 @@ from pinchslp.placement import (
     SubproblemTerms,
     _all_branches,
     _armijo_rows,
+    _pair_parts,
     build_subproblem_terms,
     optimize_all_positions,
     pgd_solve,
@@ -391,7 +392,7 @@ class TestArmijoStep:
         terms = random_terms(rng).rows(np.newaxis)
         x_new, f_new, branches, f0 = armijo(terms, 7.0, 0.0, 1e-7, self.STEPS)
         assert x_new[0] == 7.0 and f_new[0] == f0[0]
-        for got, want in zip(branches, _all_branches(terms, np.array([7.0]))):
+        for got, want in zip(branches, _pair_parts(terms, np.array([7.0]))):
             assert np.array_equal(got, want)
 
     def test_envelope_hand_case(self):
@@ -766,9 +767,9 @@ class TestBarzilaiBorweinCandidate:
         assert 0 < np.count_nonzero(take) < np.count_nonzero(extra != x)
         assert np.array_equal(x_new, np.where(take, extra, x_arm))
         assert np.array_equal(f_new, np.where(take, f_extra, f_arm))
-        for got, arm, at_extra in zip(br_new, br_arm, _all_branches(terms, extra)):
-            assert np.array_equal(got[take], at_extra[take])
-            assert np.array_equal(got[~take], arm[~take])
+        for got, arm, at_extra in zip(br_new, br_arm, _pair_parts(terms, extra)):
+            assert np.array_equal(got[..., take], at_extra[..., take])
+            assert np.array_equal(got[..., ~take], arm[..., ~take])
         # a row whose extra point is its own x comes out as without one
         assert not take[extra == x].any()
         x_same, f_same, br_same = _armijo_rows(*args, x)
@@ -858,7 +859,7 @@ class TestRankOneCollapse:
             assert (col.amp.shape, col.phase_off.shape, col.mult) == ((4, 1), (4, 1, K), K)
             assert gen.mult == 1.0
             xs = rng.uniform(0, 20, (8, 4))  # 8 candidates for each of the 4 rows
-            bar, hat, g_im, g_re, q = br = _all_branches(gen, xs)
+            bar, hat, g_im, g_re, q = _all_branches(gen, xs)
             cbar, chat, *_ = _all_branches(col, xs)
             t, delta, r = gen.tan_th, phase_tol(gen, q, xs), np.hypot(g_im, g_re)
             assert np.all(np.abs(cbar - bar) <= (1 + t) * delta * r)
@@ -875,12 +876,13 @@ class TestRankOneCollapse:
 
             size = (1 + t) * r + e * math.log(2)
             tol = ((1 + t) * delta * r + (K * K + 8) * U * size).sum(axis=(-2, -1))
-            f = subproblem_objective(gen, xs, eps, br)
+            parts = placement._pair_parts(gen, xs)
+            f = subproblem_objective(gen, xs, eps, parts)
             assert np.all(np.abs(subproblem_objective(col, xs, eps) - f) <= tol)
 
             C = (1 + t) * (gen.beta0 + gen.beta1 + 1 / q.min())
             tol = (C * r * (delta * (1 + (1 + t) * r / e) + (K * K + 8) * U)).sum(axis=(-2, -1))
-            g = subproblem_gradient(gen, xs, eps, br)
+            g = subproblem_gradient(gen, xs, eps, parts)
             assert np.all(np.abs(subproblem_gradient(col, xs, eps) - g) <= tol)
 
     @pytest.mark.parametrize("K", [2, 4, 6])
@@ -900,10 +902,11 @@ class TestRankOneCollapse:
 
     def test_rows_carry_mult_and_cached_constants(self, monkeypatch):
         _, col, _ = rank_one_terms(0, 4, np.arange(4))
-        dy2, coefs = col.dy2, col.slope_coefs
+        consts, coefs = col.pair_consts, col.slope_coefs
         sub = col.rows(np.array([2, 0, 2]))
         assert sub.mult == 4.0
-        assert np.array_equal(sub.__dict__["dy2"], dy2[[2, 0, 2]])
+        for got, want in zip(sub.__dict__["pair_consts"], consts):
+            assert np.array_equal(got, want[..., [2, 0, 2]])
         assert sub.__dict__["slope_coefs"] is coefs
         # pgd_solve stacks its restart starts as extra rows, with the cached
         # constants of their rows
@@ -919,7 +922,8 @@ class TestRankOneCollapse:
                   np.full(4, 3.0))
         rows = seen[0]
         assert rows.amp.shape == (12, 1) and rows.mult == 4.0
-        assert np.array_equal(rows.__dict__["dy2"], np.tile(dy2, (3, 1)))
+        for got, want in zip(rows.__dict__["pair_consts"], consts):
+            assert np.array_equal(got, np.concatenate([want] * 3, axis=-1))
         assert rows.__dict__["slope_coefs"] is coefs
 
 
