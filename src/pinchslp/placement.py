@@ -3,14 +3,20 @@
 For fixed beams the placement objective separates into one single-variable
 subproblem per antenna: a double sum over user pairs of |g_im| - g_re*tan(th),
 where g_im/g_re are the imaginary/real parts of that antenna's contribution to
-the received point. The |.| kink is smoothed by log-sum-exp of its two branches
-and each subproblem is solved by projected gradient descent with Armijo
-backtracking over the antenna's movable cell; a row that stepped over a
-stationary point also tries the projected Barzilai-Borwein (secant) point and
-takes it when it is lower, which ends the zigzag of a step just under twice
-the inverse curvature. The cells come from the current
-placement and keep neighbours apart, so all N x L subproblems are independent
-and one sweep is a single stack of rows stepping together.
+the received point. The |.| kink is smoothed by the log-sum-exp of its two
+branches g_im - t*g_re and -g_im - t*g_re, evaluated in the equal soft-abs form
+-t*g_re + |g_im| + eps*log1p(exp(-2|g_im|/eps)), whose slope weights g_im' by
+tanh(g_im/eps); the temperature eps is kappa times the largest branch
+magnitude |g_im| + t*|g_re| at the warm start. Each subproblem is solved by
+projected gradient descent with Armijo backtracking over the antenna's
+movable cell; a row that stepped over a stationary point also tries the
+projected Barzilai-Borwein (secant) point and takes it when it is lower,
+which ends the zigzag of a step just under twice the inverse curvature. The
+cells come from the current placement and keep neighbours apart, so all
+N x L subproblems are independent and one sweep is a single stack of rows
+stepping together. The kernels keep the (m, k) pair axes first and the
+candidate and row axes last, so numpy's inner loops run over candidates and
+rows rather than over the few users.
 """
 
 from __future__ import annotations
@@ -69,14 +75,6 @@ class SubproblemTerms:
         return tuple(np.moveaxis(a, 0, -1) if a.ndim > n else a
                      for a, n in ((self.amp, 1), (self.phase_off, 2), (dy2, 1)))
 
-    @cached_property
-    def slope_coefs(self) -> np.ndarray:
-        """(num, off, add) per branch-derivative factor, so that the factor is
-        dq * (off + num / q) + add; columns (bar, g_re), (hat, g_re), (bar, g_im),
-        (hat, g_im). See subproblem_gradient."""
-        t, b0, b1 = self.tan_th, self.beta0, self.beta1
-        return np.array([[t, t, 1.0, -1.0], [-b0, b0, b0 * t, b0 * t], [-b1, b1, b1 * t, b1 * t]])
-
     def rows(self, idx) -> SubproblemTerms:
         """The stacked subproblems that idx selects on the row axis, with the
         constants already cached carried along."""
@@ -86,8 +84,6 @@ class SubproblemTerms:
         cached = self.__dict__
         if "pair_consts" in cached:
             out.__dict__["pair_consts"] = tuple(a[..., idx] for a in cached["pair_consts"])
-        if "slope_coefs" in cached:
-            out.__dict__["slope_coefs"] = cached["slope_coefs"]
         return out
 
 
@@ -186,24 +182,24 @@ def _pair_parts(terms: SubproblemTerms, x):
     return g, q
 
 
-def _branches(terms: SubproblemTerms, g_im, g_re):
-    """phi-bar = g_im - t*g_re and phi-hat = -g_im - t*g_re."""
-    base = g_re * -terms.tan_th
-    return g_im + base, base - g_im
-
-
 def _pair_sum(v):
-    """Sum over the two leading pair axes, in the order of a C-contiguous
-    pair-last reduction."""
-    return np.add.reduce(np.moveaxis(v, (0, 1), (-2, -1)).copy(), axis=(-2, -1))
+    """Sum over the two leading pair axes, pair after pair. numpy's own
+    reduction adds pairwise when the other axes hold one element, which
+    would give a row alone other bits than the same row in a stack."""
+    v = v.reshape((-1,) + v.shape[2:])
+    out = v[0].copy()
+    for term in v[1:]:
+        out += term
+    return out
 
 
 def _all_branches(terms: SubproblemTerms, x):
-    """phi-bar and phi-hat for every (m, k) pair, with the g-components and
-    distances they came from, on trailing (m, k) and (k) axes; x may carry
-    candidate axes before the rows."""
+    """phi-bar = g_im - t*g_re and phi-hat = -g_im - t*g_re for every (m, k)
+    pair, with the g-components and distances they came from, on trailing
+    (m, k) and (k) axes; x may carry candidate axes before the rows."""
     (g_im, g_re), q = _pair_parts(terms, x)
-    out = (*_branches(terms, g_im, g_re), g_im, g_re)
+    base = g_re * -terms.tan_th
+    out = (g_im + base, base - g_im, g_im, g_re)
     return (*(np.moveaxis(v, (0, 1), (-2, -1)) for v in out), np.moveaxis(q, 0, -1))
 
 
@@ -211,43 +207,39 @@ def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
     """Smoothed subproblem objective, summed over all (m, k) pairs, times
     mult. Vectorized over x: a scalar input yields a float, an array input an
     array of the same shape. branches, when given, are _pair_parts(terms, x).
+
+    Each pair's eps * logaddexp(bar/eps, hat/eps) is evaluated in its
+    soft-abs form -t*g_re + |g_im| + eps*log1p(exp(-2|g_im|/eps)).
     """
     (g_im, g_re), _ = _pair_parts(terms, x) if branches is None else branches
-    bar, hat = _branches(terms, g_im, g_re)
     e = np.asarray(eps, dtype=float)
-    out = _pair_sum(e * np.logaddexp(bar / e, hat / e)) * terms.mult
+    a = np.abs(g_im)
+    # |g_im| / eps before the factor -2, since -2 / eps overflows at a subnormal
+    # eps. Past |g_im| = 20 eps the log1p term is below half an ulp of |g_im|,
+    # so clamping there keeps every bit and spares exp its slow underflow path.
+    soft = np.log1p(np.exp(np.minimum(a / e, 20.0) * -2.0))
+    soft = soft * e + a - terms.tan_th * g_re
+    out = _pair_sum(soft) * terms.mult
     return float(out) if out.ndim == 0 else out
 
 
 def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     """Analytic derivative of the smoothed objective at x (one per row).
 
-    Each pair contributes the softmax-weighted combination of the two branch
-    derivatives; the branch derivatives follow from differentiating the
-    g-components through q(x) and the phase -beta0*q - beta1*x.
+    Each pair contributes -t*g_re' + tanh(g_im/eps)*g_im'. With the
+    amplitude factor 1/q and the phase -beta0*q - beta1*x, the g-components
+    move as g_im' = r*g_im + p*g_re and g_re' = r*g_re - p*g_im, where
+    r = -q'/q and p = -beta0*q' - beta1 per user.
     """
     (g_im, g_re), q = _pair_parts(terms, x) if branches is None else branches
     x = np.asarray(x, dtype=float)
-    qk = q[None]  # broadcast the per-user pieces over the m axis
-    dq = ((x - terms.user_x.reshape((-1,) + (1,) * x.ndim)) / q)[None]  # dq/dx per user
-    # the four factors of
-    #   dbar = g_re * (dq * (-b0 + t/q) - b1) - g_im * (dq * (b0*t + 1/q) + b1*t)
-    #   dhat = g_re * (dq * (b0 + t/q) + b1) - g_im * (dq * (b0*t - 1/q) + b1*t)
-    # on one leading axis; a - b is computed as a + (-b) and a + b as a - (-b),
-    # which IEEE arithmetic rounds identically
-    num, off, add = terms.slope_coefs.reshape((3, 4) + (1,) * qk.ndim)
-    c = dq * (off + num / qk) + add
-    d = g_re * c[:2] - g_im * c[2:]
-    # stable softmax weight of the bar branch: sigma((bar - hat)/eps)
-    bar, hat = _branches(terms, g_im, g_re)
-    wbar = _sigmoid((bar - hat) / np.asarray(eps, dtype=float))
-    out = _pair_sum(wbar * d[0] + (1.0 - wbar) * d[1]) * terms.mult
+    t = terms.tan_th
+    dq = (x - terms.user_x.reshape((-1,) + (1,) * x.ndim)) / q  # q' per user
+    r, p = dq / -q, -terms.beta0 * dq - terms.beta1
+    w = np.tanh(g_im / np.asarray(eps, dtype=float))
+    slope = g_re * (w * p - t * r) + g_im * (w * r + t * p)
+    out = _pair_sum(slope) * terms.mult
     return float(out) if out.ndim == 0 else out
-
-
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):

@@ -438,35 +438,35 @@ def _csv_sha256(records, tmp_path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# Placements of the position sweep as float.hex, re-recorded when PGD gained
-# its Barzilai-Borwein candidate (first recorded when the sweep became one
-# stacked solve over the cells of the current placement).
+# Placements of the position sweep as float.hex, re-recorded when the
+# smoothed pair term took its soft-abs form (first recorded when the sweep
+# became one stacked solve over the cells of the current placement).
 # (L, smoothing, pgd) -> row-major N x L entries.
 GOLDEN_PLACEMENTS = {
     (3, SmoothingParams(), PGDConfig()): (
         "0x1.a4c2f4d70ee1bp+1 0x1.4ef1824a5e016p+3 0x1.05fcd22c39883p+4 "
         "0x1.de191658f24e2p+1 0x1.50057b8d5701ap+3 0x1.072028ec7ae17p+4 "
-        "0x1.08fd540200d5ep-2 0x1.15dd815b10f1cp+3 0x1.e5e6310f65bd0p+3 "
-        "0x1.4cf1a12baf7e9p+1 0x1.aa94bd2e6e77bp+3 0x1.cd839a91b32b4p+3"
+        "0x1.08fd540200d52p-2 0x1.15dd815b10f1cp+3 0x1.e5e6310f65bd1p+3 "
+        "0x1.4cf1a12baf7eap+1 0x1.aa94bd2e6e77bp+3 0x1.cd839a91b32b4p+3"
     ),
     (5, SmoothingParams(), PGDConfig(restarts=2)): (
-        "0x1.0cb9ca342092ep+1 0x1.9e35d58286779p+2 0x1.025095e7df140p+3 "
-        "0x1.abd6063ea6eaep+3 0x1.23b88b579ebbdp+4 0x1.fc791ec3bb7a9p+0 "
+        "0x1.0cb9ca342092ep+1 0x1.9e35d5abf405bp+2 0x1.025095e7df140p+3 "
+        "0x1.abd6063ea6eaep+3 0x1.23b88b579ebbdp+4 0x1.fc791ec3bb77ap+0 "
         "0x1.002bdaf878660p+2 0x1.6eb2b3de85922p+3 0x1.ffea1283c3cd0p+3 "
         "0x1.3fec14ed5cf8bp+4 0x1.007a033c7fff3p+1 0x1.f0bb085ea1955p+2 "
         "0x1.13f2e7dfd8a61p+3 0x1.ffe583e360bc6p+3 0x1.3fbaf45b09fd7p+4 "
-        "0x1.288bb147a212ap+1 0x1.13dc89a7fdc70p+2 0x1.538fd71f07a10p+3 "
-        "0x1.ec5d236f76073p+3 0x1.37a5cd7920b79p+4"
+        "0x1.288bb147a212ap+1 0x1.13dc89a7fdc70p+2 0x1.538fd71f081cap+3 "
+        "0x1.ec5d236f76072p+3 0x1.37a5cd7920b79p+4"
     ),
     (7, SmoothingParams(), PGDConfig()): (
         "0x1.b6fbc15bfb237p+0 0x1.1bca8b95bfb2dp+2 0x1.03b5a54c457b1p+3 "
         "0x1.22fcf0dd093a0p+3 0x1.6dccc8e9f30e7p+3 0x1.0b571dfba0ea0p+4 "
-        "0x1.39a73a10b7763p+4 0x1.9d13af4326955p+0 0x1.41add25af04a0p+2 "
+        "0x1.39a73a10b823cp+4 0x1.9d13af4326955p+0 0x1.41add25af2800p+2 "
         "0x1.11433b3a08378p+3 0x1.15267a040ca7fp+3 0x1.a53555b847a5dp+3 "
         "0x1.123e2dd42b0b1p+4 0x1.4000000000000p+4 0x1.5ba8251796802p+1 "
         "0x1.11e46f7986891p+2 0x1.a003ee0484222p+2 0x1.6d9d8c871e800p+3 "
-        "0x1.891d1bc6e7451p+3 0x1.f9a97f57e550bp+3 0x1.129692025d0e1p+4 "
-        "0x1.ea477f35e8dbep-8 0x1.475a19791c7bbp+2 0x1.0ebd959f67429p+3 "
+        "0x1.891d1bc6e74e4p+3 0x1.f9a97f57e550bp+3 0x1.129692025d0e1p+4 "
+        "0x1.ea477f35e8dc6p-8 0x1.475a19791c7bbp+2 0x1.0ebd959f67429p+3 "
         "0x1.4cb2b16e9fdd7p+3 0x1.9d467ef7161ecp+3 0x1.ed1d781d5edffp+3 "
         "0x1.2c9619853013fp+4"
     ),
@@ -485,10 +485,10 @@ GOLDEN_SHAPES = {
         "0x1.3dbaa0c3ed599p+1 0x1.40058de82379ep+3 0x1.0aabb4fed21d5p+4"
     ),
     (4, 6, 3, SmoothingParams(), PGDConfig()): (
-        "0x1.b1ed40936eb50p+1 0x1.4eb4578b3db4dp+3 0x1.099c452bf2bafp+4 "
-        "0x1.5dd9cda50d2abp+1 0x1.8c8b334c5d269p+3 0x1.0a7de4ba2114cp+4 "
-        "0x1.a9c4bfd975d55p+2 0x1.9bdd95dfea371p+3 0x1.4000000000000p+4 "
-        "0x1.aa7ecfb23244bp+2 0x1.81dc2eab73789p+3 0x1.b1541639c043ap+3"
+        "0x1.b1ed40936eb50p+1 0x1.4eb4578b3db47p+3 0x1.099c452bf2bafp+4 "
+        "0x1.5dd9cda50d184p+1 0x1.8c8b334c5d269p+3 0x1.0a7de4ba2114cp+4 "
+        "0x1.a9c4bfd975d55p+2 0x1.9bdd95dfea3efp+3 0x1.4000000000000p+4 "
+        "0x1.aa7ecfb23244bp+2 0x1.81dc2eab73789p+3 0x1.b1541639c0507p+3"
     ),
     (1, 4, 5, SmoothingParams(), PGDConfig()): (
         "0x1.fa5e19a8a5772p+1 0x1.002bdaf878660p+2 0x1.0b553e3330f04p+3 "
@@ -497,20 +497,20 @@ GOLDEN_SHAPES = {
     (3, 2, 4, SmoothingParams(), PGDConfig(restarts=1)): (
         "0x1.349ecb49bc2a3p+1 0x1.100934500d2bdp+3 0x1.4285423bfd6c9p+3 "
         "0x1.194dab9c50df1p+4 0x1.93801e2a75565p+0 0x1.3fea1283c3cd0p+3 "
-        "0x1.45e27e5d916e5p+3 0x1.1e38e82b32d65p+4 0x1.94c56213922acp+0 "
+        "0x1.45e27e5d916e5p+3 0x1.1e38e82b32d65p+4 0x1.94c5621650814p+0 "
         "0x1.e191455ac3108p+2 0x1.8f6d56d6d101dp+3 0x1.183f1f7bf2adbp+4"
     ),
     (4, 4, 3, SmoothingParams(), PGDConfig(init_step=1e6)): (
-        "0x1.d86253b1c878cp+1 0x1.63e458a62ce31p+3 0x1.35399cde40e07p+4 "
+        "0x1.d86253b1c8bdep+1 0x1.63e458a62cd39p+3 0x1.35399cde40e07p+4 "
         "0x1.aa72b2b6679edp+2 0x1.8c68c4c81908cp+3 0x1.1bdcdad3f5e15p+4 "
-        "0x1.a9cb619db60cep+0 0x1.d5ec8ec6012abp+2 0x1.4000000000000p+4 "
+        "0x1.a9cb619db2a0ap+0 0x1.d5ec8ec6012a9p+2 0x1.4000000000000p+4 "
         "0x1.515ab08031e9ep-2 0x1.aa94bd2e6e77bp+3 0x1.aac09826e6ddbp+3"
     ),
     (4, 4, 3, SmoothingParams(), PGDConfig(max_iters=3)): (
         "0x1.a4d204336ccc2p+1 0x1.4ef4a7335ed5ap+3 0x1.05fa8fa1a605ep+4 "
         "0x1.b005fb2409537p+1 0x1.5006e324f7187p+3 0x1.06f851697cdc7p+4 "
-        "0x1.08e7d1c9d8eddp-2 0x1.17c9ac26510efp+3 0x1.e5e57d1fd4975p+3 "
-        "0x1.4cf3bfd368f34p+1 0x1.aa94bd2e6e77bp+3 0x1.c4edbe26ac583p+3"
+        "0x1.08e7d1c9d8ecap-2 0x1.17c9ac26510efp+3 0x1.e5e57d1fd4978p+3 "
+        "0x1.4cf3bfd368f43p+1 0x1.aa94bd2e6e77bp+3 0x1.c4edbe26ac583p+3"
     ),
 }
 
@@ -526,32 +526,32 @@ def _golden_sweep(N, K, L, smoothing, pgd):
                                   cfg.theta_th, smoothing, pgd)
 
 
-# Whole AO runs, re-recorded when PGD gained its Barzilai-Borwein candidate
-# (first recorded when round 0 and the later rounds were still two copies of
+# Whole AO runs, re-recorded when the smoothed pair term took its soft-abs
+# form (first recorded when round 0 and the later rounds were still two copies of
 # the round body): (L, trial, gamma_db, ao) -> sha256 over the
 # float.hex of every round's power and placement objective, the accepted
 # flags, the converged flag, and the bytes of the final W and placement.
 GOLDEN_AO = {
-    (3, 0, 10.0, AOConfig()): "6c6a5bb18edf19dd94c1a8139ea644638dbb6b37d17acee4a5d20b9d7a907de9",
-    (3, 0, 20.0, AOConfig()): "3a386e4b29707b96be9ca7094e264738fd048d80926749f3b314e9cd133f7681",
-    (3, 1, 10.0, AOConfig()): "6ce81f321aaba8d90d3a4da3b5c607791b79cc3f465e70f576f4e31dfb4fb77f",
-    (3, 1, 20.0, AOConfig()): "6ce0cf639d34a28ce668ef93e9e1ac73f4751816e1067ff719931405d37a6693",
-    (5, 0, 10.0, AOConfig()): "535b52c3cd330fecc0fa99052f81636592553106e25adeb78dcc2425b061261e",
-    (5, 0, 20.0, AOConfig()): "04593f297bc62cac9d4710a65070b559ca58c86a310c60c38e78ba7ef30c42b4",
-    (5, 1, 10.0, AOConfig()): "5dabe6362ec52a5e50835577df6a91bd835959e2f904768278e5d1526e66a537",
-    (5, 1, 20.0, AOConfig()): "6e302a0ac4b1a04730b5a8309b45ee23ac39cea6d286468edfa2d3a7f0f00875",
-    (7, 0, 10.0, AOConfig()): "d63640c8054982022cf9299d7b76ea5e0d9e51d2b7d8813657a83e909c316393",
-    (7, 0, 20.0, AOConfig()): "24e3cbfb116e9cac3bb9929cd014c9e779b21c07175876281bfc5c964fcb6af0",
-    (7, 1, 10.0, AOConfig()): "b610e9315d9cc78a8b9af48eac8b743e1db5f4bfec44330bf3491b8ff89b8e67",
-    (7, 1, 20.0, AOConfig()): "f01aa851997146b9512d6445260661afa2d3ee486068bf1822431fe4b92b9698",
+    (3, 0, 10.0, AOConfig()): "c3989c415d970a26c3f4a86ee569fd64bbb800404186a99907599aae74512627",
+    (3, 0, 20.0, AOConfig()): "1b8cf05ea404fcabf01a1c963eaaba26f4148587632461cfa26ffefd5e9b0991",
+    (3, 1, 10.0, AOConfig()): "15f23d68d5a0f79c4a52abe95ef30fc0200e3752ebb7cbf47be75d058b4aa5d4",
+    (3, 1, 20.0, AOConfig()): "00d0dadab26c9a6d90aa0026436fd92ae9cad89da88f4eb135fa16efee94b06c",
+    (5, 0, 10.0, AOConfig()): "ef8ce018af0275859bfba38efa0376e31a70aacdf72d6c40b57e2b1f149d57bc",
+    (5, 0, 20.0, AOConfig()): "835eb4797053e4a267333a1bc05936019a15bea40b896b03ee90fa3b43255efb",
+    (5, 1, 10.0, AOConfig()): "4175219c26bf5d6869068b1a64a44127245234c7c2732f2596fc696f0d077bbc",
+    (5, 1, 20.0, AOConfig()): "af370a25c28fd44957e8bf089b269e2d56c2a46820c715ebd252c20f3e000bcf",
+    (7, 0, 10.0, AOConfig()): "4b6ad30411de6a9b07ca0ed9f23ef92bd033bb4f0481cc9d8d26c427f447e23e",
+    (7, 0, 20.0, AOConfig()): "09fc8fa86c2ff701475cfca7b3ad30ed9f1e844dd263d00bca90fd65f5552bc7",
+    (7, 1, 10.0, AOConfig()): "6f312c8c866518cf9b471a39584daa886c61368353da56c4b99e9f6691c5e1fa",
+    (7, 1, 20.0, AOConfig()): "c603badc585584d5ae205c040654c23deeaa15cc139193f7f9542c5eba262f01",
     # round 0 only; stopped at the round limit; a tolerance that only a
     # rejected round meets
     (3, 0, 10.0, AOConfig(max_iters=0)):
         "6f179cf8eff63d4bef342aeb5e5d8687716612ad9dd4325910ba706bea5a10c3",
     (3, 0, 10.0, AOConfig(max_iters=2)):
-        "a88d45f0113153197e82021a416164e0e5e073b10725a2334c319050cb22438d",
+        "cfb1903aeced9aedb302ec8afe2df12e2c73c968e4afd5b59f51d06350e0f378",
     (3, 0, 10.0, AOConfig(rel_tol=1e-9)):
-        "86ee8174aff79a177e8d20f4e118d460ab6954b4e5a5b171150e1aa766bc6334",
+        "c3989c415d970a26c3f4a86ee569fd64bbb800404186a99907599aae74512627",
 }
 
 
@@ -572,8 +572,8 @@ def _golden_ao(L, trial, gamma_db, ao):
 
 class TestGoldenOutputs:
     """Bit-identity against recorded outputs: a pure speed-up must not move a
-    single bit. Every golden here was re-recorded when PGD gained its
-    Barzilai-Borwein candidate. They pin the cell-based sweep, in which every
+    single bit. Every golden here was re-recorded when the smoothed pair
+    term took its soft-abs form. They pin the cell-based sweep, in which every
     antenna moves within its cell of the current placement and all N x L of
     them are one stacked solve. The placements pass a beam matrix W; the
     CSVs run the AO, whose sweep takes the collapsed rank-one terms. The AO
@@ -583,19 +583,19 @@ class TestGoldenOutputs:
     def test_convergence_csv(self, tmp_path):
         cfg = ExperimentConfig(trials=2, num_pas=(3, 5), gamma_db=16.0, schemes=("proposed",))
         assert _csv_sha256(run_convergence(cfg), tmp_path) == (
-            "885c485791ddb44ab2454a44c0047929ec1dbcc1119898650c9c8b9df0fa1921"
+            "729174dc985cbc900b87ab628d1a7813c2329c486ca7878f24b2183ad2d3a9e2"
         )
 
     def test_power_vs_sinr_csv_with_restarts(self, tmp_path):
         cfg = ExperimentConfig(trials=1, gamma_db=(10.0, 20.0), pgd=PGDConfig(restarts=2))
         assert _csv_sha256(run_power_vs_sinr(cfg), tmp_path) == (
-            "58373d23253393dcf4c6b5fcd281d21465e3b493c33ee0314f0ac0911daa4943"
+            "e56c8acd107fafdc3a9c833d08ddf74896077ec281b8f3922b3b07fb37ff1673"
         )
 
     def test_power_vs_numpas_csv(self, tmp_path):
         cfg = ExperimentConfig(trials=2, num_pas=(1, 3, 5), gamma_db=(14.0, 20.0))
         assert _csv_sha256(run_power_vs_numpas(cfg), tmp_path) == (
-            "f600ff059ac7c8727f9cea8925c28c511a18579354c3212c2a1af90d5d250236"
+            "373ed697322dd700a13fb71dd8661b43d91e35eac1e9f0c648a68442ee80f916"
         )
 
     @pytest.mark.parametrize("case", list(GOLDEN_AO), ids=lambda c: (
@@ -663,9 +663,9 @@ class TestTraceHooks:
         for name in counts:
             monkeypatch.setattr(ao, name, counting(name, getattr(ao, name)))
         (_, _, trace), _ = _golden_ao(3, 0, 20.0, AOConfig())
-        assert trace.accepted == [True] * 2 + [False]
-        assert counts == {"effective_channels": 3, "build_ci_qp": 3, "solve_min_power": 3,
-                          "optimize_all_positions": 2, "placement_objective_exact": 2}
+        assert trace.accepted == [True] * 7 + [False]
+        assert counts == {"effective_channels": 8, "build_ci_qp": 8, "solve_min_power": 8,
+                          "optimize_all_positions": 7, "placement_objective_exact": 7}
 
     # Counts recorded with the three hand-written experiment loops; a small
     # config with two trials, targets (10, 14) dB and L in (2, 3).

@@ -682,13 +682,13 @@ def restart_cases():
              pick_eps(stacked, x0.ravel(), SmoothingParams()), x0.ravel())]
 
 
-# _solve_region's ends for restart_cases(), re-recorded when PGD gained its
-# Barzilai-Borwein candidate: restarts -> sha256 over the float.hex of the
+# _solve_region's ends for restart_cases(), re-recorded when the smoothed
+# pair term took its soft-abs form: restarts -> sha256 over the float.hex of the
 # unstacked row's end followed by the 20 stacked rows' ends.
 GOLDEN_SOLVE_REGION = {
-    0: "88c4df0bd53cf79dd5300227229ad5c4b4116031fa3202e705e8ac9b75ffdc6e",
-    1: "de7ba6d3ae1174dc128c6030d2da2009fd77e198ccbff9f50fb1abb2c02316ff",
-    3: "0ecd0557ebfcfb9d41b3362f4d45172f61a1863edaa8b75e7c7af3ac51a5cb5a",
+    0: "305b41d715e67c247bd24beae1c685c408c5266de0f71e6866f0bfaeafe33264",
+    1: "9edfe4213f1c63e635a7c7572682ecae319168eb7c9455630b439fb516517f3c",
+    3: "fa23173b07940009867ab9a0e0449fd01ab26eb863616d6a6308f3840625b9fc",
 }
 
 
@@ -841,11 +841,12 @@ class TestRankOneCollapse:
     - the objective, a sum of log-sum-exp terms, each 1-Lipschitz in the
       branches, by (1 + t)*delta*sum(r), plus (K^2 + 8)u of the summed
       |pair terms| <= (1 + t)*r + eps*log(2) for the summation;
-    - the gradient, sum of w*d_bar + (1 - w)*d_hat: each branch derivative
-      d = g_re*c - g_im*c' with |c| + |c'| <= C = (1 + t)(beta0 + beta1 + 1/q)
-      moves by <= C*r*delta, and the softmax weight w = sigmoid(2*g_im/eps),
-      whose slope is <= 1/4, by <= (1 + t)*r*delta/(2*eps), times
-      |d_bar - d_hat| <= 2*C*r; plus (K^2 + 8)u of C*sum(r) for rounding.
+    - the gradient, sum of -t*g_re' + w*g_im' with w = tanh(g_im/eps): the
+      slopes g_re', g_im' are each at most (beta0 + beta1 + 1/q)*r and move
+      by at most that times delta, so the pair term moves by <= C*r*delta
+      with C = (1 + t)(beta0 + beta1 + 1/q); w, whose slope is <= 1/eps,
+      moves by <= r*delta/eps, times |g_im'| <= C*r; plus (K^2 + 8)u of
+      C*sum(r) for rounding.
     The bounds are worst-case: no tie or cancellation in the net sums is
     assumed, so f and g are compared against sums of pair magnitudes."""
 
@@ -902,12 +903,11 @@ class TestRankOneCollapse:
 
     def test_rows_carry_mult_and_cached_constants(self, monkeypatch):
         _, col, _ = rank_one_terms(0, 4, np.arange(4))
-        consts, coefs = col.pair_consts, col.slope_coefs
+        consts = col.pair_consts
         sub = col.rows(np.array([2, 0, 2]))
         assert sub.mult == 4.0
         for got, want in zip(sub.__dict__["pair_consts"], consts):
             assert np.array_equal(got, want[..., [2, 0, 2]])
-        assert sub.__dict__["slope_coefs"] is coefs
         # pgd_solve stacks its restart starts as extra rows, with the cached
         # constants of their rows
         seen = []
@@ -924,7 +924,43 @@ class TestRankOneCollapse:
         assert rows.amp.shape == (12, 1) and rows.mult == 4.0
         for got, want in zip(rows.__dict__["pair_consts"], consts):
             assert np.array_equal(got, np.concatenate([want] * 3, axis=-1))
-        assert rows.__dict__["slope_coefs"] is coefs
+
+
+class TestSoftAbsForm:
+    """The kernels evaluate each pair's eps * logaddexp(bar/eps, hat/eps) as
+    -t*g_re + |g_im| + eps*log1p(exp(-2|g_im|/eps)), and its slope as
+    -t*g_re' + tanh(g_im/eps)*g_im'. Both agree with the log-sum-exp form
+    and its softmax-weighted branch derivatives, written out here from
+    _all_branches, to 1e-12 of the summed pair magnitudes."""
+
+    @pytest.mark.parametrize("K", [1, 4, 6])
+    def test_matches_log_sum_exp_form(self, K):
+        for seed in range(3):
+            for terms in rank_one_terms(seed, K, np.arange(4))[:2]:
+                rng = np.random.default_rng([42, K, seed])
+                xs = rng.uniform(0, 20, (8, 4))  # 8 candidates for each of the 4 rows
+                t, b0, b1 = terms.tan_th, terms.beta0, terms.beta1
+                for kappa in (1e-3, 0.1, 1.0):
+                    eps = pick_eps(terms, xs[0], SmoothingParams(kappa=kappa))
+                    e = eps[:, None, None]
+                    bar, hat, *_ = _all_branches(terms, xs)
+                    ref = (e * np.logaddexp(bar / e, hat / e)).sum(axis=(-2, -1))
+                    size = (np.abs(bar) + np.abs(hat) + e).sum(axis=(-2, -1))
+                    f = subproblem_objective(terms, xs, eps)
+                    assert np.all(np.abs(f - terms.mult * ref) <= 1e-12 * terms.mult * size)
+
+                    bar, hat, g_im, g_re, q = _all_branches(terms, xs[0])
+                    dq, qk = ((xs[0][:, None] - terms.user_x) / q)[:, None], q[:, None]
+                    dbar = (g_re * (dq * (-b0 + t / qk) - b1)
+                            - g_im * (dq * (b0 * t + 1 / qk) + b1 * t))
+                    dhat = (g_re * (dq * (b0 + t / qk) + b1)
+                            - g_im * (dq * (b0 * t - 1 / qk) + b1 * t))
+                    with np.errstate(over="ignore"):
+                        w = 1.0 / (1.0 + np.exp((hat - bar) / e))  # softmax weight of bar
+                    ref = (w * dbar + (1.0 - w) * dhat).sum(axis=(-2, -1))
+                    size = (np.abs(dbar) + np.abs(dhat)).sum(axis=(-2, -1))
+                    g = subproblem_gradient(terms, xs[0], eps)
+                    assert np.all(np.abs(g - terms.mult * ref) <= 1e-12 * terms.mult * size)
 
 
 class TestPlacementObjectiveExact:
