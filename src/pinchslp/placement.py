@@ -76,14 +76,18 @@ class SubproblemTerms:
                      for a, n in ((self.amp, 1), (self.phase_off, 2), (dy2, 1)))
 
     def rows(self, idx) -> SubproblemTerms:
-        """The stacked subproblems that idx selects on the row axis, with the
-        constants already cached carried along."""
-        out = SubproblemTerms(self.amp[idx], self.phase_off[idx], self.user_x, self.user_y,
-                              np.asarray(self.waveguide_y)[idx], self.height, self.beta0,
-                              self.beta1, self.tan_th, self.mult)
+        """The stacked subproblems that the row indices idx select, or
+        unstacked terms as one row for idx = np.newaxis, with the constants
+        already cached carried along."""
+        def pick(a, axis):  # take is much cheaper than fancy indexing on small arrays
+            return np.expand_dims(a, axis) if idx is None else a.take(idx, axis)
+
+        out = SubproblemTerms(pick(self.amp, 0), pick(self.phase_off, 0), self.user_x,
+                              self.user_y, pick(np.asarray(self.waveguide_y), 0), self.height,
+                              self.beta0, self.beta1, self.tan_th, self.mult)
         cached = self.__dict__
         if "pair_consts" in cached:
-            out.__dict__["pair_consts"] = tuple(a[..., idx] for a in cached["pair_consts"])
+            out.__dict__["pair_consts"] = tuple(pick(a, -1) for a in cached["pair_consts"])
         return out
 
 
@@ -187,8 +191,8 @@ def _pair_sum(v):
     reduction adds pairwise when the other axes hold one element, which
     would give a row alone other bits than the same row in a stack."""
     v = v.reshape((-1,) + v.shape[2:])
-    out = v[0].copy()
-    for term in v[1:]:
+    out = v[0] + v[1] if len(v) > 1 else v[0].copy()
+    for term in v[2:]:
         out += term
     return out
 
@@ -252,6 +256,18 @@ def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
     return float(eps) if eps.ndim == 0 else eps
 
 
+def _first_hits(ok):
+    """Flat index into the trailing (candidate, row) axes of each row's first
+    True candidate, or of its first candidate when it has none."""
+    return ok.argmax(axis=0) * ok.shape[1] + np.arange(ok.shape[1])
+
+
+def _pick(a, flat):
+    """a[..., c, r] at the flat (candidate, row) indices of _first_hits; take
+    on the merged axis costs far less than indexing with two arrays."""
+    return a.reshape(a.shape[:-2] + (-1,)).take(flat, axis=-1)
+
+
 def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     """Backtracking on the projected candidate, per row: the first step of the
     schedule whose clamped point passes the Armijo test. Steps [0, h) are tried
@@ -271,10 +287,10 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     all_vals = subproblem_objective(terms, cands, eps, (all_g, all_q))
     vals = all_vals[:half]
     ok = vals <= f0 - c1_steps[:half] * g2
-    first = ok.argmax(axis=0), np.arange(x.size)
-    hit = ok[first]
-    x_new, f_new = cands[first], vals[first]
-    g_new, q = all_g[(..., *first)], all_q[(..., *first)]
+    first = _first_hits(ok)
+    hit = _pick(ok, first)
+    x_new, f_new = _pick(cands, first), _pick(vals, first)
+    g_new, q = _pick(all_g, first), _pick(all_q, first)
     if np.count_nonzero(hit) < x.size:
         miss = np.flatnonzero(~hit)
         x_new[miss], f_new[miss] = x[miss], f0[miss]
@@ -284,15 +300,16 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
         miss_g, miss_q = _pair_parts(terms, cands)
         vals = subproblem_objective(terms, cands, eps[miss], (miss_g, miss_q))
         ok = vals <= f0[miss] - c1_steps[half:] * g2
-        first = ok.argmax(axis=0), np.arange(miss.size)
-        hit = ok[first]
-        x_new[miss[hit]] = cands[first][hit]
-        f_new[miss[hit]] = vals[first][hit]
-        g_new[..., miss], q[..., miss] = miss_g[(..., *first)], miss_q[(..., *first)]
+        first = _first_hits(ok)
+        hit = _pick(ok, first)
+        x_new[miss[hit]] = _pick(cands, first)[hit]
+        f_new[miss[hit]] = _pick(vals, first)[hit]
+        g_new[..., miss], q[..., miss] = _pick(miss_g, first), _pick(miss_q, first)
     if extra is not None:
         take = np.flatnonzero(all_vals[half] < f_new)
-        x_new[take], f_new[take] = extra[take], all_vals[half, take]
-        g_new[..., take], q[..., take] = all_g[..., half, take], all_q[..., half, take]
+        if take.size:
+            x_new[take], f_new[take] = extra[take], all_vals[half, take]
+            g_new[..., take], q[..., take] = all_g[..., half, take], all_q[..., half, take]
     return x_new, f_new, (g_new, q)
 
 
@@ -348,7 +365,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
         extra = None
         if g_prev is not None:
             flip = g * g_prev < 0  # the row stepped over a stationary point
-            if flip.any():  # the projected Barzilai-Borwein (secant) point
+            if np.count_nonzero(flip):  # the projected Barzilai-Borwein (secant) point
                 xs = x_act - g * (x_act - x_prev) / np.where(flip, g - g_prev, 1.0)
                 extra = np.where(flip, np.minimum(np.maximum(xs, lower), upper), x_act)
         x_next, f_act, branches = _armijo_rows(
@@ -366,7 +383,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
             go = np.flatnonzero(~stay)
             active, lower, upper, eps = active[go], lower[go], upper[go], eps[go]
             x_act, f_act, x_prev, g_prev = x_act[go], f_act[go], x_prev[go], g_prev[go]
-            terms, branches = terms.rows(go), tuple(b[..., go] for b in branches)
+            terms, branches = terms.rows(go), tuple(b.take(go, axis=-1) for b in branches)
     x[active] = x_act
     if cfg.restarts:  # the first best end of each row's starts
         f = subproblem_objective(all_terms, x, all_eps).reshape(starts, n)
