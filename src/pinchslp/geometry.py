@@ -112,9 +112,8 @@ def distances(ux: np.ndarray, uy: np.ndarray, x, y, height: float) -> np.ndarray
 
 
 def offset_distances(ux: np.ndarray, x, dy2, h2: float) -> np.ndarray:
-    """distances() from the two terms that x does not move, dy2 = (uy - y)**2
-    per user and h2 = height**2, summed in the same order; ux, x and dy2
-    broadcast as given."""
+    """distances() from the terms x does not move, dy2 = (uy - y)**2 and
+    h2 = height**2, summed in the same order; ux, x and dy2 broadcast as given."""
     return np.sqrt((ux - x) ** 2 + dy2 + h2)
 
 

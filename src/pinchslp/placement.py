@@ -3,20 +3,14 @@
 For fixed beams the placement objective separates into one single-variable
 subproblem per antenna: a double sum over user pairs of |g_im| - g_re*tan(th),
 where g_im/g_re are the imaginary/real parts of that antenna's contribution to
-the received point. The |.| kink is smoothed by the log-sum-exp of its two
-branches g_im - t*g_re and -g_im - t*g_re, evaluated in the equal soft-abs form
--t*g_re + |g_im| + eps*log1p(exp(-2|g_im|/eps)), whose slope weights g_im' by
-tanh(g_im/eps); the temperature eps is kappa times the largest branch
-magnitude |g_im| + t*|g_re| at the warm start. Each subproblem is solved by
-projected gradient descent with Armijo backtracking over the antenna's
-movable cell; a row that stepped over a stationary point also tries the
-projected Barzilai-Borwein (secant) point and takes it when it is lower,
-which ends the zigzag of a step just under twice the inverse curvature. The
-cells come from the current placement and keep neighbours apart, so all
-N x L subproblems are independent and one sweep is a single stack of rows
-stepping together. The kernels keep the (m, k) pair axes first and the
-candidate and row axes last, so numpy's inner loops run over candidates and
-rows rather than over the few users.
+the received point. The |.| kink is smoothed by log-sum-exp of its two
+branches, computed as the soft-abs |g_im| + eps*log1p(exp(-2|g_im|/eps)) with
+eps = kappa * max(|g_im| + t*|g_re|) at the warm start. Each subproblem is
+solved by projected gradient descent with Armijo backtracking (plus a
+Barzilai-Borwein candidate) over the antenna's movable cell. The cells come
+from the current placement and keep neighbours apart, so one sweep is a single
+stack of independent rows stepping together, held with the (m, k) pair axes
+first and the candidate and row axes last.
 """
 
 from __future__ import annotations
@@ -69,25 +63,20 @@ class SubproblemTerms:
     @cached_property
     def pair_consts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """amp (m, rows), phase_off (m, k, rows) and dy2 = (user_y - waveguide_y)**2
-        (k, rows), the distance term x does not move: the per-row constants
-        with the pair axes first and the row axis last (absent when unstacked)."""
+        (k, rows), with the pair axes first and the row axis last (if stacked)."""
         dy2 = (self.user_y - np.asarray(self.waveguide_y)[..., None]) ** 2
         return tuple(np.moveaxis(a, 0, -1) if a.ndim > n else a
                      for a, n in ((self.amp, 1), (self.phase_off, 2), (dy2, 1)))
 
     def rows(self, idx) -> SubproblemTerms:
-        """The stacked subproblems that the row indices idx select, or
-        unstacked terms as one row for idx = np.newaxis, with the constants
-        already cached carried along."""
+        """The stacked subproblems that the row indices idx select (or unstacked
+        terms as one row for idx = np.newaxis), with their pair_consts."""
         def pick(a, axis):  # take is much cheaper than fancy indexing on small arrays
             return np.expand_dims(a, axis) if idx is None else a.take(idx, axis)
-
         out = SubproblemTerms(pick(self.amp, 0), pick(self.phase_off, 0), self.user_x,
                               self.user_y, pick(np.asarray(self.waveguide_y), 0), self.height,
                               self.beta0, self.beta1, self.tan_th, self.mult)
-        cached = self.__dict__
-        if "pair_consts" in cached:
-            out.__dict__["pair_consts"] = tuple(pick(a, -1) for a in cached["pair_consts"])
+        out.__dict__["pair_consts"] = tuple(pick(a, -1) for a in self.pair_consts)
         return out
 
 
@@ -169,9 +158,8 @@ class PGDConfig:
 
 
 def _pair_parts(terms: SubproblemTerms, x):
-    """g_im and g_re of every (m, k) pair, stacked as g[0] and g[1], and the
-    distance q to each user, with the pair axes first: g is (2, m, k, *x.shape)
-    and q (k, *x.shape), so elementwise work runs over candidates and rows."""
+    """g = (g_im, g_re) of every (m, k) pair, (2, m, k, *x.shape), and the user
+    distances q, (k, *x.shape): pair axes first, so ufuncs run over x's axes."""
     x = np.asarray(x, dtype=float)
     amp, off, dy2 = terms.pair_consts
     pad = (1,) * (x.ndim - (amp.ndim - 1))  # the candidate axes of x
@@ -187,14 +175,10 @@ def _pair_parts(terms: SubproblemTerms, x):
 
 
 def _pair_sum(v):
-    """Sum over the two leading pair axes, pair after pair. numpy's own
-    reduction adds pairwise when the other axes hold one element, which
-    would give a row alone other bits than the same row in a stack."""
-    v = v.reshape((-1,) + v.shape[2:])
-    out = v[0] + v[1] if len(v) > 1 else v[0].copy()
-    for term in v[2:]:
-        out += term
-    return out
+    """Sum over the two leading pair axes, pair after pair: numpy's reduction
+    adds pairwise when the other axes hold one element, so a row alone would
+    round otherwise than in a stack."""
+    return sum(v.reshape((-1,) + v.shape[2:]))
 
 
 def _all_branches(terms: SubproblemTerms, x):
@@ -218,9 +202,8 @@ def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
     (g_im, g_re), _ = _pair_parts(terms, x) if branches is None else branches
     e = np.asarray(eps, dtype=float)
     a = np.abs(g_im)
-    # |g_im| / eps before the factor -2, since -2 / eps overflows at a subnormal
-    # eps. Past |g_im| = 20 eps the log1p term is below half an ulp of |g_im|,
-    # so clamping there keeps every bit and spares exp its slow underflow path.
+    # divide first (-2 / eps overflows at a subnormal eps); past 20 the log1p term is
+    # under half an ulp of |g_im|: the clamp keeps every bit, and exp off its slow underflow
     soft = np.log1p(np.exp(np.minimum(a / e, 20.0) * -2.0))
     soft = soft * e + a - terms.tan_th * g_re
     out = _pair_sum(soft) * terms.mult
@@ -230,10 +213,9 @@ def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
 def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     """Analytic derivative of the smoothed objective at x (one per row).
 
-    Each pair contributes -t*g_re' + tanh(g_im/eps)*g_im'. With the
-    amplitude factor 1/q and the phase -beta0*q - beta1*x, the g-components
-    move as g_im' = r*g_im + p*g_re and g_re' = r*g_re - p*g_im, where
-    r = -q'/q and p = -beta0*q' - beta1 per user.
+    Each pair contributes -t*g_re' + tanh(g_im/eps)*g_im'. Through the amplitude
+    1/q and the phase -beta0*q - beta1*x, g_im' = r*g_im + p*g_re and
+    g_re' = r*g_re - p*g_im, with r = -q'/q and p = -beta0*q' - beta1 per user.
     """
     (g_im, g_re), q = _pair_parts(terms, x) if branches is None else branches
     x = np.asarray(x, dtype=float)
@@ -247,33 +229,28 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
 
 
 def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
-    """Subproblem temperature per row: kappa times the largest branch
-    magnitude max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0,
-    floored."""
+    """Subproblem temperature per row: kappa times the largest branch magnitude
+    max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0, floored."""
     (g_im, g_re), _ = _pair_parts(terms, x0)
     scale = (np.abs(g_im) + terms.tan_th * np.abs(g_re)).max(axis=(0, 1), initial=0.0)
     eps = np.maximum(smoothing.kappa * scale, smoothing.floor)
     return float(eps) if eps.ndim == 0 else eps
 
 
-def _first_hits(ok):
-    """Flat index into the trailing (candidate, row) axes of each row's first
-    True candidate, or of its first candidate when it has none."""
-    return ok.argmax(axis=0) * ok.shape[1] + np.arange(ok.shape[1])
-
-
-def _pick(a, flat):
-    """a[..., c, r] at the flat (candidate, row) indices of _first_hits; take
-    on the merged axis costs far less than indexing with two arrays."""
-    return a.reshape(a.shape[:-2] + (-1,)).take(flat, axis=-1)
+def _first_pass(ok, *arrays):
+    """Per row (last axis of ok): whether a candidate passed, then each array
+    at the first passing candidate, or at the first one if none did; a take on
+    the merged (candidate, row) axes costs far less than two index arrays."""
+    flat = ok.argmax(axis=0) * ok.shape[1] + np.arange(ok.shape[1])
+    return [a.reshape(a.shape[:-2] + (-1,)).take(flat, axis=-1) for a in (ok, *arrays)]
 
 
 def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     """Backtracking on the projected candidate, per row: the first step of the
     schedule whose clamped point passes the Armijo test. Steps [0, h) are tried
     for every row, [h, end) only for rows without a hit there, h = ceil(len/2).
-    Returns per row the point, its objective and its _pair_parts; a row
-    without a hit keeps (x, f0) and the parts of a rejected candidate. extra, when
+    Returns per row the point, its objective and its _pair_parts; a row without
+    a hit keeps (x, f0) and the parts of a rejected candidate. extra, when
     given, is one more point per row, evaluated in the first batch: a row takes
     it, with its objective and parts, when its objective is strictly below
     the backtracking outcome."""
@@ -285,26 +262,17 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
         cands = np.concatenate([cands, extra[None]])
     all_g, all_q = _pair_parts(terms, cands)
     all_vals = subproblem_objective(terms, cands, eps, (all_g, all_q))
-    vals = all_vals[:half]
-    ok = vals <= f0 - c1_steps[:half] * g2
-    first = _first_hits(ok)
-    hit = _pick(ok, first)
-    x_new, f_new = _pick(cands, first), _pick(vals, first)
-    g_new, q = _pick(all_g, first), _pick(all_q, first)
+    ok = all_vals[:half] <= f0 - c1_steps[:half] * g2
+    hit, x_new, f_new, g_new, q = _first_pass(ok, cands, all_vals, all_g, all_q)
     if np.count_nonzero(hit) < x.size:
         miss = np.flatnonzero(~hit)
-        x_new[miss], f_new[miss] = x[miss], f0[miss]
-        terms, g, g2 = terms.rows(miss), g[miss], g2[miss]
-        cands = np.minimum(np.maximum(x[miss] - steps[half:, None] * g, lower[miss]),
-                           upper[miss])
-        miss_g, miss_q = _pair_parts(terms, cands)
-        vals = subproblem_objective(terms, cands, eps[miss], (miss_g, miss_q))
-        ok = vals <= f0[miss] - c1_steps[half:] * g2
-        first = _first_hits(ok)
-        hit = _pick(ok, first)
-        x_new[miss[hit]] = _pick(cands, first)[hit]
-        f_new[miss[hit]] = _pick(vals, first)[hit]
-        g_new[..., miss], q[..., miss] = _pick(miss_g, first), _pick(miss_q, first)
+        terms, x_miss, g = terms.rows(miss), x[miss], g[miss]
+        cands = np.minimum(np.maximum(x_miss - steps[half:, None] * g, lower[miss]), upper[miss])
+        parts = _pair_parts(terms, cands)
+        vals = subproblem_objective(terms, cands, eps[miss], parts)
+        ok = vals <= f0[miss] - c1_steps[half:] * g2[miss]
+        hit, x_hit, f_hit, g_new[..., miss], q[..., miss] = _first_pass(ok, cands, vals, *parts)
+        x_new[miss], f_new[miss] = np.where(hit, x_hit, x_miss), np.where(hit, f_hit, f0[miss])
     if extra is not None:
         take = np.flatnonzero(all_vals[half] < f_new)
         if take.size:
