@@ -877,7 +877,7 @@ class TestRankOneCollapse:
 
             size = (1 + t) * r + e * math.log(2)
             tol = ((1 + t) * delta * r + (K * K + 8) * U * size).sum(axis=(-2, -1))
-            parts = placement._pair_parts(gen, xs)
+            parts = _pair_parts(gen, xs)
             f = subproblem_objective(gen, xs, eps, parts)
             assert np.all(np.abs(subproblem_objective(col, xs, eps) - f) <= tol)
 
