@@ -11,9 +11,7 @@ rejected round repeats the kept value.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -22,7 +20,7 @@ from .geometry import SystemGeometry, distances, initial_regions
 from .placement import (
     PGDConfig,
     SmoothingParams,
-    _check_numbers,
+    check_fields,
     optimize_all_positions,
     placement_objective_exact,
 )
@@ -40,12 +38,7 @@ class AOConfig:
     rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, Integral) and not isinstance(self.max_iters, bool)
-                and self.max_iters >= 0):
-            raise ValueError("max_iters must be a non-negative integer")
-        _check_numbers(self, "rel_tol")
-        if not 0 < self.rel_tol <= sys.float_info.max:
-            raise ValueError("rel_tol must be positive and finite")
+        check_fields(self)
 
 
 @dataclass

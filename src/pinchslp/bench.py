@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .ao import (
 )
 from .channel import WaveformParams, effective_channels
 from .geometry import SystemGeometry, Vec3, make_geometry
-from .placement import PGDConfig, SmoothingParams
+from .placement import _MAX, ConfigError, PGDConfig, SmoothingParams, _as_tuple, check_fields
 from .precoder import (
     InfeasibleProblemError,
     SymbolVector,
@@ -45,31 +44,7 @@ from .precoder import (
 SCHEMES = ("proposed", "fixed", "random", "conventional")
 
 _RANDOM_PLACEMENT_TAG = 101  # rng stream tag for the random-position scheme
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or unknown configuration content."""
-
-
 _SUBCONFIG_TYPES = {"smoothing": SmoothingParams, "pgd": PGDConfig, "ao": AOConfig}
-
-
-# Exact type tests first: the ABC checks cost about a microsecond each, and
-# every dataclasses.replace of a config re-runs the validation.
-def _is_int(v) -> bool:
-    return type(v) is int or (isinstance(v, Integral) and not isinstance(v, bool))
-
-
-def _is_real(v) -> bool:
-    try:
-        return (type(v) is float or _is_int(v) or (isinstance(v, Real) and not isinstance(v, bool))
-                ) and math.isfinite(v)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _as_tuple(v) -> tuple:
-    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
 
 
 @dataclass(frozen=True)
@@ -94,46 +69,33 @@ class ExperimentConfig:
     ao: AOConfig = AOConfig()
 
     def __post_init__(self):
-        if not self.schemes:
-            raise ConfigError("schemes must name at least one scheme")
+        check_fields(self, skip=("min_spacing_m",) if self.min_spacing_m is None else ())
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}; pick from {SCHEMES}")
-        for name in ("num_waveguides", "num_users", "psk_order", "trials", "master_seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        for name in ("carrier_freq_hz", "refractive_index", "noise_dbm", "region_side_m",
-                     "height_m", "waveguide_length_m"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number")
-        for name in ("num_waveguides", "num_users", "trials", "carrier_freq_hz",
-                     "refractive_index", "region_side_m", "height_m", "waveguide_length_m"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.psk_order < 2:
-            raise ConfigError("psk_order must be at least 2")
+        if not self.schemes or len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must name at least one scheme, each once: {self.schemes}")
         if self.psk_order == 2:
             raise ConfigError("psk_order 2 (BPSK) is not supported: its decision region is the "
                               "half-plane sector theta = pi/2, where tan(theta) is unbounded")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be non-negative")
         try:
             self.params
         except ValueError as exc:
             raise ConfigError(f"carrier_freq_hz {self.carrier_freq_hz} with refractive_index "
                               f"{self.refractive_index} gives a wavelength or wavenumber "
                               "outside the float range") from exc
-        if self.min_spacing_m is not None and not (
-                _is_real(self.min_spacing_m) and self.min_spacing_m >= 0):
-            raise ConfigError("min_spacing_m must be null or a non-negative number")
-        gammas, pas = self.gamma_sweep(), self.num_pas_sweep()
-        if not gammas or not all(_is_real(g) for g in gammas):
-            raise ConfigError("gamma_db must be one or more finite numbers")
-        if not pas or not all(_is_int(l) and l > 0 for l in pas):
-            raise ConfigError("num_pas must be one or more positive integers")
-        if not _is_real(max(pas)) or (max(pas) - 1) * self.spacing > self.waveguide_length_m:
-            raise ConfigError(f"waveguide_length_m cannot fit {max(pas)} antennas "
-                              f"at spacing {self.spacing}")
+        for name, to_linear, values in (("noise_dbm", dbm_to_watts, (self.noise_dbm,)),
+                                        ("gamma_db", db_to_linear, self.gamma_sweep())):
+            for v in values:
+                try:
+                    ok = 0 < to_linear(v) <= _MAX
+                except OverflowError:
+                    ok = False
+                if not ok:
+                    raise ConfigError(f"{name} must have a positive finite linear value, got {v}")
+        L = max(self.num_pas_sweep())
+        if L > _MAX or (L - 1) * self.spacing > self.waveguide_length_m:
+            raise ConfigError(f"waveguide_length_m cannot fit {L} antennas {self.spacing} m apart")
         for key, cls in _SUBCONFIG_TYPES.items():
             if not isinstance(getattr(self, key), cls):
                 raise ConfigError(f"{key} must be a {cls.__name__}")
@@ -163,32 +125,30 @@ class ExperimentConfig:
         return _as_tuple(self.num_pas)
 
 
+def _check_keys(data: dict, cls, what: str) -> None:
+    unknown = set(data) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, rejecting unknown keys fail-fast."""
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_keys(data, ExperimentConfig, "config")
     kwargs = dict(data)
     for key, cls in _SUBCONFIG_TYPES.items():
         if key in kwargs:
             sub = kwargs[key]
             if not isinstance(sub, dict):
                 raise ConfigError(f"{key} must be an object")
-            sub_unknown = set(sub) - set(cls.__dataclass_fields__)
-            if sub_unknown:
-                raise ConfigError(f"unknown {key} keys: {sorted(sub_unknown)}")
+            _check_keys(sub, cls, key)
             try:
                 kwargs[key] = cls(**sub)
-            except (TypeError, ValueError) as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
     for key in ("schemes", "gamma_db", "num_pas"):
         if key in kwargs and isinstance(kwargs[key], list):
             kwargs[key] = tuple(kwargs[key])
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ class WaveformParams:
     beta1: float
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)  # each config build and scheme run asks again
     def from_carrier(cls, carrier_freq: float, n_eff: float = 1.4) -> "WaveformParams":
         if carrier_freq <= 0 or n_eff <= 0:
             raise ValueError("carrier frequency and refractive index must be positive")

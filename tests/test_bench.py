@@ -23,7 +23,7 @@ from pinchslp.bench import (
 )
 from pinchslp.ao import AOConfig, ao_solve, fixed_uniform_placement
 from pinchslp.cli import main as cli_main
-from pinchslp.placement import PGDConfig, SmoothingParams, optimize_all_positions
+from pinchslp.placement import FIELDS, PGDConfig, SmoothingParams, optimize_all_positions
 from pinchslp.precoder import InfeasibleProblemError, db_to_linear, recover_beam_matrix
 
 FAST = dict(
@@ -127,6 +127,19 @@ class TestConfigFuzz:
             reals += [getattr(sub, f.name) for f in fields(sub) if type(f.default) is float]
         assert all(isinstance(v, Real) and not isinstance(v, bool) for v in reals)
         assert all(abs(v) <= sys.float_info.max for v in reals)
+        ints = list(cfg.num_pas_sweep())
+        for sub in (cfg, cfg.pgd, cfg.ao):  # the other fields with an int default
+            ints += [getattr(sub, f.name) for f in fields(sub)
+                     if type(f.default) is int and f.name != "num_pas"]
+        assert all(isinstance(v, int) and not isinstance(v, bool) for v in ints)
+        linear = [cfg.noise_w] + [db_to_linear(g) for g in cfg.gamma_sweep()]
+        assert all(0 < v <= sys.float_info.max for v in linear)
+
+    def test_every_settable_value_has_one_table_row(self):
+        for cls in (ExperimentConfig, *SUBCONFIG_TYPES.values()):
+            names = [f.name for f in fields(cls) if f.name not in SUBCONFIG_TYPES]
+            assert list(FIELDS[cls.__name__]) == names
+        assert sum(map(len, FIELDS.values())) == 26
 
 
 class TestGenerateScenario:
@@ -332,18 +345,27 @@ class TestCli:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    # A row whose message the per-field checker reworded keeps its first id,
+    # which quotes the old message, so its test keeps its name.
     @pytest.mark.parametrize("overrides, message", [
         ({"num_users": 0}, "num_users must be positive"),
-        ({"num_pas": 0}, "num_pas must be one or more positive integers"),
-        ({"pgd": {"max_iters": 1.5}}, "pgd: max_iters, max_backtracks and restarts must be integers"),
+        pytest.param({"num_pas": 0}, "num_pas must be positive, got 0",
+                     id="overrides1-num_pas must be one or more positive integers"),
+        pytest.param({"pgd": {"max_iters": 1.5}}, "pgd: max_iters must be an integer, got 1.5",
+                     id="overrides2-pgd: max_iters, max_backtracks and restarts must be "
+                        "integers"),
         ({"trials": 1.5}, "trials must be an integer"),
-        ({"noise_dbm": "x"}, "noise_dbm must be a finite number"),
+        pytest.param({"noise_dbm": "x"}, "noise_dbm must be a number, got 'x'",
+                     id="overrides4-noise_dbm must be a finite number"),
         ({"psk_order": 1}, "psk_order must be at least 2"),
-        ({"gamma_db": []}, "gamma_db must be one or more finite numbers"),
+        pytest.param({"gamma_db": []}, "gamma_db must not be empty",
+                     id="overrides6-gamma_db must be one or more finite numbers"),
         ({"num_waveguides": 0}, "num_waveguides must be positive"),
-        ({"pgd": {"restarts": -1}}, "restarts >= 0"),
+        pytest.param({"pgd": {"restarts": -1}}, "pgd: restarts must be non-negative, got -1",
+                     id="overrides8-restarts >= 0"),
         ({"smoothing": {"adaptive": "no"}}, "unknown smoothing keys: ['adaptive']"),
-        ({"ao": {"max_iters": 2.5}}, "ao: max_iters must be a non-negative integer"),
+        pytest.param({"ao": {"max_iters": 2.5}}, "ao: max_iters must be an integer, got 2.5",
+                     id="overrides10-ao: max_iters must be a non-negative integer"),
         ({"schemes": []}, "schemes must name at least one scheme"),
         ({"num_pas": 5000}, "waveguide_length_m cannot fit 5000 antennas"),
         ({"master_seed": -3}, "master_seed must be non-negative"),
@@ -353,24 +375,54 @@ class TestCli:
         ({"carrier_freq_hz": 5e-324, "min_spacing_m": 0.01}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 5e-324}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 1e300, "refractive_index": 1e300}, "carrier_freq_hz 1e+300"),
-        ({"smoothing": {"kappa": math.inf}}, "smoothing: kappa and floor must be finite"),
+        pytest.param({"smoothing": {"kappa": math.inf}}, "smoothing: kappa must be a finite number",
+                     id="overrides20-smoothing: kappa and floor must be finite"),
         ({"smoothing": {"eps": math.inf}}, "unknown smoothing keys: ['eps']"),
-        ({"pgd": {"init_step": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
-        ({"pgd": {"step_tol": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
-        ({"pgd": {"armijo_c1": math.inf}}, "pgd: step_tol, init_step and armijo_c1 must be finite"),
-        ({"pgd": {"shrink": math.inf}}, "pgd: shrink factor must be < 1"),
-        ({"pgd": {"init_step": math.nan}}, "pgd: all PGD settings must be positive"),
-        ({"ao": {"rel_tol": math.inf}}, "ao: rel_tol must be positive and finite"),
+        pytest.param({"pgd": {"init_step": math.inf}}, "pgd: init_step must be a finite number",
+                     id="overrides22-pgd: step_tol, init_step and armijo_c1 must be finite"),
+        pytest.param({"pgd": {"step_tol": math.inf}}, "pgd: step_tol must be a finite number",
+                     id="overrides23-pgd: step_tol, init_step and armijo_c1 must be finite"),
+        pytest.param({"pgd": {"armijo_c1": math.inf}}, "pgd: armijo_c1 must be a finite number",
+                     id="overrides24-pgd: step_tol, init_step and armijo_c1 must be finite"),
+        pytest.param({"pgd": {"shrink": math.inf}}, "pgd: shrink must be a finite number",
+                     id="overrides25-pgd: shrink factor must be < 1"),
+        pytest.param({"pgd": {"init_step": math.nan}}, "pgd: init_step must be a finite number",
+                     id="overrides26-pgd: all PGD settings must be positive"),
+        pytest.param({"ao": {"rel_tol": math.inf}}, "ao: rel_tol must be a finite number",
+                     id="overrides27-ao: rel_tol must be positive and finite"),
         ({"ao": {"guard_enabled": False}}, "unknown ao keys: ['guard_enabled']"),
         ({"smoothing": {"kappa": True}}, "smoothing: kappa must be a number, got True"),
         ({"pgd": {"step_tol": True}}, "pgd: step_tol must be a number, got True"),
         ({"ao": {"rel_tol": True}}, "ao: rel_tol must be a number, got True"),
         ({"pgd": {"init_step": "0.1"}}, "pgd: init_step must be a number, got '0.1'"),
+        ({"noise_dbm": 4000}, "noise_dbm must have a positive finite linear value, got 4000"),
+        ({"noise_dbm": -4000}, "noise_dbm must have a positive finite linear value, got -4000"),
+        ({"gamma_db": [14, 4000]}, "gamma_db must have a positive finite linear value, got 4000"),
+        ({"gamma_db": [-4000]}, "gamma_db must have a positive finite linear value, got -4000"),
+        ({"schemes": "fixed"}, "schemes must be a list of names, got 'fixed'"),
+        ({"schemes": ["fixed", "fixed"]}, "schemes must name at least one scheme, each once"),
+        ({"pgd": {"shrink": 1}}, "pgd: shrink must be less than 1, got 1"),
+        ({"psk_order": True}, "psk_order must be an integer, got True"),
+        ({"min_spacing_m": -0.5}, "min_spacing_m must be non-negative, got -0.5"),
+        ({"num_pas": [2, "3"]}, "num_pas must be an integer, got '3'"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
         code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
                          "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "trials must be positive"),
+        (["--seed", "-1"], "master_seed must be non-negative"),
+    ])
+    def test_malformed_flag_exits_2(self, tmp_path, capsys, flags, message):
+        # the flags reach the config through dataclasses.replace
+        cfg = self.write_cfg(tmp_path)
+        code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
+                         "--out", str(tmp_path / "r.csv"), *flags])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
@@ -544,14 +596,14 @@ GOLDEN_AO = {
     (7, 0, 20.0, AOConfig()): "09fc8fa86c2ff701475cfca7b3ad30ed9f1e844dd263d00bca90fd65f5552bc7",
     (7, 1, 10.0, AOConfig()): "6f312c8c866518cf9b471a39584daa886c61368353da56c4b99e9f6691c5e1fa",
     (7, 1, 20.0, AOConfig()): "c603badc585584d5ae205c040654c23deeaa15cc139193f7f9542c5eba262f01",
-    # round 0 only; stopped at the round limit; a tolerance that only a
-    # rejected round meets
+    # round 0 only; stopped at the round limit; stopped by the tolerance at
+    # round 2 on an accepted round (every default case stops at a rejected one)
     (3, 0, 10.0, AOConfig(max_iters=0)):
         "6f179cf8eff63d4bef342aeb5e5d8687716612ad9dd4325910ba706bea5a10c3",
     (3, 0, 10.0, AOConfig(max_iters=2)):
         "cfb1903aeced9aedb302ec8afe2df12e2c73c968e4afd5b59f51d06350e0f378",
-    (3, 0, 10.0, AOConfig(rel_tol=1e-9)):
-        "c3989c415d970a26c3f4a86ee569fd64bbb800404186a99907599aae74512627",
+    (3, 0, 10.0, AOConfig(rel_tol=1e-2)):
+        "a1c1038cdf5ce557163e83ba12dfbb960d1929adfc1536da414f1f0a143ce7bd",
 }
 
 
