@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSnapshot, WaveformParams, effective_channels
-from .geometry import SystemGeometry, distances, initial_regions
+from .geometry import SystemGeometry, distances, initial_regions, validate_placement
 from .placement import (
     PGDConfig,
     SmoothingParams,
@@ -71,9 +71,13 @@ def ao_solve(
     """Alternate precoder solves and placement sweeps from x_init.
 
     Returns the final beam matrix, placement, and trace. Precoder
-    infeasibility at x_init or at a candidate propagates to the caller, and
-    so does the ValueError of an x_init that breaks the placement constraints.
+    infeasibility at x_init or at a candidate propagates to the caller. An
+    x_init that breaks the placement constraints raises ValueError before
+    round 0.
     """
+    report = validate_placement(geom, x_init)
+    if not report.ok:  # the sweeps check it too, but max_iters = 0 runs none
+        raise ValueError(f"x_current violates the placement constraints: {report.violations}")
     gamma = np.asarray(gamma, dtype=float)
     x_cand = np.array(x_init, dtype=float, copy=True)
     trace = AOTrace()

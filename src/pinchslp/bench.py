@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .precoder import (
     build_ci_qp,
     db_to_linear,
     dbm_to_watts,
-    psk_constellation,
+    psk_symbols,
     solve_min_power,
     watts_to_dbm,
 )
@@ -94,7 +94,7 @@ class ExperimentConfig:
                 if not ok:
                     raise ConfigError(f"{name} must have a positive finite linear value, got {v}")
         L = max(self.num_pas_sweep())
-        if L > _MAX or (L - 1) * self.spacing > self.waveguide_length_m:
+        if (L - 1) * self.spacing > self.waveguide_length_m:
             raise ConfigError(f"waveguide_length_m cannot fit {L} antennas {self.spacing} m apart")
         for key, cls in _SUBCONFIG_TYPES.items():
             if not isinstance(getattr(self, key), cls):
@@ -185,8 +185,7 @@ def generate_scenario(
     rng = np.random.default_rng([cfg.master_seed, trial])
     xy = rng.uniform(0.0, cfg.region_side_m, size=(cfg.num_users, 2))
     users = [Vec3(float(x), float(y), 0.0) for x, y in xy]
-    idx = rng.integers(0, cfg.psk_order, size=cfg.num_users)
-    symbols = SymbolVector(s=psk_constellation(cfg.psk_order)[idx], order=cfg.psk_order)
+    symbols = psk_symbols(rng.integers(0, cfg.psk_order, size=cfg.num_users), cfg.psk_order)
     L = num_pas if num_pas is not None else cfg.num_pas_sweep()[0]
     geom = make_geometry(
         region_side=cfg.region_side_m,
@@ -292,24 +291,19 @@ def sort_records(records: Iterable[ExperimentRecord]) -> list[ExperimentRecord]:
     )
 
 
-CSV_HEADER = "experiment,trial,seed,scheme,gamma_db,num_pas,power_w,power_dbm,ao_iters,converged"
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
+# Cell format by a field's declared type (a string: annotations are postponed),
+# not by its value's: a config may give gamma_db as an int.
+_CELL = {"float": "{:.9g}".format, "bool": lambda v: "true" if v else "false"}
 
 
 def emit_csv(records: Sequence[ExperimentRecord], path: str) -> None:
-    """Write records with 9-significant-digit floats in normalized order."""
+    """Write one column per ExperimentRecord field, floats with 9 significant
+    digits, in normalized order."""
+    cols = [(f.name, _CELL.get(f.type, str)) for f in fields(ExperimentRecord)]
     try:
         with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
+            fh.write(",".join(name for name, _ in cols) + "\n")
             for r in sort_records(records):
-                fh.write(
-                    f"{r.experiment},{r.trial},{r.seed},{r.scheme},"
-                    f"{_fmt(r.gamma_db)},{r.num_pas},{_fmt(r.power_w)},"
-                    f"{_fmt(r.power_dbm)},{r.ao_iters},"
-                    f"{'true' if r.converged else 'false'}\n"
-                )
+                fh.write(",".join(cell(getattr(r, name)) for name, cell in cols) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

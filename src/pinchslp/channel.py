@@ -71,10 +71,6 @@ class ChannelSnapshot:
     raw: np.ndarray
     distances: np.ndarray
 
-    @property
-    def num_users(self) -> int:
-        return self.effective.shape[0]
-
 
 def effective_channels(
     geom: SystemGeometry, x_coords: np.ndarray, params: WaveformParams
@@ -114,13 +110,12 @@ def sinr(snapshot: ChannelSnapshot, W: np.ndarray, k: int, noise_power: float) -
     return float(signal / (interference + noise_power))
 
 
-def ci_margin(
-    lam: complex, gamma: float, noise_power: float, theta_th: float
-) -> float:
-    """Constructive-interference margin of a received point.
+def ci_margin(lam, gamma, noise_power: float, theta_th: float):
+    """Constructive-interference margin of a received point, or elementwise of
+    arrays of points and targets.
 
     Nonnegative iff the point lies inside the angular decision sector at the
     required SINR level: (Re(lam) - sqrt(gamma*sigma^2))*tan(theta_th) - |Im(lam)|.
     """
-    threshold = math.sqrt(gamma * noise_power)
+    threshold = np.sqrt(gamma * noise_power)
     return (lam.real - threshold) * math.tan(theta_th) - abs(lam.imag)

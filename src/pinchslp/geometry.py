@@ -90,10 +90,6 @@ class SystemGeometry:
             if not (0 <= u.x <= self.region_side and 0 <= u.y <= self.region_side):
                 raise ValueError(f"user {u} outside the service region")
 
-    @property
-    def num_users(self) -> int:
-        return len(self.users)
-
     @cached_property
     def user_xy(self) -> np.ndarray:
         """Read-only K x 2 array of the user plane coordinates (x, y)."""

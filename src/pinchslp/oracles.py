@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -69,24 +68,6 @@ def smooth_term(terms: SubproblemTerms, x: float, m: int, k: int, eps: float) ->
     bar, hat = phi_branches(terms, x, m, k)
     hi, lo = max(bar, hat), min(bar, hat)
     return hi + eps * math.log1p(math.exp((lo - hi) / eps))
-
-
-@dataclass
-class OracleReport:
-    """One compared quantity with its absolute/relative error and verdict."""
-
-    quantity: str
-    main_value: float
-    oracle_value: float
-    abs_error: float
-    rel_error: float
-    passed: bool
-
-    @classmethod
-    def compare(cls, quantity: str, main: float, oracle: float, rel_tol: float) -> "OracleReport":
-        abs_err = abs(main - oracle)
-        rel_err = abs_err / max(abs(oracle), 1e-300)
-        return cls(quantity, main, oracle, abs_err, rel_err, rel_err <= rel_tol)
 
 
 def fd_gradient(objective: Callable[[float], float], x: float, h: float = 1e-6) -> float:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelSnapshot, WaveformParams
+from .channel import ChannelSnapshot, WaveformParams, ci_margin
 from .geometry import (MovableRegion, SystemGeometry, offset_distances, placement_cells,
                        validate_placement)
 
@@ -116,14 +116,17 @@ class ConfigError(ValueError):
 Row = namedtuple("Row", "kind low closed high many", defaults=(None, False, None, False))
 
 # One row for each settable value of the four configs, by config class. The
-# rules that link fields stay in the classes.
+# rules that link fields stay in the classes. Counts stay below _COUNT, so an
+# absurd one fails here, not in numpy or in an endless loop.
+_COUNT = 2**31
 FIELDS = {
     "ExperimentConfig": {
         "carrier_freq_hz": Row(float, 0), "refractive_index": Row(float, 0),
         "noise_dbm": Row(float), "region_side_m": Row(float, 0),
-        "height_m": Row(float, 0), "num_waveguides": Row(int, 0),
-        "num_users": Row(int, 0), "psk_order": Row(int, 2, closed=True),
-        "num_pas": Row(int, 0, many=True), "gamma_db": Row(float, many=True),
+        "height_m": Row(float, 0), "num_waveguides": Row(int, 0, high=_COUNT),
+        "num_users": Row(int, 0, high=_COUNT),
+        "psk_order": Row(int, 2, closed=True, high=_COUNT),
+        "num_pas": Row(int, 0, high=_COUNT, many=True), "gamma_db": Row(float, many=True),
         "waveguide_length_m": Row(float, 0), "min_spacing_m": Row(float, 0, closed=True),
         "trials": Row(int, 0), "master_seed": Row(int, 0, closed=True),
         "schemes": Row(tuple),
@@ -356,7 +359,6 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
         spread = [np.linspace(a, b, cfg.restarts) for a, b in zip(lower[:n], upper[:n])]
         x = np.concatenate([x, np.ravel(spread, order="F")])
         terms = terms.rows(np.tile(np.arange(n), starts))
-    all_terms, all_eps = terms, eps
     x = np.minimum(np.maximum(x, lower), upper)
     branches = _pair_parts(terms, x)
     f = subproblem_objective(terms, x, eps, branches)
@@ -396,10 +398,9 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
             active, lower, upper, eps = active[go], lower[go], upper[go], eps[go]
             x_act, f_act, x_prev, g_prev = x_act[go], f_act[go], x_prev[go], g_prev[go]
             terms, branches = terms.rows(go), tuple(b.take(go, axis=-1) for b in branches)
-    x[active] = x_act
+    x[active], f[active] = x_act, f_act
     if cfg.restarts:  # the first best end of each row's starts
-        f = subproblem_objective(all_terms, x, all_eps).reshape(starts, n)
-        x = x.reshape(starts, n)[np.argmin(f, axis=0), np.arange(n)]
+        x = x.reshape(starts, n)[np.argmin(f.reshape(starts, n), axis=0), np.arange(n)]
     return float(x[0]) if single else x
 
 
@@ -442,6 +443,4 @@ def placement_objective_exact(snapshot: ChannelSnapshot, W: np.ndarray, s: np.nd
     of the CI margins of the received points lam = h_eff @ (W s) / s, with
     h_eff the effective rows of the snapshot taken at the placement."""
     lam = snapshot.effective @ (W @ s) / s
-    t = math.tan(theta_th)
-    thresh = np.sqrt(np.asarray(gamma, dtype=float) * noise_power)
-    return float(np.sum(np.abs(lam.imag) - (lam.real - thresh) * t))
+    return float(-np.sum(ci_margin(lam, gamma, noise_power, theta_th)))

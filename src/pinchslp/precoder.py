@@ -35,7 +35,7 @@ def psk_constellation(order: int) -> np.ndarray:
 
 def psk_symbols(indices: np.ndarray, order: int) -> "SymbolVector":
     points = psk_constellation(order)
-    return SymbolVector(s=points[np.asarray(indices) % order], order=order)
+    return SymbolVector(s=points[np.asarray(indices) % order])
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class SymbolVector:
     """Per-user transmit symbols drawn from a normalized M-PSK constellation."""
 
     s: np.ndarray
-    order: int
 
     def __post_init__(self):
         if not np.allclose(np.abs(self.s), 1.0, atol=1e-12):
@@ -59,19 +58,19 @@ class QPInstance:
     """Real-valued minimum-norm problem: min ||z||^2 s.t. A z >= b.
 
     z stacks Re/Im of the precoded vector (length 2N); A has two rows per user
-    (the +Im and -Im halves of the |Im| split). row_users/row_signs map each
-    row back to (user index, Im branch sign).
+    (the +Im and -Im halves of the |Im| split).
     """
 
     A: np.ndarray
     b: np.ndarray
-    row_users: np.ndarray
-    row_signs: np.ndarray
-    num_streams: int
 
     @property
     def num_users(self) -> int:
         return self.A.shape[0] // 2
+
+    @property
+    def num_streams(self) -> int:
+        return self.A.shape[1] // 2
 
 
 @dataclass
@@ -113,15 +112,13 @@ def build_ci_qp(
     if np.any(gamma <= 0):
         raise ValueError("SINR targets must be positive")
     t = math.tan(theta_th)
-    row_users = np.repeat(np.arange(K), 2)
-    row_signs = np.tile([1, -1], K)
     a = snapshot.effective / symbols.s[:, None]
     re_rows = np.concatenate([a.real, -a.imag], axis=1)
     im_rows = np.concatenate([a.imag, a.real], axis=1)
     A = np.empty((2 * K, 2 * N))
     A[0::2], A[1::2] = t * re_rows + im_rows, t * re_rows - im_rows
     b = np.repeat(t * np.sqrt(gamma * noise_power), 2)
-    return QPInstance(A=A, b=b, row_users=row_users, row_signs=row_signs, num_streams=N)
+    return QPInstance(A=A, b=b)
 
 
 _VIOLATION = 1e-14  # violated below -_VIOLATION * max(|bn|, sum(mu)), the rounding scale of z

@@ -138,7 +138,7 @@ class TestBaselineMetamorphic:
             assert baseline_power(scheme, geom, symbols, 4 * gamma, NOISE_W, seed) == 4 * p
             assert baseline_power(scheme, geom, symbols, gamma, 4 * NOISE_W, seed) == 4 * p
             relabelled = (replace(geom, users=tuple(geom.users[i] for i in perm)),
-                          SymbolVector(symbols.s[perm], symbols.order))
+                          SymbolVector(symbols.s[perm]))
             assert baseline_power(scheme, *relabelled, gamma, NOISE_W, seed) == pytest.approx(
                 p, rel=1e-13, abs=0.0)
 
@@ -227,6 +227,16 @@ class TestAoSolve:
         assert len(trace.placement_objectives) == len(trace.powers)
         assert len(trace.accepted) == len(trace.powers)
         assert all(math.isfinite(v) for v in trace.placement_objectives)
+
+    @pytest.mark.parametrize("max_iters", [0, 1])
+    def test_infeasible_x_init_raises(self, max_iters):
+        # checked before round 0, so a run without a sweep rejects it too
+        geom, symbols = scenario(35)
+        x0 = fixed_uniform_placement(geom)
+        x0[0, 1] = x0[0, 0]
+        with pytest.raises(ValueError, match="violates the placement constraints"):
+            ao_solve(geom, PARAMS, symbols, np.full(4, 100.0), NOISE_W, THETA, x0,
+                     ao_cfg=AOConfig(max_iters=max_iters))
 
     def test_placement_kernels_sum_one_m_row(self, monkeypatch):
         # beams are rank one, W = x s^H / K, so the sweep receives x and every

@@ -13,6 +13,7 @@ from pinchslp.bench import (
     SCHEMES,
     ConfigError,
     ExperimentConfig,
+    ExperimentRecord,
     config_from_dict,
     emit_csv,
     generate_scenario,
@@ -284,6 +285,14 @@ class TestEmitCsv:
             10 * math.log10(float(line[6]) * 1e3), rel=1e-7
         )
 
+    def test_cells_follow_declared_types(self, tmp_path):
+        # an int in a float field still gets 9 significant digits
+        record = ExperimentRecord("power-vs-sinr", 0, 7, "fixed", 1234567891, 3, 2, 0.5, 4, True)
+        path = tmp_path / "out.csv"
+        emit_csv([record], str(path))
+        assert path.read_text() == (self.HEADER + "\n"
+                                    "power-vs-sinr,0,7,fixed,1.23456789e+09,3,2,0.5,4,true\n")
+
     def test_write_failure_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such/dir"):
             emit_csv([], str(tmp_path / "no/such/dir/out.csv"))
@@ -336,6 +345,17 @@ class TestCli:
             ) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_int_gamma_db_writes_the_float_csv(self, tmp_path):
+        # configs/example.json gives gamma_db as ints
+        texts = []
+        for gamma in (10, 10.0):
+            out = tmp_path / f"{gamma!r}.csv"
+            assert cli_main(["run", "--config", self.write_cfg(tmp_path, gamma_db=[gamma]),
+                             "--experiment", "power-vs-sinr", "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert {line.split(",")[4] for line in texts[0].splitlines()[1:]} == {"10"}
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"bogus_key": 1}))
@@ -371,7 +391,8 @@ class TestCli:
         ({"master_seed": -3}, "master_seed must be non-negative"),
         ({"psk_order": 2}, "BPSK"),
         ({"carrier_freq_hz": 10**400}, "carrier_freq_hz must be a finite number"),
-        ({"num_pas": 10**400}, "waveguide_length_m cannot fit"),
+        pytest.param({"num_pas": 10**400}, "num_pas must be less than 2147483648, got 1000",
+                     id="overrides16-waveguide_length_m cannot fit"),
         ({"carrier_freq_hz": 5e-324, "min_spacing_m": 0.01}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 5e-324}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 1e300, "refractive_index": 1e300}, "carrier_freq_hz 1e+300"),
@@ -405,6 +426,11 @@ class TestCli:
         ({"psk_order": True}, "psk_order must be an integer, got True"),
         ({"min_spacing_m": -0.5}, "min_spacing_m must be non-negative, got -0.5"),
         ({"num_pas": [2, "3"]}, "num_pas must be an integer, got '3'"),
+        ({"num_users": 10**30}, "num_users must be less than 2147483648, got 1000"),
+        ({"num_users": 2**31}, "num_users must be less than 2147483648, got 2147483648"),
+        ({"psk_order": 10**30}, "psk_order must be less than 2147483648, got 1000"),
+        ({"num_waveguides": 10**30}, "num_waveguides must be less than 2147483648, got 1000"),
+        ({"num_pas": [3, 2**31]}, "num_pas must be less than 2147483648, got 2147483648"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
@@ -691,10 +717,9 @@ class TestTraceHooks:
         _golden_sweep(4, 4, 5, SmoothingParams(), PGDConfig(restarts=2))
         # the cells make all 4 x 5 antennas, times 3 starts, the rows of one
         # pgd_solve with one pick_eps: 15 lockstep steps, each with one
-        # gradient and one or two objective batches, plus the first
-        # objective and the pick of the best start
+        # gradient and one or two objective batches, plus the first objective
         assert counts == {"pgd_solve": 1, "subproblem_gradient": 15,
-                          "subproblem_objective": 22, "pick_eps": 1}
+                          "subproblem_objective": 21, "pick_eps": 1}
 
     def test_ao_call_counts(self, monkeypatch):
         """The tracer wraps these five names of pinchslp.ao. Every round,

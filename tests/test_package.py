@@ -1,7 +1,10 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pinchslp
+import pinchslp.bench
+import pinchslp.oracles
 
 # The names `from pinchslp import *` exports: the literal __all__ must equal
 # this set.
@@ -48,6 +51,14 @@ def test_removed_names_are_gone_from_the_library():
         assert not hasattr(pinchslp, name), name
         assert not any(hasattr(m, name) for m in modules), name
     assert not hasattr(pinchslp.geometry.Vec3, "as_array")
+    # unread state and second copies of the CSV columns
+    assert not hasattr(pinchslp.oracles, "OracleReport")
+    assert not any(hasattr(pinchslp.bench, name) for name in ("CSV_HEADER", "_fmt"))
+
+
+def test_qp_and_symbols_hold_only_their_data():
+    assert [f.name for f in fields(pinchslp.QPInstance)] == ["A", "b"]
+    assert [f.name for f in fields(pinchslp.SymbolVector)] == ["s"]
 
 
 # What oracles.py may take from the library: data types, plus the vectorized

@@ -665,11 +665,11 @@ class TestLockstepRows:
         assert np.array_equal(pick_eps(stack_rows(rows), x0, SmoothingParams()), eps)
 
 
-def restart_cases():
+def restart_cases(seed=50):
     """One unstacked row on a fixed region, and one sweep's stacked collapsed
     terms on the cells of a uniform grid, each with its adaptive eps and warm
     start: (terms, region, eps, x_warm) pairs."""
-    rng = np.random.default_rng(50)
+    rng = np.random.default_rng(seed)
     geom, symbols, _ = demo_setup(rng)
     x_opt = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
     x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
@@ -703,6 +703,25 @@ class TestRestarts:
         assert isinstance(ends[0], float)
         text = " ".join(float(v).hex() for v in [ends[0], *ends[1]])
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SOLVE_REGION[restarts]
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_each_row_keeps_its_first_best_end(self, restarts):
+        # reference: every start a plain row, the ends' objectives evaluated
+        # afresh; at seeds 5 and 20 a best end is on a start still stepping
+        # when the solve ends
+        starts = 1 + restarts
+        for seed in (5, 20, 50):
+            terms, region, eps, x_warm = restart_cases(seed)[1]
+            n = x_warm.size
+            spread = [np.linspace(a, b, restarts) for a, b in zip(region.lower, region.upper)]
+            rows = terms.rows(np.tile(np.arange(n), starts))
+            lower, upper, tiled_eps = (np.tile(v, starts) for v in (*region, eps))
+            ends = pgd_solve(rows, MovableRegion(lower, upper), tiled_eps, PGDConfig(),
+                             np.concatenate([x_warm, np.ravel(spread, order="F")]))
+            f = subproblem_objective(rows, ends, tiled_eps).reshape(starts, n)
+            want = ends.reshape(starts, n)[np.argmin(f, axis=0), np.arange(n)]
+            got = pgd_solve(terms, region, eps, PGDConfig(restarts=restarts), x_warm)
+            assert np.array_equal(got, want)
 
     def test_pgd_solve_runs_restarts(self):
         for restarts in GOLDEN_SOLVE_REGION:

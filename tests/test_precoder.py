@@ -102,15 +102,14 @@ class TestConstellation:
 
     def test_symbol_vector_rejects_scaled(self):
         with pytest.raises(ValueError):
-            SymbolVector(s=np.array([2.0 + 0j]), order=4)
+            SymbolVector(s=np.array([2.0 + 0j]))
 
 
 class TestBuildCiQp:
     def test_two_rows_per_user(self):
         snap = snapshot_from_rows(np.array([[1e-4 + 0j]]))
         qp = build_ci_qp(snap, psk_symbols([0], 4), np.array([100.0]), NOISE_W, THETA)
-        assert qp.A.shape == (2, 2)
-        assert list(qp.row_users) == [0, 0]
+        assert qp.A.shape == (2, 2) and (qp.num_users, qp.num_streams) == (1, 1)
 
     def test_origin_infeasible_margin(self):
         snap = snapshot_from_rows(np.array([[1e-4 + 0j]]))
@@ -130,7 +129,7 @@ class TestBuildCiQp:
         qp1 = build_ci_qp(snapshot_from_rows(rows), symbols, gamma, NOISE_W, THETA)
         qp2 = build_ci_qp(
             snapshot_from_rows(rows * rot),
-            SymbolVector(s=symbols.s * rot, order=4),
+            SymbolVector(s=symbols.s * rot),
             gamma,
             NOISE_W,
             THETA,
@@ -166,8 +165,6 @@ class TestBuildCiQp:
             A, b = self.per_user_rows(rows, symbols.s, gamma, noise, math.pi / order)
             assert qp.A.flags.c_contiguous and qp.A.shape == (2 * K, 2 * N)
             assert qp.A.tobytes() == A.tobytes() and qp.b.tobytes() == b.tobytes()
-            assert list(qp.row_users) == np.repeat(np.arange(K), 2).tolist()
-            assert list(qp.row_signs) == [1, -1] * K
 
 
 class TestSolveMinPower:
@@ -267,8 +264,7 @@ class TestSolveMinPower:
         rng = np.random.default_rng(8)
         for num_users in (1, 2, 3, 4) * 3:
             qp, *_ = random_instance(rng, num_users)
-            fortran = QPInstance(A=np.asfortranarray(qp.A), b=qp.b, row_users=qp.row_users,
-                                 row_signs=qp.row_signs, num_streams=qp.num_streams)
+            fortran = QPInstance(A=np.asfortranarray(qp.A), b=qp.b)
             s1, s2 = solve_min_power(qp), solve_min_power(fortran)
             assert s1.x_opt.tobytes() == s2.x_opt.tobytes()
             assert s1.duals.tobytes() == s2.duals.tobytes()
@@ -280,16 +276,15 @@ class TestSolveMinPower:
         assert power_or_none(qp) is None
 
     def test_contradictory_pair_infeasible(self):
-        qp = QPInstance(A=np.array([[1.0, 0.0], [-1.0, 0.0]]), b=np.array([1.0, 1.0]),
-                        row_users=np.array([0, 0]), row_signs=np.array([1, -1]),
-                        num_streams=1)  # z0 >= 1 and z0 <= -1
+        qp = QPInstance(A=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                        b=np.array([1.0, 1.0]))  # z0 >= 1 and z0 <= -1
         assert power_or_none(qp) is None
 
 
 class TestBeamRecovery:
     def test_single_user_identity(self):
         x = np.array([1 + 2j, 3 - 1j])
-        W = recover_beam_matrix(x, SymbolVector(s=np.array([1.0 + 0j]), order=4))
+        W = recover_beam_matrix(x, SymbolVector(s=np.array([1.0 + 0j])))
         assert np.allclose(W[:, 0], x)
 
     def test_reproduces_precoded_vector(self):
