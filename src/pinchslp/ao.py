@@ -6,7 +6,10 @@ once, solves the precoder on it, and keeps the candidate only if its power
 does not rise; round 0 is always kept. This guard makes the power sequence
 non-increasing, so the relative-change stopping rule always terminates. A
 kept candidate's exact objective is evaluated on the same channel; a
-rejected round repeats the kept value.
+rejected round repeats the kept value. Round 1's sweep starts each antenna
+at its best point on a guide-wavelength grid over its cell where that beats
+its warm start (see placement.optimize_all_positions); later sweeps start
+from the warm start.
 """
 
 from __future__ import annotations
@@ -17,19 +20,9 @@ import numpy as np
 
 from .channel import ChannelSnapshot, WaveformParams, effective_channels
 from .geometry import SystemGeometry, distances, initial_regions, validate_placement
-from .placement import (
-    PGDConfig,
-    SmoothingParams,
-    check_fields,
-    optimize_all_positions,
-    placement_objective_exact,
-)
-from .precoder import (
-    SymbolVector,
-    build_ci_qp,
-    recover_beam_matrix,
-    solve_min_power,
-)
+from .placement import (PGDConfig, SmoothingParams, check_fields, optimize_all_positions,
+                        placement_objective_exact)
+from .precoder import SymbolVector, build_ci_qp, recover_beam_matrix, solve_min_power
 
 
 @dataclass(frozen=True)
@@ -77,15 +70,14 @@ def ao_solve(
     """
     report = validate_placement(geom, x_init)
     if not report.ok:  # the sweeps check it too, but max_iters = 0 runs none
-        raise ValueError(f"x_current violates the placement constraints: {report.violations}")
+        raise ValueError(f"x_init violates the placement constraints: {report.violations}")
     gamma = np.asarray(gamma, dtype=float)
     x_cand = np.array(x_init, dtype=float, copy=True)
     trace = AOTrace()
     for it in range(ao_cfg.max_iters + 1):
         if it:
-            x_cand = optimize_all_positions(
-                geom, x, sol.x_opt, symbols.s, params, theta_th, smoothing, pgd_cfg
-            )
+            x_cand = optimize_all_positions(geom, x, sol.x_opt, symbols.s, params, theta_th,
+                                            smoothing, pgd_cfg, grid_start=it == 1)
         snap_cand = effective_channels(geom, x_cand, params)
         sol_cand = solve_min_power(build_ci_qp(snap_cand, symbols, gamma, noise_power, theta_th))
         accepted = not it or sol_cand.power <= sol.power

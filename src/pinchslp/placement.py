@@ -10,7 +10,9 @@ solved by projected gradient descent with Armijo backtracking (plus a
 Barzilai-Borwein candidate) over the antenna's movable cell. The cells come
 from the current placement and keep neighbours apart, so one sweep is a single
 stack of independent rows stepping together, held with the (m, k) pair axes
-first and the candidate and row axes last.
+first and the candidate and row axes last. The subproblem is quasi-periodic
+in the guide wavelength, so the first AO sweep starts each row at the best
+of its warm start and a guide-wavelength grid over its cell.
 """
 
 from __future__ import annotations
@@ -407,12 +409,34 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
 _solve_region = pgd_solve  # the name tests/test_acceptance.py imports
 
 
+_GRID_CHUNK = 2048  # (point, row) entries per objective call of the start grid
+
+
+def _grid_start(terms, lower, upper, eps, spacing, x_warm):
+    """Per row, the first minimum of the smoothed objective in the sequence
+    x_warm, lower, lower + spacing, lower + 2*spacing, ... (clamped to upper,
+    up to upper itself), evaluated in chunks of about _GRID_CHUNK (point, row)
+    entries with a running best per row."""
+    x, best, cols = x_warm.copy(), subproblem_objective(terms, x_warm, eps), np.arange(x_warm.size)
+    points, per = math.ceil(np.max(upper - lower) / spacing) + 1, max(1, _GRID_CHUNK // cols.size)
+    for j in range(0, points, per):
+        grid = np.minimum(lower + np.arange(j, min(j + per, points))[:, None] * spacing, upper)
+        vals = subproblem_objective(terms, grid, eps)
+        i = vals.argmin(axis=0)
+        win = vals[i, cols] < best
+        x[win], best[win] = grid[i, cols][win], vals[i, cols][win]
+    return x
+
+
 def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.ndarray,
                            s: np.ndarray, params: WaveformParams, theta_th: float,
-                           smoothing: SmoothingParams, cfg: PGDConfig) -> np.ndarray:
+                           smoothing: SmoothingParams, cfg: PGDConfig, *,
+                           grid_start: bool = False) -> np.ndarray:
     """Sweep every antenna once, each within its cell of x_current (see
-    geometry.placement_cells), warm-started at its current position. W is the
-    beam matrix or, for rank-one beams, the precoded vector x (see
+    geometry.placement_cells), warm-started at its current position or, with
+    grid_start, at the better of that and its best point on a guide-wavelength
+    grid over the cell (the first AO sweep, see _grid_start). W is the beam
+    matrix or, for rank-one beams, the precoded vector x (see
     build_subproblem_terms).
 
     The cells keep neighbours min_spacing apart, so the N x L subproblems are
@@ -429,8 +453,10 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
     cells = placement_cells(geom, x_current)
     x_warm = np.asarray(x_current, dtype=float).ravel()
     eps = pick_eps(terms, x_warm, smoothing)
-    x_new = pgd_solve(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps, cfg,
-                      x_warm).reshape(N, L)
+    region = MovableRegion(cells.lower.ravel(), cells.upper.ravel())
+    x_start = (_grid_start(terms, *region, eps, params.guide_wavelength, x_warm) if grid_start
+               else x_warm)
+    x_new = pgd_solve(terms, region, eps, cfg, x_start).reshape(N, L)
     report = validate_placement(geom, x_new)
     if not report.ok:  # cells enforce this by construction
         raise AssertionError(f"position sweep produced violations: {report.violations}")

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pinchslp import placement
+from pinchslp import ao, placement
+from pinchslp.bench import ExperimentConfig, generate_scenario
 from pinchslp.channel import WaveformParams, ci_margin, effective_channels
 from pinchslp.geometry import (
     MovableRegion,
@@ -39,7 +40,7 @@ from pinchslp.placement import (
     subproblem_gradient,
     subproblem_objective,
 )
-from pinchslp.precoder import psk_symbols, recover_beam_matrix
+from pinchslp.precoder import db_to_linear, psk_symbols, recover_beam_matrix
 
 PARAMS = WaveformParams.from_carrier(2.8e10)
 NOISE_W = 1e-11
@@ -560,6 +561,131 @@ class TestOptimizeAllPositions:
         )
         assert x.shape == (4, 1)
         assert np.all((x >= 0) & (x <= 20))
+
+
+def first_sweep_case(seed):
+    """A seeded scenario at the uniform grid with rank-one beams, and the
+    stacked terms, cell bounds and temperature of its sweep."""
+    rng = np.random.default_rng(seed)
+    geom, symbols, _ = demo_setup(rng)
+    x_opt = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
+    x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
+    terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), x_opt, symbols.s, PARAMS,
+                                   THETA)
+    cells = placement_cells(geom, x0)
+    eps = pick_eps(terms, x0.ravel(), SmoothingParams())
+    return geom, symbols, x_opt, x0, terms, cells.lower.ravel(), cells.upper.ravel(), eps
+
+
+def brute_force_start(objective, terms, lower, upper, eps, x_warm,
+                      spacing=PARAMS.guide_wavelength):
+    """The rule in one objective call: per row, the first minimum over the
+    warm start followed by every grid point lower + j*spacing clamped to upper."""
+    points = math.ceil(np.max(upper - lower) / spacing) + 1
+    grid = np.minimum(lower + np.arange(points)[:, None] * spacing, upper)
+    cands = np.vstack([x_warm, grid])
+    return cands[objective(terms, cands, eps).argmin(axis=0), np.arange(x_warm.size)]
+
+
+class TestGridStart:
+    """optimize_all_positions(..., grid_start=True), which ao_solve asks for
+    in its first sweep only: each row starts at the first best of its warm
+    start and the guide-wavelength grid over its cell, found chunk by chunk."""
+
+    @pytest.mark.parametrize("chunk", [2048, 20 * 7, 1])
+    def test_chunked_pick_is_one_call_argmin(self, monkeypatch, chunk):
+        sizes = []
+
+        def objective(terms, x, eps, branches=None):
+            sizes.append(np.size(x))
+            return subproblem_objective(terms, x, eps, branches)
+
+        monkeypatch.setattr(placement, "_GRID_CHUNK", chunk)
+        monkeypatch.setattr(placement, "subproblem_objective", objective)
+        for seed in (40, 41, 42):
+            *_, x0, terms, lower, upper, eps = first_sweep_case(seed)
+            x = placement._grid_start(terms, lower, upper, eps, PARAMS.guide_wavelength,
+                                      x0.ravel())
+            expected = brute_force_start(subproblem_objective, terms, lower, upper, eps,
+                                         x0.ravel())
+            assert np.array_equal(x, expected)
+            assert np.any(x != x0.ravel())
+        # one grid point per call at least, whatever the chunk size
+        assert max(sizes) <= max(chunk, 20) and len(sizes) > 3
+
+    def test_ties_go_to_the_warm_start_then_the_earliest_point(self, monkeypatch):
+        # grid 0, 1, ..., 10 m on three rows, three points (nine entries) per
+        # chunk: chunks {0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10}. Each row has
+        # two equal minima, in neighbouring chunks; row 1 starts on one of them.
+        first, second = np.array([2.0, 5.0, 8.0]), np.array([3.0, 6.0, 9.0])
+
+        def objective(terms, x, eps, branches=None):
+            x = np.asarray(x)
+            return np.where((x == first) | (x == second), 0.0, 1.0)
+
+        calls = []
+        monkeypatch.setattr(placement, "_GRID_CHUNK", 9)
+        monkeypatch.setattr(placement, "subproblem_objective",
+                            lambda *a: calls.append(np.size(a[1])) or objective(*a))
+        x_warm, lower, upper = np.array([5.5, 6.0, 0.5]), np.zeros(3), np.full(3, 10.0)
+        x = placement._grid_start(None, lower, upper, np.ones(3), 1.0, x_warm)
+        assert x.tolist() == [2.0, 6.0, 8.0]
+        assert calls == [3, 9, 9, 9, 6]
+        assert np.array_equal(x, brute_force_start(objective, None, lower, upper, None,
+                                                   x_warm, spacing=1.0))
+
+    def test_start_and_end_no_worse_than_the_warm_start(self, monkeypatch):
+        seen = []
+
+        def solve(terms, region, eps, cfg, x_init, callback=None):
+            x = pgd_solve(terms, region, eps, cfg, x_init, callback)
+            seen.append((terms, eps, np.array(x_init), x))
+            return x
+
+        monkeypatch.setattr(placement, "pgd_solve", solve)
+        moved = 0
+        for seed in (40, 41, 42, 43):
+            geom, symbols, x_opt, x0, *_ = first_sweep_case(seed)
+            x = optimize_all_positions(geom, x0, x_opt, symbols.s, PARAMS, THETA,
+                                       SmoothingParams(), PGDConfig(), grid_start=True)
+            terms, eps, start, end = seen[-1]
+            assert np.array_equal(end, x.ravel())
+            warm, f_start, f_end = (subproblem_objective(terms, v, eps)
+                                    for v in (x0.ravel(), start, end))
+            assert np.all(f_start <= warm) and np.all(f_end <= f_start)
+            moved += np.count_nonzero(start != x0.ravel())
+        assert moved > 0
+
+    def test_grid_calls_in_round_one_only(self, monkeypatch):
+        """Outside pgd_solve, the first sweep of an AO calls the objective
+        once at the warm starts and once per grid chunk; later sweeps never."""
+        calls, in_pgd = [], [False]
+
+        def objective(*args, **kwargs):
+            calls[-1] += not in_pgd[0]
+            return subproblem_objective(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            in_pgd[0] = True
+            try:
+                return pgd_solve(*args, **kwargs)
+            finally:
+                in_pgd[0] = False
+
+        def sweep(*args, **kwargs):
+            calls.append(0)
+            return optimize_all_positions(*args, **kwargs)
+
+        monkeypatch.setattr(placement, "subproblem_objective", objective)
+        monkeypatch.setattr(placement, "pgd_solve", solve)
+        monkeypatch.setattr(ao, "optimize_all_positions", sweep)
+        cfg = ExperimentConfig(master_seed=77)
+        geom, symbols = generate_scenario(cfg, 0, num_pas=5)
+        gamma = np.full(cfg.num_users, db_to_linear(10.0))
+        ao.ao_solve(geom, cfg.params, symbols, gamma, cfg.noise_w, cfg.theta_th,
+                    ao.fixed_uniform_placement(geom), cfg.ao, cfg.pgd, cfg.smoothing)
+        # 20 rows, so 102 grid points per chunk; 4 m cells hold 524 points
+        assert calls == [7, 0, 0, 0]
 
 
 def stack_rows(rows):
