@@ -7,7 +7,6 @@ seeded Monte Carlo benchmark.
 """
 
 from .ao import (
-    AOConfig,
     AOTrace,
     ao_solve,
     conventional_array_snapshot,
@@ -23,6 +22,7 @@ from .channel import (
     received_lambda,
     sinr,
 )
+from .config import AOConfig, PGDConfig, SmoothingParams
 from .geometry import (
     MovableRegion,
     PlacementReport,
@@ -33,8 +33,6 @@ from .geometry import (
     validate_placement,
 )
 from .placement import (
-    PGDConfig,
-    SmoothingParams,
     SubproblemTerms,
     build_subproblem_terms,
     optimize_all_positions,
@@ -63,16 +61,18 @@ __all__ = [
     # submodules
     "ao", "channel", "geometry", "placement", "precoder",
     # ao
-    "AOConfig", "AOTrace", "ao_solve", "conventional_array_snapshot",
+    "AOTrace", "ao_solve", "conventional_array_snapshot",
     "fixed_uniform_placement", "random_placement",
     # channel
     "SPEED_OF_LIGHT", "ChannelSnapshot", "WaveformParams", "ci_margin",
     "effective_channels", "received_lambda", "sinr",
+    # config
+    "AOConfig", "PGDConfig", "SmoothingParams",
     # geometry
     "MovableRegion", "PlacementReport", "SystemGeometry", "Vec3", "initial_regions",
     "make_geometry", "validate_placement",
     # placement
-    "PGDConfig", "SmoothingParams", "SubproblemTerms", "build_subproblem_terms",
+    "SubproblemTerms", "build_subproblem_terms",
     "optimize_all_positions", "pgd_solve", "placement_objective_exact",
     "subproblem_gradient", "subproblem_objective",
     # precoder

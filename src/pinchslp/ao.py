@@ -19,19 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSnapshot, WaveformParams, effective_channels
+from .config import AOConfig, PGDConfig, SmoothingParams
 from .geometry import SystemGeometry, distances, initial_regions, validate_placement
-from .placement import (PGDConfig, SmoothingParams, check_fields, optimize_all_positions,
-                        placement_objective_exact)
+from .placement import optimize_all_positions, placement_objective_exact
 from .precoder import SymbolVector, build_ci_qp, recover_beam_matrix, solve_min_power
-
-
-@dataclass(frozen=True)
-class AOConfig:
-    max_iters: int = 30
-    rel_tol: float = 1e-3
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass
@@ -43,10 +34,6 @@ class AOTrace:
     placement_objectives: list[float] = field(default_factory=list)
     accepted: list[bool] = field(default_factory=list)
     converged: bool = False
-
-    @property
-    def iterations(self) -> int:
-        return len(self.powers) - 1
 
 
 def ao_solve(

@@ -13,153 +13,20 @@ bit-identical across runs and independent of execution order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ao import (
-    AOConfig,
-    ao_solve,
-    conventional_array_snapshot,
-    fixed_uniform_placement,
-    random_placement,
-)
-from .channel import WaveformParams, effective_channels
+from .ao import ao_solve, conventional_array_snapshot, fixed_uniform_placement, random_placement
+from .channel import effective_channels
+from .config import ExperimentConfig
 from .geometry import SystemGeometry, Vec3, make_geometry
-from .placement import _MAX, ConfigError, PGDConfig, SmoothingParams, _as_tuple, check_fields
-from .precoder import (
-    InfeasibleProblemError,
-    SymbolVector,
-    build_ci_qp,
-    db_to_linear,
-    dbm_to_watts,
-    psk_symbols,
-    solve_min_power,
-    watts_to_dbm,
-)
-
-SCHEMES = ("proposed", "fixed", "random", "conventional")
+from .precoder import (InfeasibleProblemError, SymbolVector, build_ci_qp, db_to_linear,
+                       psk_symbols, solve_min_power, watts_to_dbm)
 
 _RANDOM_PLACEMENT_TAG = 101  # rng stream tag for the random-position scheme
-_SUBCONFIG_TYPES = {"smoothing": SmoothingParams, "pgd": PGDConfig, "ao": AOConfig}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    carrier_freq_hz: float = 2.8e10
-    refractive_index: float = 1.4
-    noise_dbm: float = -80.0
-    region_side_m: float = 20.0
-    height_m: float = 5.0
-    num_waveguides: int = 4
-    num_users: int = 4
-    psk_order: int = 4
-    num_pas: int | tuple[int, ...] = 5
-    gamma_db: float | tuple[float, ...] = (10.0, 12.0, 14.0, 16.0, 18.0, 20.0)
-    waveguide_length_m: float = 20.0
-    min_spacing_m: float | None = None  # None -> half carrier wavelength
-    trials: int = 50
-    master_seed: int = 1234
-    schemes: tuple[str, ...] = SCHEMES
-    smoothing: SmoothingParams = SmoothingParams()
-    pgd: PGDConfig = PGDConfig()
-    ao: AOConfig = AOConfig()
-
-    def __post_init__(self):
-        check_fields(self, skip=("min_spacing_m",) if self.min_spacing_m is None else ())
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme {s!r}; pick from {SCHEMES}")
-        if not self.schemes or len(set(self.schemes)) < len(self.schemes):
-            raise ConfigError(f"schemes must name at least one scheme, each once: {self.schemes}")
-        if self.psk_order == 2:
-            raise ConfigError("psk_order 2 (BPSK) is not supported: its decision region is the "
-                              "half-plane sector theta = pi/2, where tan(theta) is unbounded")
-        try:
-            self.params
-        except ValueError as exc:
-            raise ConfigError(f"carrier_freq_hz {self.carrier_freq_hz} with refractive_index "
-                              f"{self.refractive_index} gives a wavelength or wavenumber "
-                              "outside the float range") from exc
-        for name, to_linear, values in (("noise_dbm", dbm_to_watts, (self.noise_dbm,)),
-                                        ("gamma_db", db_to_linear, self.gamma_sweep())):
-            for v in values:
-                try:
-                    ok = 0 < to_linear(v) <= _MAX
-                except OverflowError:
-                    ok = False
-                if not ok:
-                    raise ConfigError(f"{name} must have a positive finite linear value, got {v}")
-        L = max(self.num_pas_sweep())
-        if (L - 1) * self.spacing > self.waveguide_length_m:
-            raise ConfigError(f"waveguide_length_m cannot fit {L} antennas {self.spacing} m apart")
-        for key, cls in _SUBCONFIG_TYPES.items():
-            if not isinstance(getattr(self, key), cls):
-                raise ConfigError(f"{key} must be a {cls.__name__}")
-
-    @property
-    def params(self) -> WaveformParams:
-        return WaveformParams.from_carrier(self.carrier_freq_hz, self.refractive_index)
-
-    @property
-    def spacing(self) -> float:
-        if self.min_spacing_m is not None:
-            return self.min_spacing_m
-        return self.params.wavelength / 2.0
-
-    @property
-    def noise_w(self) -> float:
-        return dbm_to_watts(self.noise_dbm)
-
-    @property
-    def theta_th(self) -> float:
-        return math.pi / self.psk_order
-
-    def gamma_sweep(self) -> tuple[float, ...]:
-        return _as_tuple(self.gamma_db)
-
-    def num_pas_sweep(self) -> tuple[int, ...]:
-        return _as_tuple(self.num_pas)
-
-
-def _check_keys(data: dict, cls, what: str) -> None:
-    unknown = set(data) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, rejecting unknown keys fail-fast."""
-    _check_keys(data, ExperimentConfig, "config")
-    kwargs = dict(data)
-    for key, cls in _SUBCONFIG_TYPES.items():
-        if key in kwargs:
-            sub = kwargs[key]
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{key} must be an object")
-            _check_keys(sub, cls, key)
-            try:
-                kwargs[key] = cls(**sub)
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-    for key in ("schemes", "gamma_db", "num_pas"):
-        if key in kwargs and isinstance(kwargs[key], list):
-            kwargs[key] = tuple(kwargs[key])
-    return ExperimentConfig(**kwargs)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # malformed JSON, or an integer too long to parse
-            raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top-level JSON must be an object")
-    return config_from_dict(data)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import math
 import sys
 from dataclasses import replace
 
-from .bench import EXPERIMENTS, ConfigError, emit_csv, load_config
+from .bench import EXPERIMENTS, emit_csv
+from .config import ConfigError, load_config
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -121,16 +121,13 @@ def make_geometry(
     min_spacing: float,
     num_pas_per_waveguide: int,
     users: Sequence[Vec3],
-    waveguide_y: Sequence[float] | None = None,
 ) -> SystemGeometry:
-    """Build a SystemGeometry with uniformly spread waveguides by default."""
-    if waveguide_y is None:
-        waveguide_y = uniform_waveguide_y(num_waveguides, region_side)
+    """Build a SystemGeometry with uniformly spread waveguides."""
     return SystemGeometry(
         region_side=region_side,
         height=height,
         num_waveguides=num_waveguides,
-        waveguide_y=tuple(waveguide_y),
+        waveguide_y=uniform_waveguide_y(num_waveguides, region_side),
         waveguide_length=waveguide_length,
         min_spacing=min_spacing,
         num_pas_per_waveguide=num_pas_per_waveguide,
@@ -193,18 +190,19 @@ class PlacementReport:
         return not self.violations
 
 
-def validate_placement(
-    geom: SystemGeometry, x_coords: np.ndarray, tol: float = 1e-9
-) -> PlacementReport:
+_PLACEMENT_TOL = 1e-9  # 1 nm, far under any spacing of interest
+
+
+def validate_placement(geom: SystemGeometry, x_coords: np.ndarray) -> PlacementReport:
     """Check an N x L placement matrix against the waveguide constraints.
 
     Reports every violated bound (entry outside [0, waveguide_length]) and
     every adjacent pair closer than min_spacing, with the violation magnitude.
-    Violations below tol (default 1 nm, far under any spacing of interest) are
-    treated as floating-point noise. The list is sorted by waveguide, then
-    range before spacing, then antenna.
+    Violations below _PLACEMENT_TOL (1 nm) are treated as floating-point
+    noise. The list is sorted by waveguide, then range before spacing, then
+    antenna.
     """
-    x = np.asarray(x_coords, dtype=float)
+    x, tol = np.asarray(x_coords, dtype=float), _PLACEMENT_TOL
     N, L = geom.num_waveguides, geom.num_pas_per_waveguide
     if x.shape != (N, L):
         raise ValueError(f"placement shape {x.shape} != ({N}, {L})")

@@ -18,16 +18,14 @@ of its warm start and a guide-wavelength grid over its cell.
 from __future__ import annotations
 
 import math
-import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
 
 from .channel import ChannelSnapshot, WaveformParams, ci_margin
+from .config import PGDConfig, SmoothingParams
 from .geometry import (MovableRegion, SystemGeometry, offset_distances, placement_cells,
                        validate_placement)
 
@@ -106,104 +104,6 @@ def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray
         waveguide_y=np.asarray(geom.waveguide_y)[n], height=geom.height,
         beta0=params.beta0, beta1=params.beta1, tan_th=math.tan(theta_th), mult=mult,
     )
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or unknown configuration content."""
-
-
-# How check_fields tests one value: its kind (int; float, any finite real;
-# tuple, a list), a lower bound that only a closed bound admits, an excluded
-# upper bound, and whether a non-empty list of such values may stand for it.
-Row = namedtuple("Row", "kind low closed high many", defaults=(None, False, None, False))
-
-# One row for each settable value of the four configs, by config class. The
-# rules that link fields stay in the classes. Counts stay below _COUNT, so an
-# absurd one fails here, not in numpy or in an endless loop.
-_COUNT = 2**31
-FIELDS = {
-    "ExperimentConfig": {
-        "carrier_freq_hz": Row(float, 0), "refractive_index": Row(float, 0),
-        "noise_dbm": Row(float), "region_side_m": Row(float, 0),
-        "height_m": Row(float, 0), "num_waveguides": Row(int, 0, high=_COUNT),
-        "num_users": Row(int, 0, high=_COUNT),
-        "psk_order": Row(int, 2, closed=True, high=_COUNT),
-        "num_pas": Row(int, 0, high=_COUNT, many=True), "gamma_db": Row(float, many=True),
-        "waveguide_length_m": Row(float, 0), "min_spacing_m": Row(float, 0, closed=True),
-        "trials": Row(int, 0), "master_seed": Row(int, 0, closed=True),
-        "schemes": Row(tuple),
-    },
-    "SmoothingParams": {"kappa": Row(float, 0), "floor": Row(float, 0)},
-    "PGDConfig": {
-        "max_iters": Row(int, 0), "step_tol": Row(float, 0), "init_step": Row(float, 0),
-        "armijo_c1": Row(float, 0), "shrink": Row(float, 0, high=1),
-        "max_backtracks": Row(int, 0), "restarts": Row(int, 0, closed=True),
-    },
-    "AOConfig": {"max_iters": Row(int, 0, closed=True), "rel_tol": Row(float, 0)},
-}
-_KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
-          tuple: ((tuple, list), "a list of names")}
-_MAX = sys.float_info.max
-
-
-def _as_tuple(v) -> tuple:
-    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
-
-
-def check_fields(cfg, skip=()) -> None:
-    """Raise ConfigError naming the first field of cfg, outside skip, that
-    breaks its FIELDS row."""
-    for name, (kind, low, closed, high, many) in FIELDS[type(cfg).__name__].items():
-        if name in skip:
-            continue
-        values = _as_tuple(getattr(cfg, name)) if many else (getattr(cfg, name),)
-        if not values:
-            raise ConfigError(f"{name} must not be empty")
-        for v in values:
-            # Exact type tests first: the ABC checks cost about a microsecond
-            # each, and every dataclasses.replace of a config runs this.
-            t = type(v)
-            if not (t is kind or t is int and kind is float
-                    or t is not bool and isinstance(v, _KINDS[kind][0])):
-                raise ConfigError(f"{name} must be {_KINDS[kind][1]}, got {v!r}")
-            # exact comparisons, so an int beyond the float range is not finite
-            if kind is float and not -_MAX <= v <= _MAX:
-                raise ConfigError(f"{name} must be a finite number")
-            if low is not None and not (v >= low if closed else v > low):
-                bound = (("non-negative" if closed else "positive") if low == 0
-                         else f"{'at least' if closed else 'greater than'} {low}")
-                raise ConfigError(f"{name} must be {bound}, got {v!r}")
-            if high is not None and not v < high:
-                raise ConfigError(f"{name} must be less than {high}, got {v!r}")
-
-
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Log-sum-exp temperature policy: per subproblem, kappa times the largest
-    branch magnitude at the warm start, floored."""
-
-    kappa: float = 1e-3
-    floor: float = 1e-15
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass(frozen=True)
-class PGDConfig:
-    """Projected-gradient settings: iteration/step limits and the
-    Armijo-Goldstein backtracking schedule."""
-
-    max_iters: int = 200
-    step_tol: float = 1e-6
-    init_step: float = 0.1
-    armijo_c1: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 40
-    restarts: int = 0  # extra evenly spaced starts per region (0 = warm start only)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def _pair_parts(terms: SubproblemTerms, x):

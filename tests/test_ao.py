@@ -295,6 +295,6 @@ class TestAoSolve:
         geom, symbols = scenario(35, num_users=3)
         _, _, trace = ao_solve(geom, PARAMS, symbols, np.full(3, 100.0), NOISE_W, THETA,
                                fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=2))
-        assert trace.iterations >= 1
+        assert len(trace.powers) >= 2
         assert m_axes and set(m_axes) == {1}
         assert mults == {3.0}

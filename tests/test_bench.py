@@ -10,21 +10,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinchslp.bench import (
-    SCHEMES,
-    ConfigError,
-    ExperimentConfig,
     ExperimentRecord,
-    config_from_dict,
     emit_csv,
     generate_scenario,
-    load_config,
     run_convergence,
     run_power_vs_numpas,
     run_power_vs_sinr,
 )
-from pinchslp.ao import AOConfig, ao_solve, fixed_uniform_placement
+from pinchslp.ao import ao_solve, fixed_uniform_placement
 from pinchslp.cli import main as cli_main
-from pinchslp.placement import FIELDS, PGDConfig, SmoothingParams, optimize_all_positions
+from pinchslp.config import (
+    FIELDS,
+    SCHEMES,
+    AOConfig,
+    ConfigError,
+    ExperimentConfig,
+    PGDConfig,
+    SmoothingParams,
+    config_from_dict,
+    load_config,
+)
+from pinchslp.placement import optimize_all_positions
 from pinchslp.precoder import InfeasibleProblemError, db_to_linear, recover_beam_matrix
 
 FAST = dict(
@@ -623,14 +629,14 @@ GOLDEN_AO = {
     (7, 1, 10.0, AOConfig()): "5690da8660da5856dbaf5d281a435b0e496871045bc6cf5f51afba271bae01ef",
     (7, 1, 20.0, AOConfig()): "06ca7168620ef33b5120a97c7d6dd92514401f3816b0410e5e6a55c844cdfff9",
     # round 0 only; stopped at the round limit; a looser tolerance, which on
-    # this trial stops at the same rejected round 4 as the default (L3-t1-20dB,
-    # L5-t1-10dB and L7-t1-10dB stop on an accepted round)
+    # this trial stops at accepted round 2 where the default stops at rejected
+    # round 4 (L3-t1-20dB, L5-t1-10dB and L7-t1-10dB stop on an accepted round)
     (3, 0, 10.0, AOConfig(max_iters=0)):
         "6f179cf8eff63d4bef342aeb5e5d8687716612ad9dd4325910ba706bea5a10c3",
     (3, 0, 10.0, AOConfig(max_iters=2)):
         "75e1dabf0cc9960606bc02309947cb7d844bb6e1f59a14ec851edccc868e2c12",
-    (3, 0, 10.0, AOConfig(rel_tol=1e-2)):
-        "bc3a06e88a9e479c88503978391b6c69ee8b1fea4eb2df196e59ff9dc1a80e89",
+    (5, 0, 10.0, AOConfig(rel_tol=1e-2)):
+        "376bcbf7ef6e759d56140995e5592b455057783258db777de5e68e0b9458da46",
 }
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pinchslp
 import pinchslp.bench
+import pinchslp.cli
+import pinchslp.config
 import pinchslp.oracles
 
 # The names `from pinchslp import *` exports: the literal __all__ must equal
@@ -51,6 +53,7 @@ def test_removed_names_are_gone_from_the_library():
         assert not hasattr(pinchslp, name), name
         assert not any(hasattr(m, name) for m in modules), name
     assert not hasattr(pinchslp.geometry.Vec3, "as_array")
+    assert not hasattr(pinchslp.AOTrace, "iterations")
     # unread state and second copies of the CSV columns
     assert not hasattr(pinchslp.oracles, "OracleReport")
     assert not any(hasattr(pinchslp.bench, name) for name in ("CSV_HEADER", "_fmt"))
@@ -100,3 +103,64 @@ def test_oracles_import_only_allowed_names():
     assert imports  # the scan sees the relative imports
     for module, name in imports:
         assert name in ORACLE_IMPORTS, f"oracles.py imports {name!r} from {module!r}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    for path in SRC.glob("*.py"):
+        for module, name in _library_imports(path):
+            assert not (name or "").startswith("_"), f"{path.name} imports {name!r} from {module!r}"
+
+
+# What config.py may take from the library: the carrier-derived constants an
+# ExperimentConfig reports, and the dB conversions its checks apply. It sits
+# below every module that reads a config.
+CONFIG_IMPORTS = {"WaveformParams", "db_to_linear", "dbm_to_watts"}
+
+# The config decision, what may be set and what a valid value is: defined in
+# config.py alone.
+CONFIG_NAMES = {
+    "ConfigError", "Row", "FIELDS", "check_fields", "_COUNT", "_KINDS", "_MAX", "_as_tuple",
+    "SmoothingParams", "PGDConfig", "AOConfig", "SCHEMES", "ExperimentConfig",
+    "config_from_dict", "load_config",
+}
+
+
+def _top_level_names(path):
+    """Names a source file binds at module level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_config_imports_only_allowed_names():
+    imports = _library_imports(SRC / "config.py")
+    assert imports
+    for module, name in imports:
+        assert name in CONFIG_IMPORTS, f"config.py imports {name!r} from {module!r}"
+
+
+def test_config_decision_lives_in_config_alone():
+    for path in SRC.glob("*.py"):
+        defined = _top_level_names(path) & CONFIG_NAMES
+        assert defined == (CONFIG_NAMES if path.name == "config.py" else set()), path.name
+        if path.name != "config.py":
+            assert ("config", "check_fields") not in _library_imports(path), path.name
+
+
+def test_config_objects_keep_their_import_paths():
+    config = pinchslp.config
+    classes = (config.SmoothingParams, config.PGDConfig, config.AOConfig, config.ExperimentConfig)
+    for obj in (config.ConfigError, config.Row, config.check_fields, *classes):
+        assert obj.__module__ == "pinchslp.config", obj
+    assert set(config.FIELDS) == {cls.__name__ for cls in classes}
+    # the paths tests/test_acceptance.py, tests/test_ao.py and perfbench import
+    assert pinchslp.placement.PGDConfig is config.PGDConfig
+    assert pinchslp.placement.SmoothingParams is config.SmoothingParams
+    assert pinchslp.bench.ExperimentConfig is config.ExperimentConfig
+    assert pinchslp.ao.AOConfig is config.AOConfig
+    assert pinchslp.cli.load_config is config.load_config
