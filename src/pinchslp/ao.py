@@ -110,7 +110,7 @@ def conventional_array_snapshot(
     """
     ax = np.arange(geom.num_waveguides) * (params.wavelength / 2.0)
     ux, uy = geom.user_xy[:, 0], geom.user_xy[:, 1]
-    dist = distances(ux, uy, ax, geom.region_side / 2.0, geom.height).T  # [k, i]
+    dist = distances(ux, uy, ax, geom.region_side / 2.0, geom.height)  # [k, i]
     raw = params.eta * np.exp(-1j * params.beta0 * dist) / dist
     return ChannelSnapshot(
         effective=raw, raw=raw[:, :, None], distances=dist[:, :, None]

@@ -85,7 +85,7 @@ def effective_channels(
     if x.shape != (N, L):
         raise ValueError(f"placement shape {x.shape} != ({N}, {L})")
     ux, uy, wy = geom.user_xy[:, 0], geom.user_xy[:, 1], np.asarray(geom.waveguide_y)[:, None]
-    dist = distances(ux, uy, x, wy, geom.height).transpose(2, 0, 1)  # [k, n, l]
+    dist = distances(ux, uy, x, wy, geom.height)  # [k, n, l]
     raw = params.eta * np.exp(-1j * params.beta0 * dist) / dist
     guide = np.exp(-1j * params.beta1 * x) / math.sqrt(L)
     effective = np.einsum("knl,nl->kn", raw, guide)

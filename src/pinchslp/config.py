@@ -31,7 +31,9 @@ Row = namedtuple("Row", "kind low closed high many", defaults=(None, False, None
 
 # One row for each settable value of the four configs, by config class. The
 # rules that link fields stay in the classes. Counts stay below _COUNT, so an
-# absurd one fails here, not in numpy or in an endless loop.
+# absurd one fails here, not in numpy or in an endless loop. The PGD step
+# schedule holds max_backtracks + 1 steps and each row runs 1 + restarts
+# starts, so those two stay far below it.
 _COUNT = 2**31
 FIELDS = {
     "ExperimentConfig": {
@@ -49,7 +51,7 @@ FIELDS = {
     "PGDConfig": {
         "max_iters": Row(int, 0), "step_tol": Row(float, 0), "init_step": Row(float, 0),
         "armijo_c1": Row(float, 0), "shrink": Row(float, 0, high=1),
-        "max_backtracks": Row(int, 0), "restarts": Row(int, 0, closed=True),
+        "max_backtracks": Row(int, 0, high=2**12), "restarts": Row(int, 0, closed=True, high=2**10),
     },
     "AOConfig": {"max_iters": Row(int, 0, closed=True), "rel_tol": Row(float, 0)},
 }
@@ -176,6 +178,12 @@ class ExperimentConfig:
                     ok = False
                 if not ok:
                     raise ConfigError(f"{name} must have a positive finite linear value, got {v}")
+        # the longest user-to-antenna distance, squared as the channel squares it
+        far = (max(self.region_side_m, self.waveguide_length_m), self.region_side_m, self.height_m)
+        if not sum(float(v) * float(v) for v in far) <= _MAX:
+            raise ConfigError("region_side_m, waveguide_length_m and height_m must keep the "
+                              "squared user-to-antenna distance finite, got "
+                              f"{self.region_side_m}, {self.waveguide_length_m}, {self.height_m}")
         L = max(self.num_pas_sweep())
         if (L - 1) * self.spacing > self.waveguide_length_m:
             raise ConfigError(f"waveguide_length_m cannot fit {L} antennas {self.spacing} m apart")

@@ -101,10 +101,11 @@ class SystemGeometry:
 def distances(ux: np.ndarray, uy: np.ndarray, x, y, height: float) -> np.ndarray:
     """Distances from ground users at (ux, uy, 0) to antennas at (x, y, height).
 
-    x and y broadcast against each other; the users go on a new last axis.
+    x and y broadcast against each other; the users go on a new first axis
+    (a view: in memory they stay last, which fixes the summation order).
     """
-    return offset_distances(ux, np.asarray(x)[..., None], (uy - np.asarray(y)[..., None]) ** 2,
-                            height**2)
+    dy2 = (uy - np.asarray(y)[..., None]) ** 2
+    return np.moveaxis(offset_distances(ux, np.asarray(x)[..., None], dy2, height**2), -1, 0)
 
 
 def offset_distances(ux: np.ndarray, x, dy2, h2: float) -> np.ndarray:

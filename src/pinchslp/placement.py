@@ -34,16 +34,16 @@ from .geometry import (MovableRegion, SystemGeometry, offset_distances, placemen
 class SubproblemTerms:
     """Constant data of one antenna's position subproblem, or of a stack of them.
 
-    amp[..., m] is the beam amplitude |w_{m,n}| on the waveguide; phase_off[..., m, k]
+    amp[m] is the beam amplitude |w_{m,n}| on the waveguide; phase_off[m, k]
     the phase offset angle(w_{m,n}) + angle(s_m) - angle(s_k); user_x/user_y
     the user plane coordinates. Together with the waveguide y, height, and the
     two wavenumbers these determine every g-term as a function of the antenna
-    coordinate x. An optional leading row axis on amp, phase_off and
-    waveguide_y stacks independent subproblems that share the users; a
-    position array then carries the row axis last, after any candidate axes.
-    mult counts how many identical copies each m row stands for: the objective
-    and gradient multiply their pair sum by it, outside the log-sum-exp, so a
-    given eps keeps its meaning (see build_subproblem_terms).
+    coordinate x. An optional last row axis on amp, phase_off and waveguide_y
+    stacks independent subproblems that share the users; a position array
+    carries it last too, after any candidate axes. mult counts how many
+    identical copies each m row stands for: the objective and gradient
+    multiply their pair sum by it, outside the log-sum-exp, so a given eps
+    keeps its meaning (see build_subproblem_terms).
     """
 
     amp: np.ndarray
@@ -62,22 +62,19 @@ class SubproblemTerms:
         return self.user_x.size
 
     @cached_property
-    def pair_consts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """amp (m, rows), phase_off (m, k, rows) and dy2 = (user_y - waveguide_y)**2
-        (k, rows), with the pair axes first and the row axis last (if stacked)."""
-        dy2 = (self.user_y - np.asarray(self.waveguide_y)[..., None]) ** 2
-        return tuple(np.moveaxis(a, 0, -1) if a.ndim > n else a
-                     for a, n in ((self.amp, 1), (self.phase_off, 2), (dy2, 1)))
+    def dy2(self) -> np.ndarray:
+        """(user_y - waveguide_y)**2, (k) or (k, rows)."""
+        return np.subtract.outer(self.user_y, self.waveguide_y) ** 2
 
     def rows(self, idx) -> SubproblemTerms:
         """The stacked subproblems that the row indices idx select (or unstacked
-        terms as one row for idx = np.newaxis), with their pair_consts."""
-        def pick(a, axis):  # take is much cheaper than fancy indexing on small arrays
-            return np.expand_dims(a, axis) if idx is None else a.take(idx, axis)
-        out = SubproblemTerms(pick(self.amp, 0), pick(self.phase_off, 0), self.user_x,
-                              self.user_y, pick(np.asarray(self.waveguide_y), 0), self.height,
-                              self.beta0, self.beta1, self.tan_th, self.mult)
-        out.__dict__["pair_consts"] = tuple(pick(a, -1) for a in self.pair_consts)
+        terms as one row for idx = np.newaxis), with their dy2."""
+        def pick(a):  # take is much cheaper than fancy indexing on small arrays
+            return np.expand_dims(a, -1) if idx is None else a.take(idx, -1)
+        out = SubproblemTerms(pick(self.amp), pick(self.phase_off), self.user_x, self.user_y,
+                              pick(np.asarray(self.waveguide_y)), self.height, self.beta0,
+                              self.beta1, self.tan_th, self.mult)
+        out.__dict__["dy2"] = pick(self.dy2)
         return out
 
 
@@ -91,13 +88,14 @@ def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray
     unit-modulus (PSK) symbols their K rows m are equal, amp |x_n|/K and phase
     angle(x_n) - angle(s_k), so one row is kept with mult = K.
     """
+    m = np.arange(s.size).reshape((-1,) + (1,) * np.ndim(n))  # users m first, rows n last
+    ang_s = np.angle(s)[m]
     if np.ndim(W) == 1:
-        x_n, mult = W[n, None], float(s.size)
-        amp, phase_off = np.abs(x_n) / mult, np.angle(x_n)[..., None] - np.angle(s)
+        w, mult = W[None, n], float(s.size)
+        amp, phase_off = np.abs(w) / mult, np.angle(w)[:, None] - ang_s
     else:
-        w_row, mult = W[n, :], 1.0  # w_{m,n} over users m
-        amp = np.abs(w_row)
-        phase_off = np.angle(w_row)[..., :, None] + np.angle(s)[:, None] - np.angle(s)[None, :]
+        w, mult = W[n, m], 1.0  # w_{m,n} over users m
+        amp, phase_off = np.abs(w), np.angle(w)[:, None] + ang_s[:, None] - ang_s
     return SubproblemTerms(
         amp=amp, phase_off=phase_off,
         user_x=geom.user_xy[:, 0], user_y=geom.user_xy[:, 1],
@@ -110,7 +108,7 @@ def _pair_parts(terms: SubproblemTerms, x):
     """g = (g_im, g_re) of every (m, k) pair, (2, m, k, *x.shape), and the user
     distances q, (k, *x.shape): pair axes first, so ufuncs run over x's axes."""
     x = np.asarray(x, dtype=float)
-    amp, off, dy2 = terms.pair_consts
+    amp, off, dy2 = terms.amp, terms.phase_off, terms.dy2
     pad = (1,) * (x.ndim - (amp.ndim - 1))  # the candidate axes of x
     K = terms.num_users
     q = offset_distances(terms.user_x.reshape((K,) + (1,) * x.ndim), x,
@@ -132,12 +130,11 @@ def _pair_sum(v):
 
 def _all_branches(terms: SubproblemTerms, x):
     """phi-bar = g_im - t*g_re and phi-hat = -g_im - t*g_re for every (m, k)
-    pair, with the g-components and distances they came from, on trailing
-    (m, k) and (k) axes; x may carry candidate axes before the rows."""
+    pair, with the g-components and distances they came from, as _pair_parts
+    lays them out: (m, k, *x.shape) and q (k, *x.shape)."""
     (g_im, g_re), q = _pair_parts(terms, x)
     base = g_re * -terms.tan_th
-    out = (g_im + base, base - g_im, g_im, g_re)
-    return (*(np.moveaxis(v, (0, 1), (-2, -1)) for v in out), np.moveaxis(q, 0, -1))
+    return g_im + base, base - g_im, g_im, g_re, q
 
 
 def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
@@ -253,7 +250,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     single = np.ndim(terms.waveguide_y) == 0
     if single:  # one row
         terms = terms.rows(np.newaxis)
-    n, starts = terms.amp.shape[0], 1 + cfg.restarts
+    n, starts = terms.amp.shape[-1], 1 + cfg.restarts
     lower, upper, eps = (np.tile(np.broadcast_to(np.asarray(v, dtype=float), n), starts)
                          for v in (*region, eps))
     x = np.broadcast_to(np.asarray(x_init, dtype=float), n)

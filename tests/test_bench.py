@@ -437,9 +437,22 @@ class TestCli:
         ({"psk_order": 10**30}, "psk_order must be less than 2147483648, got 1000"),
         ({"num_waveguides": 10**30}, "num_waveguides must be less than 2147483648, got 1000"),
         ({"num_pas": [3, 2**31]}, "num_pas must be less than 2147483648, got 2147483648"),
+        ({"height_m": 1e200}, "region_side_m, waveguide_length_m and height_m must keep the "
+                              "squared user-to-antenna distance finite, got 20.0, 20.0, 1e+200"),
+        ({"region_side_m": 1e200}, "squared user-to-antenna distance finite, got 1e+200, 20.0"),
+        ({"waveguide_length_m": 1e300}, "squared user-to-antenna distance finite, got 20.0, 1e+300"),
+        ({"pgd": {"max_backtracks": 2**40}},
+         "pgd: max_backtracks must be less than 4096, got 1099511627776"),
+        ({"pgd": {"max_backtracks": 2**31 - 1}},
+         "pgd: max_backtracks must be less than 4096, got 2147483647"),
+        ({"pgd": {"restarts": 2**40}}, "pgd: restarts must be less than 1024, got 1099511627776"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
+        # rejected while the config is read, before a run allocates anything
+        with open(cfg) as fh, pytest.raises(ConfigError) as exc:
+            config_from_dict(json.load(fh))
+        assert message in str(exc.value)
         code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
                          "--out", str(tmp_path / "r.csv")])
         assert code == 2

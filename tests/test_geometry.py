@@ -90,15 +90,15 @@ class TestUserPaDistance:
         px, py = rng.uniform(0, 20, (2, 100))
         assert np.all(distances(one(7), one(3), px, py, 5.0) >= best)
 
-    def test_users_on_last_axis(self):
+    def test_users_on_first_axis(self):
         rng = np.random.default_rng(5)
         ux, uy = rng.uniform(0, 20, (2, 3))
         x, y = rng.uniform(0, 20, (2, 4)), rng.uniform(0, 20, (2, 1))
         d = distances(ux, uy, x, y, 5.0)
-        assert d.shape == (2, 4, 3)
-        for n, l, k in np.ndindex(d.shape):
+        assert d.shape == (3, 2, 4)
+        for k, n, l in np.ndindex(d.shape):
             expected = math.hypot(ux[k] - x[n, l], uy[k] - y[n, 0], 5.0)
-            assert d[n, l, k] == pytest.approx(expected, rel=1e-14)
+            assert d[k, n, l] == pytest.approx(expected, rel=1e-14)
 
 
 class TestUserXy:

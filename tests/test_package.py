@@ -1,6 +1,9 @@
 import ast
 from dataclasses import fields
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 import pinchslp
 import pinchslp.bench
@@ -57,6 +60,16 @@ def test_removed_names_are_gone_from_the_library():
     # unread state and second copies of the CSV columns
     assert not hasattr(pinchslp.oracles, "OracleReport")
     assert not any(hasattr(pinchslp.bench, name) for name in ("CSV_HEADER", "_fmt"))
+
+
+def test_users_and_pairs_come_first():
+    # one axis order: user and pair axes first, stacked rows last; the only
+    # cached subproblem data is dy2, not a second copy of amp and phase_off
+    cached = {name for name, v in vars(pinchslp.SubproblemTerms).items()
+              if isinstance(v, cached_property)}
+    assert cached == {"dy2"}
+    d = pinchslp.geometry.distances(np.zeros(3), np.zeros(3), np.zeros((2, 4)), 0.0, 1.0)
+    assert d.shape == (3, 2, 4)
 
 
 def test_qp_and_symbols_hold_only_their_data():

@@ -252,10 +252,10 @@ class TestSubproblemObjective:
                 xs = rng.uniform(0, 20, (8, 4))
                 for eps in (np.full(4, 1e-9), pick_eps(terms, xs[0], SmoothingParams()), 1e-3):
                     bar, hat, *_ = _all_branches(terms, xs)
-                    e = np.asarray(eps)[..., None, None]
-                    pairs = bar.shape[-2] * bar.shape[-1]
-                    upper = np.maximum(bar, hat).sum(axis=(-2, -1)) + pairs * eps * math.log(2)
-                    size = (np.abs(bar) + np.abs(hat) + e).sum(axis=(-2, -1))
+                    e = np.asarray(eps)
+                    pairs = bar.shape[0] * bar.shape[1]
+                    upper = np.maximum(bar, hat).sum(axis=(0, 1)) + pairs * eps * math.log(2)
+                    size = (np.abs(bar) + np.abs(hat) + e).sum(axis=(0, 1))
                     f = subproblem_objective(terms, xs, eps)
                     assert np.all(f <= terms.mult * (upper + (pairs + 8) * U * size))
                     assert np.all(f >= terms.mult * (upper - pairs * eps * math.log(2)
@@ -274,7 +274,7 @@ class TestSubproblemObjective:
 def zero_collapsed_rows(rows=3, num_users=4):
     """Stacked collapsed terms (one m row, mult = K) whose beams are all zero."""
     base = zero_terms(num_users)
-    return replace(base, amp=np.zeros((rows, 1)), phase_off=np.zeros((rows, 1, num_users)),
+    return replace(base, amp=np.zeros((1, rows)), phase_off=np.zeros((1, num_users, rows)),
                    waveguide_y=np.linspace(4.0, 16.0, rows), mult=float(num_users))
 
 
@@ -692,8 +692,8 @@ def stack_rows(rows):
     """Stack one-row terms that share their users into one SubproblemTerms."""
     return replace(
         rows[0],
-        amp=np.stack([t.amp for t in rows]),
-        phase_off=np.stack([t.phase_off for t in rows]),
+        amp=np.stack([t.amp for t in rows], axis=-1),
+        phase_off=np.stack([t.phase_off for t in rows], axis=-1),
         waveguide_y=np.array([t.waveguide_y for t in rows]),
     )
 
@@ -1002,7 +1002,7 @@ class TestRankOneCollapse:
         # to the kernels
         for seed in range(4):
             gen, col, rng = rank_one_terms(seed, K, np.arange(4))
-            assert (col.amp.shape, col.phase_off.shape, col.mult) == ((4, 1), (4, 1, K), K)
+            assert (col.amp.shape, col.phase_off.shape, col.mult) == ((1, 4), (1, K, 4), K)
             assert gen.mult == 1.0
             xs = rng.uniform(0, 20, (8, 4))  # 8 candidates for each of the 4 rows
             bar, hat, g_im, g_re, q = _all_branches(gen, xs)
@@ -1014,20 +1014,20 @@ class TestRankOneCollapse:
             if fixed_eps is None:
                 smoothing = SmoothingParams()
                 eps = pick_eps(gen, xs[0], smoothing)
-                tol = smoothing.kappa * (1 + t) * delta * r[0].max(axis=(-2, -1)) + 2 * U * eps
+                tol = smoothing.kappa * (1 + t) * delta * r[:, :, 0].max(axis=(0, 1)) + 2 * U * eps
                 assert np.all(np.abs(pick_eps(col, xs[0], smoothing) - eps) <= tol)
             else:
                 eps = fixed_eps
-            e = np.asarray(eps)[..., None, None]
+            e = np.asarray(eps)
 
             size = (1 + t) * r + e * math.log(2)
-            tol = ((1 + t) * delta * r + (K * K + 8) * U * size).sum(axis=(-2, -1))
+            tol = ((1 + t) * delta * r + (K * K + 8) * U * size).sum(axis=(0, 1))
             parts = _pair_parts(gen, xs)
             f = subproblem_objective(gen, xs, eps, parts)
             assert np.all(np.abs(subproblem_objective(col, xs, eps) - f) <= tol)
 
             C = (1 + t) * (gen.beta0 + gen.beta1 + 1 / q.min())
-            tol = (C * r * (delta * (1 + (1 + t) * r / e) + (K * K + 8) * U)).sum(axis=(-2, -1))
+            tol = (C * r * (delta * (1 + (1 + t) * r / e) + (K * K + 8) * U)).sum(axis=(0, 1))
             g = subproblem_gradient(gen, xs, eps, parts)
             assert np.all(np.abs(subproblem_gradient(col, xs, eps) - g) <= tol)
 
@@ -1048,10 +1048,10 @@ class TestRankOneCollapse:
 
     def test_rows_carry_mult_and_cached_constants(self, monkeypatch):
         _, col, _ = rank_one_terms(0, 4, np.arange(4))
-        consts = col.pair_consts
+        consts = col.amp, col.phase_off, col.dy2
         sub = col.rows(np.array([2, 0, 2]))
         assert sub.mult == 4.0
-        for got, want in zip(sub.__dict__["pair_consts"], consts):
+        for got, want in zip((sub.amp, sub.phase_off, sub.__dict__["dy2"]), consts):
             assert np.array_equal(got, want[..., [2, 0, 2]])
         # pgd_solve stacks its restart starts as extra rows, with the cached
         # constants of their rows
@@ -1066,8 +1066,8 @@ class TestRankOneCollapse:
         pgd_solve(col, MovableRegion(np.zeros(4), np.full(4, 8.0)), eps, PGDConfig(restarts=2),
                   np.full(4, 3.0))
         rows = seen[0]
-        assert rows.amp.shape == (12, 1) and rows.mult == 4.0
-        for got, want in zip(rows.__dict__["pair_consts"], consts):
+        assert rows.amp.shape == (1, 12) and rows.mult == 4.0
+        for got, want in zip((rows.amp, rows.phase_off, rows.__dict__["dy2"]), consts):
             assert np.array_equal(got, np.concatenate([want] * 3, axis=-1))
 
 
@@ -1087,23 +1087,23 @@ class TestSoftAbsForm:
                 t, b0, b1 = terms.tan_th, terms.beta0, terms.beta1
                 for kappa in (1e-3, 0.1, 1.0):
                     eps = pick_eps(terms, xs[0], SmoothingParams(kappa=kappa))
-                    e = eps[:, None, None]
+                    e = eps
                     bar, hat, *_ = _all_branches(terms, xs)
-                    ref = (e * np.logaddexp(bar / e, hat / e)).sum(axis=(-2, -1))
-                    size = (np.abs(bar) + np.abs(hat) + e).sum(axis=(-2, -1))
+                    ref = (e * np.logaddexp(bar / e, hat / e)).sum(axis=(0, 1))
+                    size = (np.abs(bar) + np.abs(hat) + e).sum(axis=(0, 1))
                     f = subproblem_objective(terms, xs, eps)
                     assert np.all(np.abs(f - terms.mult * ref) <= 1e-12 * terms.mult * size)
 
                     bar, hat, g_im, g_re, q = _all_branches(terms, xs[0])
-                    dq, qk = ((xs[0][:, None] - terms.user_x) / q)[:, None], q[:, None]
+                    dq, qk = (xs[0] - terms.user_x[:, None]) / q, q
                     dbar = (g_re * (dq * (-b0 + t / qk) - b1)
                             - g_im * (dq * (b0 * t + 1 / qk) + b1 * t))
                     dhat = (g_re * (dq * (b0 + t / qk) + b1)
                             - g_im * (dq * (b0 * t - 1 / qk) + b1 * t))
                     with np.errstate(over="ignore"):
                         w = 1.0 / (1.0 + np.exp((hat - bar) / e))  # softmax weight of bar
-                    ref = (w * dbar + (1.0 - w) * dhat).sum(axis=(-2, -1))
-                    size = (np.abs(dbar) + np.abs(dhat)).sum(axis=(-2, -1))
+                    ref = (w * dbar + (1.0 - w) * dhat).sum(axis=(0, 1))
+                    size = (np.abs(dbar) + np.abs(dhat)).sum(axis=(0, 1))
                     g = subproblem_gradient(terms, xs[0], eps)
                     assert np.all(np.abs(g - terms.mult * ref) <= 1e-12 * terms.mult * size)
 
