@@ -178,12 +178,21 @@ class ExperimentConfig:
                     ok = False
                 if not ok:
                     raise ConfigError(f"{name} must have a positive finite linear value, got {v}")
-        # the longest user-to-antenna distance, squared as the channel squares it
-        far = (max(self.region_side_m, self.waveguide_length_m), self.region_side_m, self.height_m)
+        eta = self.params.eta  # the channel amplitude scale; powers divide by its square
+        if not 0 < eta * eta <= _MAX:
+            raise ConfigError(f"carrier_freq_hz {self.carrier_freq_hz} gives a channel scale "
+                              f"eta = {eta} whose square is outside the float range")
+        # the longest user-to-antenna distance, squared as the channel squares it; the
+        # conventional array's farthest radiator sits (N - 1) half wavelengths out
+        span = (self.num_waveguides - 1) * (self.params.wavelength / 2.0)
+        far = (max(self.region_side_m, self.waveguide_length_m, span), self.region_side_m,
+               self.height_m)
         if not sum(float(v) * float(v) for v in far) <= _MAX:
             raise ConfigError("region_side_m, waveguide_length_m and height_m must keep the "
                               "squared user-to-antenna distance finite, got "
-                              f"{self.region_side_m}, {self.waveguide_length_m}, {self.height_m}")
+                              f"{self.region_side_m}, {self.waveguide_length_m}, {self.height_m}"
+                              f"; the conventional array at carrier_freq_hz "
+                              f"{self.carrier_freq_hz} spans {span} m")
         L = max(self.num_pas_sweep())
         if (L - 1) * self.spacing > self.waveguide_length_m:
             raise ConfigError(f"waveguide_length_m cannot fit {L} antennas {self.spacing} m apart")

@@ -12,7 +12,9 @@ from the current placement and keep neighbours apart, so one sweep is a single
 stack of independent rows stepping together, held with the (m, k) pair axes
 first and the candidate and row axes last. The subproblem is quasi-periodic
 in the guide wavelength, so the first AO sweep starts each row at the best
-of its warm start and a guide-wavelength grid over its cell.
+of its warm start and a guide-wavelength grid over its cell. The grid only
+ranks starts, so it takes sine and cosine in float32 of a phase reduced in
+float64; PGD and every reported value stay float64.
 """
 
 from __future__ import annotations
@@ -104,9 +106,10 @@ def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray
     )
 
 
-def _pair_parts(terms: SubproblemTerms, x):
+def _pair_parts(terms: SubproblemTerms, x, ranking=False):
     """g = (g_im, g_re) of every (m, k) pair, (2, m, k, *x.shape), and the user
-    distances q, (k, *x.shape): pair axes first, so ufuncs run over x's axes."""
+    distances q, (k, *x.shape): pair axes first, so ufuncs run over x's axes.
+    ranking takes sine and cosine in float32, of the phase reduced in float64."""
     x = np.asarray(x, dtype=float)
     amp, off, dy2 = terms.amp, terms.phase_off, terms.dy2
     pad = (1,) * (x.ndim - (amp.ndim - 1))  # the candidate axes of x
@@ -116,6 +119,8 @@ def _pair_parts(terms: SubproblemTerms, x):
     ang = (-terms.beta0 * q - terms.beta1 * x) + off.reshape(off.shape[:2] + pad + off.shape[2:])
     scale = amp.reshape(amp.shape[:1] + (1,) + pad + amp.shape[1:]) / q
     g = np.empty((2,) + ang.shape)
+    if ranking:
+        ang = (ang - np.rint(ang * (0.5 / math.pi)) * (2 * math.pi)).astype(np.float32)
     np.multiply(scale, np.sin(ang, out=g[0]), out=g[0])
     np.multiply(scale, np.cos(ang, out=g[1]), out=g[1])
     return g, q
@@ -313,12 +318,14 @@ def _grid_start(terms, lower, upper, eps, spacing, x_warm):
     """Per row, the first minimum of the smoothed objective in the sequence
     x_warm, lower, lower + spacing, lower + 2*spacing, ... (clamped to upper,
     up to upper itself), evaluated in chunks of about _GRID_CHUNK (point, row)
-    entries with a running best per row."""
-    x, best, cols = x_warm.copy(), subproblem_objective(terms, x_warm, eps), np.arange(x_warm.size)
+    entries with a running best per row, valued by _pair_parts(ranking=True)."""
+    def rank(x):
+        return subproblem_objective(terms, x, eps, _pair_parts(terms, x, ranking=True))
+    x, best, cols = x_warm.copy(), rank(x_warm), np.arange(x_warm.size)
     points, per = math.ceil(np.max(upper - lower) / spacing) + 1, max(1, _GRID_CHUNK // cols.size)
     for j in range(0, points, per):
         grid = np.minimum(lower + np.arange(j, min(j + per, points))[:, None] * spacing, upper)
-        vals = subproblem_objective(terms, grid, eps)
+        vals = rank(grid)
         i = vals.argmin(axis=0)
         win = vals[i, cols] < best
         x[win], best[win] = grid[i, cols][win], vals[i, cols][win]

@@ -161,10 +161,13 @@ def solve_min_power(qp: QPInstance) -> QPSolution:
             p = int(np.argmin(margins))
             if margins[p] >= -_VIOLATION * max(scale, float(np.abs(mu).sum())):
                 break
-        Q, R = np.linalg.qr(An[active].T)
-        c = Q.T @ An[p]
-        d = An[p] - Q @ c
-        r = np.linalg.solve(R, c)
+        if active:
+            Q, R = np.linalg.qr(An[active].T)
+            c = Q.T @ An[p]
+            d = An[p] - Q @ c
+            r = np.linalg.solve(R, c)
+        else:  # the first step: nothing to project out
+            d, r = An[p], np.empty(0)
         dd = float(d @ d)
         full = (bn[p] - An[p] @ z) / dd if dd > _DEPENDENT else math.inf
         ratios = np.full(len(active) + 1, math.inf)  # last entry: no blocking row

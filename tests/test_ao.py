@@ -284,8 +284,8 @@ class TestAoSolve:
 
         m_axes, mults = [], set()
 
-        def spy(terms, x):
-            g, q = pair_parts(terms, x)
+        def spy(terms, x, **kw):
+            g, q = pair_parts(terms, x, **kw)
             m_axes.append(g.shape[1])  # g is (2, m, k, *x.shape)
             mults.add(terms.mult)
             return g, q

@@ -446,6 +446,10 @@ class TestCli:
         ({"pgd": {"max_backtracks": 2**31 - 1}},
          "pgd: max_backtracks must be less than 4096, got 2147483647"),
         ({"pgd": {"restarts": 2**40}}, "pgd: restarts must be less than 1024, got 1099511627776"),
+        ({"trials": 1, "gamma_db": [10], "num_pas": 1, "carrier_freq_hz": 1e-290,
+          "schemes": ["conventional", "fixed"]}, "carrier_freq_hz 1e-290 gives a channel scale"),
+        ({"num_pas": 1, "carrier_freq_hz": 1.9e-147, "schemes": ["conventional"]},
+         "the conventional array at carrier_freq_hz 1.9e-147 spans"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)

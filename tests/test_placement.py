@@ -577,13 +577,18 @@ def first_sweep_case(seed):
     return geom, symbols, x_opt, x0, terms, cells.lower.ravel(), cells.upper.ravel(), eps
 
 
+def start_candidates(lower, upper, x_warm, spacing=PARAMS.guide_wavelength):
+    """The warm start followed by every grid point lower + j*spacing clamped
+    to upper, (points, rows)."""
+    points = math.ceil(np.max(upper - lower) / spacing) + 1
+    return np.vstack([x_warm, np.minimum(lower + np.arange(points)[:, None] * spacing, upper)])
+
+
 def brute_force_start(objective, terms, lower, upper, eps, x_warm,
                       spacing=PARAMS.guide_wavelength):
-    """The rule in one objective call: per row, the first minimum over the
-    warm start followed by every grid point lower + j*spacing clamped to upper."""
-    points = math.ceil(np.max(upper - lower) / spacing) + 1
-    grid = np.minimum(lower + np.arange(points)[:, None] * spacing, upper)
-    cands = np.vstack([x_warm, grid])
+    """The rule in one objective call: per row, the first minimum over
+    start_candidates."""
+    cands = start_candidates(lower, upper, x_warm, spacing)
     return cands[objective(terms, cands, eps).argmin(axis=0), np.arange(x_warm.size)]
 
 
@@ -613,6 +618,23 @@ class TestGridStart:
         # one grid point per call at least, whatever the chunk size
         assert max(sizes) <= max(chunk, 20) and len(sizes) > 3
 
+    def test_float32_ranking_keeps_the_float64_picks(self):
+        # the grid ranks with float32 sine and cosine of a phase reduced in
+        # float64; unreduced, the float32 phase of thousands of radians errs by
+        # about 1e-3 of a row's largest value
+        for seed in range(40, 48):
+            *_, x0, terms, lower, upper, eps = first_sweep_case(seed)
+            cands = start_candidates(lower, upper, x0.ravel())
+            exact = subproblem_objective(terms, cands, eps)
+            ranked = subproblem_objective(terms, cands, eps,
+                                          placement._pair_parts(terms, cands, ranking=True))
+            assert ranked.dtype == exact.dtype == np.float64
+            assert np.all(np.abs(ranked - exact) <= 1e-6 * np.abs(exact).max(axis=0))
+            x = placement._grid_start(terms, lower, upper, eps, PARAMS.guide_wavelength,
+                                      x0.ravel())
+            assert np.array_equal(x, brute_force_start(subproblem_objective, terms, lower,
+                                                       upper, eps, x0.ravel()))
+
     def test_ties_go_to_the_warm_start_then_the_earliest_point(self, monkeypatch):
         # grid 0, 1, ..., 10 m on three rows, three points (nine entries) per
         # chunk: chunks {0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10}. Each row has
@@ -625,6 +647,7 @@ class TestGridStart:
 
         calls = []
         monkeypatch.setattr(placement, "_GRID_CHUNK", 9)
+        monkeypatch.setattr(placement, "_pair_parts", lambda *a, **kw: None)
         monkeypatch.setattr(placement, "subproblem_objective",
                             lambda *a: calls.append(np.size(a[1])) or objective(*a))
         x_warm, lower, upper = np.array([5.5, 6.0, 0.5]), np.zeros(3), np.full(3, 10.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pinchslp import precoder
 from pinchslp.ao import fixed_uniform_placement
 from pinchslp.bench import ExperimentConfig, generate_scenario
 from pinchslp.channel import ChannelSnapshot, WaveformParams, ci_margin, effective_channels, received_lambda
@@ -269,6 +270,21 @@ class TestSolveMinPower:
             assert s1.x_opt.tobytes() == s2.x_opt.tobytes()
             assert s1.duals.tobytes() == s2.duals.tobytes()
             assert (s1.power, s1.kkt_residual) == (s2.power, s2.kkt_residual)
+
+    def test_no_factorization_of_an_empty_active_set(self, monkeypatch):
+        # the first step adds a row to an empty active set, whose direction is
+        # that row itself: no QR of a matrix without columns
+        rng = np.random.default_rng(9)
+        qps = [random_instance(rng, k)[0] for k in (1, 2, 3, 4)] + [overloaded_instance()]
+        zero = build_ci_qp(snapshot_from_rows(np.zeros((1, 2), dtype=complex)),
+                           psk_symbols([0], 4), np.array([100.0]), NOISE_W, THETA)
+        shapes, qr = [], np.linalg.qr
+        monkeypatch.setattr(precoder.np.linalg, "qr",
+                            lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+        for qp in qps:
+            assert solve_min_power(qp).feasible
+        assert power_or_none(zero) is None
+        assert shapes and all(cols > 0 for _, cols in shapes)
 
     def test_zero_channel_infeasible(self):
         snap = snapshot_from_rows(np.zeros((1, 2), dtype=complex))
