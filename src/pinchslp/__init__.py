@@ -9,7 +9,6 @@ seeded Monte Carlo benchmark.
 from .ao import (
     AOTrace,
     ao_solve,
-    conventional_array_snapshot,
     fixed_uniform_placement,
     random_placement,
 )
@@ -18,9 +17,9 @@ from .channel import (
     ChannelSnapshot,
     WaveformParams,
     ci_margin,
+    conventional_array_snapshot,
     effective_channels,
     received_lambda,
-    sinr,
 )
 from .config import AOConfig, PGDConfig, SmoothingParams
 from .geometry import (
@@ -53,7 +52,6 @@ from .precoder import (
     psk_symbols,
     recover_beam_matrix,
     solve_min_power,
-    transmit_power,
     watts_to_dbm,
 )
 
@@ -61,11 +59,10 @@ __all__ = [
     # submodules
     "ao", "channel", "geometry", "placement", "precoder",
     # ao
-    "AOTrace", "ao_solve", "conventional_array_snapshot",
-    "fixed_uniform_placement", "random_placement",
+    "AOTrace", "ao_solve", "fixed_uniform_placement", "random_placement",
     # channel
     "SPEED_OF_LIGHT", "ChannelSnapshot", "WaveformParams", "ci_margin",
-    "effective_channels", "received_lambda", "sinr",
+    "conventional_array_snapshot", "effective_channels", "received_lambda",
     # config
     "AOConfig", "PGDConfig", "SmoothingParams",
     # geometry
@@ -78,6 +75,6 @@ __all__ = [
     # precoder
     "InfeasibleProblemError", "QPInstance", "QPSolution", "SymbolVector", "build_ci_qp",
     "db_to_linear", "dbm_to_watts", "psk_constellation", "psk_symbols",
-    "recover_beam_matrix", "solve_min_power", "transmit_power", "watts_to_dbm",
+    "recover_beam_matrix", "solve_min_power", "watts_to_dbm",
 ]
 __version__ = "0.1.0"

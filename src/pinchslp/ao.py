@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSnapshot, WaveformParams, effective_channels
+from .channel import WaveformParams, effective_channels
 from .config import AOConfig, PGDConfig, SmoothingParams
-from .geometry import SystemGeometry, distances, initial_regions, validate_placement
+from .geometry import SystemGeometry, initial_regions, validate_placement
 from .placement import optimize_all_positions, placement_objective_exact
 from .precoder import SymbolVector, build_ci_qp, recover_beam_matrix, solve_min_power
 
@@ -97,21 +97,3 @@ def random_placement(geom: SystemGeometry, seed) -> np.ndarray:
     lower, upper = np.array(initial_regions(geom)).T
     return np.random.default_rng(seed).uniform(
         lower, upper, (geom.num_waveguides, geom.num_pas_per_waveguide))
-
-
-def conventional_array_snapshot(
-    geom: SystemGeometry, params: WaveformParams
-) -> ChannelSnapshot:
-    """Channels of a conventional half-wavelength array baseline.
-
-    N fixed radiators at (i*lambda/2, region_side/2, height), one per RF
-    chain, with no in-guide phase response: each effective entry is the raw
-    free-space channel eta * e^{-j*beta0*q} / q.
-    """
-    ax = np.arange(geom.num_waveguides) * (params.wavelength / 2.0)
-    ux, uy = geom.user_xy[:, 0], geom.user_xy[:, 1]
-    dist = distances(ux, uy, ax, geom.region_side / 2.0, geom.height)  # [k, i]
-    raw = params.eta * np.exp(-1j * params.beta0 * dist) / dist
-    return ChannelSnapshot(
-        effective=raw, raw=raw[:, :, None], distances=dist[:, :, None]
-    )

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ao import ao_solve, conventional_array_snapshot, fixed_uniform_placement, random_placement
-from .channel import effective_channels
+from .ao import ao_solve, fixed_uniform_placement, random_placement
+from .channel import conventional_array_snapshot, effective_channels
 from .config import ExperimentConfig
 from .geometry import SystemGeometry, Vec3, make_geometry
 from .precoder import (InfeasibleProblemError, SymbolVector, build_ci_qp, db_to_linear,

@@ -1,4 +1,4 @@
-"""In-waveguide phase response, free-space LoS channels, and CI-related scalars.
+"""In-waveguide phase response, pinching and conventional-array LoS channels, CI scalars.
 
 Sign convention, fixed globally: a channel entry for an antenna at distance q
 carries exp(-j*beta0*q) and the in-guide factor carries exp(-j*beta1*x), so the
@@ -72,6 +72,13 @@ class ChannelSnapshot:
     distances: np.ndarray
 
 
+def _free_space(geom: SystemGeometry, x, y, params: WaveformParams):
+    """Free-space entries eta * e^{-j*beta0*q} / q from every user to antennas at
+    plane coordinates (x, y) and the geometry's height: (raw, q), users first."""
+    dist = distances(geom.user_xy[:, 0], geom.user_xy[:, 1], x, y, geom.height)
+    return params.eta * np.exp(-1j * params.beta0 * dist) / dist, dist
+
+
 def effective_channels(
     geom: SystemGeometry, x_coords: np.ndarray, params: WaveformParams
 ) -> ChannelSnapshot:
@@ -84,12 +91,24 @@ def effective_channels(
     N, L = geom.num_waveguides, geom.num_pas_per_waveguide
     if x.shape != (N, L):
         raise ValueError(f"placement shape {x.shape} != ({N}, {L})")
-    ux, uy, wy = geom.user_xy[:, 0], geom.user_xy[:, 1], np.asarray(geom.waveguide_y)[:, None]
-    dist = distances(ux, uy, x, wy, geom.height)  # [k, n, l]
-    raw = params.eta * np.exp(-1j * params.beta0 * dist) / dist
+    raw, dist = _free_space(geom, x, np.asarray(geom.waveguide_y)[:, None], params)  # [k, n, l]
     guide = np.exp(-1j * params.beta1 * x) / math.sqrt(L)
     effective = np.einsum("knl,nl->kn", raw, guide)
     return ChannelSnapshot(effective=effective, raw=raw, distances=dist)
+
+
+def conventional_array_snapshot(
+    geom: SystemGeometry, params: WaveformParams
+) -> ChannelSnapshot:
+    """Channels of a conventional half-wavelength array baseline.
+
+    N fixed radiators at (i*lambda/2, region_side/2, height), one per RF
+    chain, with no in-guide phase response: each effective entry is the raw
+    free-space channel eta * e^{-j*beta0*q} / q.
+    """
+    ax = np.arange(geom.num_waveguides) * (params.wavelength / 2.0)
+    raw, dist = _free_space(geom, ax, geom.region_side / 2.0, params)  # [k, i]
+    return ChannelSnapshot(effective=raw, raw=raw[:, :, None], distances=dist[:, :, None])
 
 
 def received_lambda(
@@ -98,16 +117,6 @@ def received_lambda(
     """Noise-free received point of user k rotated into its own symbol frame:
     (h_k_eff @ W @ s) / s_k."""
     return complex(snapshot.effective[k] @ (W @ s) / s[k])
-
-
-def sinr(snapshot: ChannelSnapshot, W: np.ndarray, k: int, noise_power: float) -> float:
-    """SINR for decoding user k's stream under beamforming matrix W."""
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
-    gains = np.abs(snapshot.effective[k] @ W) ** 2
-    signal = gains[k]
-    interference = gains.sum() - signal
-    return float(signal / (interference + noise_power))
 
 
 def ci_margin(lam, gamma, noise_power: float, theta_th: float):

@@ -147,8 +147,6 @@ def initial_regions(geom: SystemGeometry) -> list[MovableRegion]:
     L = geom.num_pas_per_waveguide
     dx = geom.min_spacing
     width = (geom.waveguide_length - (L - 1) * dx) / L
-    if width < 0:
-        raise ValueError("geometry cannot fit the requested antennas")
     return [
         MovableRegion(l * (width + dx), (l + 1) * width + l * dx)
         for l in range(L)

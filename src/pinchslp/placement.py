@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -232,8 +231,7 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     return x_new, f_new, (g_new, q)
 
 
-def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init,
-              callback: Callable | None = None):
+def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init):
     """Projected gradient descent over one movable region per row.
 
     Iterates x <- Proj(x - mu * grad), with mu backtracked on the projected
@@ -248,9 +246,7 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     stops once its own change drops below step_tol, so it follows the path it
     would follow alone. Besides the warm start x_init, each row gets
     cfg.restarts evenly spaced starts as further rows with its bounds and eps,
-    and returns its first best end. The callback gets (x, f) at the start and
-    after every step: floats for unstacked terms without restarts, arrays
-    over every row and start otherwise.
+    and returns its first best end.
     """
     single = np.ndim(terms.waveguide_y) == 0
     if single:  # one row
@@ -266,13 +262,6 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     x = np.minimum(np.maximum(x, lower), upper)
     branches = _pair_parts(terms, x)
     f = subproblem_objective(terms, x, eps, branches)
-
-    def report():
-        if callback is not None:
-            callback(*((float(x[0]), float(f[0])) if single and starts == 1
-                       else (x.copy(), f.copy())))
-
-    report()
     steps = cfg.init_step * cfg.shrink ** np.arange(cfg.max_backtracks + 1)
     # the rows still stepping, with their point, objective, bounds and eps;
     # x and f are written back when rows retire and at the end
@@ -290,9 +279,6 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
             terms, lower, upper, eps, f_act, g, x_act, steps, cfg.armijo_c1, extra)
         stay = np.abs(x_next - x_act) <= cfg.step_tol
         x_prev, g_prev, x_act = x_act, g, x_next
-        if callback is not None:
-            x[active], f[active] = x_act, f_act
-            report()
         stopped = np.count_nonzero(stay)
         if stopped == stay.size:
             break

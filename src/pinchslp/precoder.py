@@ -216,11 +216,6 @@ def recover_beam_matrix(x_opt: np.ndarray, symbols: SymbolVector) -> np.ndarray:
     return np.outer(x_opt, symbols.s.conj()) / K
 
 
-def transmit_power(W: np.ndarray) -> float:
-    """Total transmit power, the squared Frobenius norm sum_k ||w_k||^2."""
-    return float(np.sum(np.abs(W) ** 2))
-
-
 def dbm_to_watts(p_dbm: float) -> float:
     return 10.0 ** (p_dbm / 10.0) * 1e-3
 

@@ -7,12 +7,17 @@ import pytest
 from pinchslp.ao import (
     AOConfig,
     ao_solve,
-    conventional_array_snapshot,
     fixed_uniform_placement,
     random_placement,
 )
 from pinchslp.bench import ExperimentConfig, generate_scenario
-from pinchslp.channel import WaveformParams, ci_margin, effective_channels, received_lambda
+from pinchslp.channel import (
+    WaveformParams,
+    ci_margin,
+    conventional_array_snapshot,
+    effective_channels,
+    received_lambda,
+)
 from pinchslp.geometry import Vec3, make_geometry, validate_placement
 from pinchslp.precoder import (
     SymbolVector,

@@ -8,7 +8,6 @@ from pinchslp.channel import (
     ci_margin,
     effective_channels,
     received_lambda,
-    sinr,
 )
 from pinchslp.geometry import Vec3, make_geometry
 from pinchslp.oracles import freespace_channel, waveguide_phase_vector
@@ -223,36 +222,6 @@ class TestReceivedLambda:
             a = received_lambda(snap, W, s, k)
             b = received_lambda(snap, W, rot * s, k)
             assert a == pytest.approx(b, rel=1e-12)
-
-
-class TestSinr:
-    def test_single_user_no_interference(self):
-        rng = np.random.default_rng(9)
-        geom = random_geometry(rng, num_users=1)
-        x = random_placement_matrix(rng, geom)
-        snap = effective_channels(geom, x, PARAMS)
-        w = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
-        expected = abs(snap.effective[0] @ w[:, 0]) ** 2 / 1e-11
-        assert sinr(snap, w, 0, 1e-11) == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_forcing_interference_free(self):
-        rng = np.random.default_rng(10)
-        geom = random_geometry(rng, num_users=2)
-        x = random_placement_matrix(rng, geom)
-        snap = effective_channels(geom, x, PARAMS)
-        h0 = snap.effective[0]
-        w1 = np.array([-h0[1], h0[0]])  # h0 @ w1 = 0 exactly
-        W = np.stack([h0.conj(), w1], axis=1)
-        base = sinr(snap, W, 0, 1e-11)
-        assert base == pytest.approx(abs(h0 @ W[:, 0]) ** 2 / 1e-11, rel=1e-10)
-
-    def test_doubling_noise_halves_clean_sinr(self):
-        rng = np.random.default_rng(11)
-        geom = random_geometry(rng, num_users=1)
-        x = random_placement_matrix(rng, geom)
-        snap = effective_channels(geom, x, PARAMS)
-        w = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
-        assert sinr(snap, w, 0, 2e-11) == pytest.approx(sinr(snap, w, 0, 1e-11) / 2, rel=1e-12)
 
 
 class TestCiMargin:

@@ -383,6 +383,26 @@ def armijo(terms, x, g, eps, steps, lower=-20.0, upper=20.0):
     return (*_armijo_rows(terms, *bounds, eps, f0, g, x, steps, 1e-4), f0)
 
 
+def spy_steps(monkeypatch):
+    """Record every PGD step through placement._armijo_rows, wrapping what the
+    attribute holds now: per step the active rows' (x, f, x_next, f_next,
+    lower, upper)."""
+    steps, inner = [], placement._armijo_rows
+
+    def armijo_rows(terms, lower, upper, eps, f0, g, x, *rest):
+        x_next, f_next, branches = inner(terms, lower, upper, eps, f0, g, x, *rest)
+        steps.append((x, f0, x_next, f_next, lower, upper))
+        return x_next, f_next, branches
+
+    monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)
+    return steps
+
+
+def non_increasing(steps, tol=0.0):
+    """Whether no recorded step raised any row's objective by more than tol."""
+    return all(np.all(f_next <= f + tol) for _, f, _, f_next, _, _ in steps)
+
+
 class TestArmijoStep:
     """Backtracking on the projected candidate, as pgd_solve runs it per row."""
 
@@ -451,26 +471,24 @@ class TestProject:
 
 
 class TestPgdSolve:
-    def test_stationary_start_returns_init(self):
+    def test_stationary_start_returns_init(self, monkeypatch):
         terms = zero_terms()
         region = MovableRegion(0.0, 20.0)
-        calls = []
-        x = pgd_solve(terms, region, 1e-9, PGDConfig(), 4.2,
-                      callback=lambda t, f: calls.append(t))
+        steps = spy_steps(monkeypatch)
+        x = pgd_solve(terms, region, 1e-9, PGDConfig(), 4.2)
         assert x == 4.2
-        assert len(calls) == 2  # initial point + one stationary iteration
+        assert len(steps) == 1  # one stationary iteration
 
-    def test_objective_sequence_non_increasing(self):
+    def test_objective_sequence_non_increasing(self, monkeypatch):
         rng = np.random.default_rng(14)
+        steps = spy_steps(monkeypatch)
         for _ in range(20):
             terms = random_terms(rng)
             region = MovableRegion(0.0, 20.0)
             x0 = float(rng.uniform(0, 20))
             eps = pick_eps(terms, x0, SmoothingParams())
-            seq = []
-            pgd_solve(terms, region, eps, PGDConfig(), x0,
-                      callback=lambda t, f: seq.append(f))
-            assert all(a >= b - 1e-18 for a, b in zip(seq, seq[1:]))
+            pgd_solve(terms, region, eps, PGDConfig(), x0)
+        assert steps and non_increasing(steps, 1e-18)
 
     def test_result_feasible_and_no_worse(self):
         rng = np.random.default_rng(15)
@@ -660,8 +678,8 @@ class TestGridStart:
     def test_start_and_end_no_worse_than_the_warm_start(self, monkeypatch):
         seen = []
 
-        def solve(terms, region, eps, cfg, x_init, callback=None):
-            x = pgd_solve(terms, region, eps, cfg, x_init, callback)
+        def solve(terms, region, eps, cfg, x_init):
+            x = pgd_solve(terms, region, eps, cfg, x_init)
             seen.append((terms, eps, np.array(x_init), x))
             return x
 
@@ -736,11 +754,12 @@ def one_row_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
             region = MovableRegion(min(lo, x[n, l]), max(hi, x[n, l]))
             eps = pick_eps(terms, x[n, l], smoothing)
             starts = [x[n, l], *np.linspace(region.lower, region.upper, cfg.restarts)]
-            seen, one = [], replace(cfg, restarts=0)
-            ends = [pgd_solve(terms, region, eps, one, x0, callback=lambda t, f: seen.append(t))
-                    for x0 in starts]
+            one = replace(cfg, restarts=0)
+            with pytest.MonkeyPatch.context() as mp:
+                steps = spy_steps(mp)
+                ends = [pgd_solve(terms, region, eps, one, x0) for x0 in starts]
             if iterations is not None:
-                iterations[n, l] = len(seen) - len(starts)
+                iterations[n, l] = len(steps)
             vals = [subproblem_objective(terms, e, eps) for e in ends]
             out[n, l] = ends[int(np.argmin(vals))]
     return out
@@ -793,7 +812,7 @@ class TestLockstepRows:
         assert np.all(iterations[1] <= 3)
         assert iterations[2:].max() >= 5
 
-    def test_stacked_pgd_solve_matches_single_rows(self):
+    def test_stacked_pgd_solve_matches_single_rows(self, monkeypatch):
         rng = np.random.default_rng(32)
         base = random_terms(rng)
         rows = [replace(base, amp=rng.uniform(0, 0.1, 4), phase_off=rng.uniform(-np.pi, np.pi, (4, 4)),
@@ -804,13 +823,12 @@ class TestLockstepRows:
         upper[3] = lower[3]  # a point region: the row cannot move at all
         x0 = rng.uniform(lower, upper)
         eps = np.array([pick_eps(t, x, SmoothingParams()) for t, x in zip(rows, x0)])
-        seen = []
-        got = pgd_solve(stack_rows(rows), MovableRegion(lower, upper), eps, PGDConfig(), x0,
-                        callback=lambda t, f: seen.append(f))
+        steps = spy_steps(monkeypatch)
+        got = pgd_solve(stack_rows(rows), MovableRegion(lower, upper), eps, PGDConfig(), x0)
+        assert steps and non_increasing(steps)
         for i, t in enumerate(rows):
             single = pgd_solve(t, MovableRegion(lower[i], upper[i]), eps[i], PGDConfig(), x0[i])
             assert got[i] == single
-        assert np.all(np.diff(np.array(seen), axis=0) <= 0.0)
         assert np.array_equal(pick_eps(stack_rows(rows), x0, SmoothingParams()), eps)
 
 
@@ -902,12 +920,11 @@ ZIGZAG_END, ZIGZAG_STEPS = "0x1.ffc48eccc44bcp+2", 109
 
 
 class TestZigzagTail:
-    def test_zigzag_row_stops_early_in_its_basin(self):
+    def test_zigzag_row_stops_early_in_its_basin(self, monkeypatch):
         terms, region, eps, x_warm = zigzag_row()
-        seen = []
-        end = pgd_solve(terms, region, eps, PGDConfig(), x_warm,
-                        callback=lambda t, f: seen.append(t))
-        assert len(seen) - 1 <= 20 < ZIGZAG_STEPS
+        steps = spy_steps(monkeypatch)
+        end = pgd_solve(terms, region, eps, PGDConfig(), x_warm)
+        assert len(steps) <= 20 < ZIGZAG_STEPS
         assert abs(end - float.fromhex(ZIGZAG_END)) <= 1e-5
 
 
@@ -955,6 +972,7 @@ class TestBarzilaiBorweinCandidate:
             return out
 
         monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)
+        steps = spy_steps(monkeypatch)
         rng = np.random.default_rng(34)
         cfg = PGDConfig(restarts=restarts)
         for _ in range(4):
@@ -963,14 +981,12 @@ class TestBarzilaiBorweinCandidate:
             terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), W, symbols.s,
                                            PARAMS, THETA)
             cells = placement_cells(geom, x0)
-            lower, upper = (np.tile(b.ravel(), 1 + restarts) for b in cells)
             eps = pick_eps(terms, x0.ravel(), SmoothingParams())
-            seen = []
             pgd_solve(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps, cfg,
-                      x0.ravel(), callback=lambda t, f: seen.append((t, f)))
-            xs, fs = (np.array(v) for v in zip(*seen))
-            assert np.all(np.diff(fs, axis=0) <= 0.0)
-            assert np.all((lower <= xs) & (xs <= upper))
+                      x0.ravel())
+        assert steps and non_increasing(steps)
+        for x, _, x_next, _, lower, upper in steps:
+            assert np.all((lower <= x) & (x <= upper) & (lower <= x_next) & (x_next <= upper))
         assert sum(taken) > 0  # the sweeps did take Barzilai-Borwein points
 
 
