@@ -9,7 +9,8 @@ kept candidate's exact objective is evaluated on the same channel; a
 rejected round repeats the kept value. Round 1's sweep starts each antenna
 at its best point on a guide-wavelength grid over its cell where that beats
 its warm start (see placement.optimize_all_positions); later sweeps start
-from the warm start.
+from the warm start. From round 1 on, the precoder first tries the kept
+solution's active set (see precoder.solve_min_power).
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def ao_solve(
             x_cand = optimize_all_positions(geom, x, sol.x_opt, symbols.s, params, theta_th,
                                             smoothing, pgd_cfg, grid_start=it == 1)
         snap_cand = effective_channels(geom, x_cand, params)
-        sol_cand = solve_min_power(build_ci_qp(snap_cand, symbols, gamma, noise_power, theta_th))
+        qp = build_ci_qp(snap_cand, symbols, gamma, noise_power, theta_th)
+        sol_cand = solve_min_power(qp, active=sol.active if it else None)
         accepted = not it or sol_cand.power <= sol.power
         if accepted:
             x, sol = x_cand, sol_cand

@@ -73,9 +73,14 @@ def _run_scheme(
     symbols: SymbolVector,
     gamma_lin: np.ndarray,
     trial: int,
+    ao_round0: float | None = None,
 ) -> tuple[list[float], bool]:
     """Power after every AO round (one entry for a baseline) and the
-    convergence flag of one scheme; an infeasible point is ([nan], False)."""
+    convergence flag of one scheme; an infeasible point is ([nan], False).
+    ao_round0, the proposed scheme's round-0 power on the same point, is the
+    fixed scheme's power: the same solve of the same QP."""
+    if scheme == "fixed" and ao_round0 is not None:
+        return [ao_round0], True
     params = cfg.params
     try:
         if scheme == "proposed":
@@ -106,16 +111,20 @@ def _sweep(cfg: ExperimentConfig, experiment: str, gammas: Sequence[float],
     antenna count L, solved by each scheme at each SINR target. A record
     carries the power of the last AO round, with ao_iters its index, or with
     every_round one record per round; infeasible points are recorded, not
-    fatal."""
+    fatal. The proposed scheme runs first, so the fixed scheme reads its
+    round 0 instead of solving the same QP again."""
     records = []
     for trial in range(cfg.trials):
         for L in pas:
             geom, symbols = generate_scenario(cfg, trial, num_pas=L)
             for gamma_db in gammas:
                 gamma_lin = np.full(cfg.num_users, db_to_linear(gamma_db))
-                for scheme in schemes:
+                ao_round0 = None
+                for scheme in sorted(schemes, key="proposed".__ne__):  # proposed first
                     powers, converged = _run_scheme(cfg, scheme, geom, symbols, gamma_lin,
-                                                    trial)
+                                                    trial, ao_round0)
+                    if scheme == "proposed" and not math.isnan(powers[0]):
+                        ao_round0 = powers[0]
                     first = 0 if every_round else len(powers) - 1
                     for it, p in enumerate(powers[first:], first):
                         dbm = watts_to_dbm(p) if p > 0 and math.isfinite(p) else math.nan

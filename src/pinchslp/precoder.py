@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +35,10 @@ def psk_constellation(order: int) -> np.ndarray:
 
 
 def psk_symbols(indices: np.ndarray, order: int) -> "SymbolVector":
-    points = psk_constellation(order)
-    return SymbolVector(s=points[np.asarray(indices) % order])
+    """The psk_constellation(order) points at the given indices, evaluated
+    for those indices only: memory does not grow with the order."""
+    m = np.asarray(indices) % order
+    return SymbolVector(s=np.exp(1j * (2 * m + 1) * np.pi / order))
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,8 @@ class QPSolution:
     nonnegative multipliers of the 2K inequality rows in the original row
     scaling; kkt_residual is the max of primal violation and complementary
     slackness on the row-normalized system (stationarity holds by
-    construction).
+    construction). active lists the rows of the final equality system in
+    factorization order; solve_min_power takes it back as a warm start.
     """
 
     x_opt: np.ndarray
@@ -89,6 +93,7 @@ class QPSolution:
     duals: np.ndarray
     kkt_residual: float
     feasible: bool
+    active: tuple[int, ...] = ()
 
 
 def build_ci_qp(
@@ -125,7 +130,7 @@ _VIOLATION = 1e-14  # violated below -_VIOLATION * max(|bn|, sum(mu)), the round
 _DEPENDENT = 1e-24  # ||d||^2 below this: the entering normal lies in the active span
 
 
-def solve_min_power(qp: QPInstance) -> QPSolution:
+def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSolution:
     """Minimum-norm feasible point of the CI polyhedron by the Goldfarb-Idnani
     dual active-set method (Math. Prog. 27, 1983), certified by the KKT
     residual.
@@ -140,6 +145,13 @@ def solve_min_power(qp: QPInstance) -> QPSolution:
     vector and InfeasibleProblemError carries it. A final point that
     violates a row by more than the loop's exit threshold raises a plain
     RuntimeError rather than being returned uncertified.
+
+    active, the QPSolution.active of an earlier solve of a QP with as many
+    rows, is tried first: its rows are re-solved in that order, and the point
+    is returned if it passes the same certificate, every multiplier >= 0 and
+    no row violated. Otherwise (a negative or non-finite multiplier, a
+    violated row, dependent rows) the solve runs from z = 0, so only that
+    path certifies infeasibility.
     """
     A = np.ascontiguousarray(qp.A)  # row-major, so the result does not depend on layout
     m = A.shape[0]
@@ -149,8 +161,13 @@ def solve_min_power(qp: QPInstance) -> QPSolution:
     bn = qp.b / norms
     scale = float(np.abs(bn).max(initial=0.0))
 
+    if active:
+        sol = _certify(qp, An, bn, norms, scale, list(active), warm=True)
+        if sol is not None:
+            return sol
+
     mu = np.zeros(m)
-    active: list[int] = []
+    active = []  # the cold path's working set, in insertion order
     p = None  # the row being added, between a partial step and its full step
     max_steps = 100 * (m + 1)
     for _ in range(max_steps):
@@ -189,14 +206,29 @@ def solve_min_power(qp: QPInstance) -> QPSolution:
             del active[j]
     else:
         raise RuntimeError(f"active-set loop exceeded {max_steps} steps")
+    return _certify(qp, An, bn, norms, scale, active, warm=False)
 
-    # re-solve the final equality system: the steps above accumulate rounding in mu
-    Q, R = np.linalg.qr(An[active].T)
-    mu[active] = np.maximum(np.linalg.solve(R, np.linalg.solve(R.T, bn[active])), 0.0)
+
+def _certify(qp, An, bn, norms, scale, active, warm):
+    """The point of the equality system on the active rows, in their order,
+    with its KKT certificate. The loop's steps accumulate rounding in mu, so
+    the cold path ends here too. A warm set whose multipliers are not all
+    >= 0 or whose rows are dependent, or whose point violates a row, yields
+    None; a cold point that violates a row raises RuntimeError."""
+    R = np.linalg.qr(An[active].T, mode="r")
+    if warm and (len(active) > An.shape[1] or not np.all(np.diag(R) ** 2 > _DEPENDENT)):
+        return None
+    mu_active = np.linalg.solve(R, np.linalg.solve(R.T, bn[active]))
+    if warm and not np.all(mu_active >= 0.0):  # NaN fails too
+        return None
+    mu = np.zeros(An.shape[0])
+    mu[active] = np.maximum(mu_active, 0.0)
     z = An.T @ mu
     margins = An @ z - bn
     primal = max(0.0, float(-margins.min(initial=0.0)))
     if primal > _VIOLATION * max(scale, float(mu.sum())):
+        if warm:
+            return None
         raise RuntimeError(f"active-set solution violates a row by {primal:.3g}")
     comp = float(np.max(np.abs(mu * margins), initial=0.0))
     n = qp.num_streams
@@ -206,6 +238,7 @@ def solve_min_power(qp: QPInstance) -> QPSolution:
         duals=mu / norms,
         kkt_residual=max(primal, comp),
         feasible=True,
+        active=tuple(active),
     )
 
 

@@ -303,3 +303,26 @@ class TestAoSolve:
         assert len(trace.powers) >= 2
         assert m_axes and set(m_axes) == {1}
         assert mults == {3.0}
+
+    def test_later_rounds_pass_the_kept_active_set(self, monkeypatch):
+        # round 0 solves cold; every later round hands the kept solution's
+        # active set to the precoder as its warm start
+        from pinchslp import ao
+
+        calls = []
+
+        def spy(qp, active=None):
+            sol = solve_min_power(qp, active=active)
+            calls.append((active, sol))
+            return sol
+
+        monkeypatch.setattr(ao, "solve_min_power", spy)
+        geom, symbols = scenario(36)
+        _, _, trace = ao_solve(geom, PARAMS, symbols, np.full(4, 100.0), NOISE_W, THETA,
+                               fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=4))
+        assert len(calls) == len(trace.powers) >= 3
+        assert calls[0][0] is None
+        kept = calls[0][1]
+        for (hint, sol), accepted in zip(calls[1:], trace.accepted[1:]):
+            assert hint == kept.active and len(hint) > 0
+            kept = sol if accepted else kept

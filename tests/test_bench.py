@@ -18,6 +18,7 @@ from pinchslp.bench import (
     run_power_vs_sinr,
 )
 from pinchslp.ao import ao_solve, fixed_uniform_placement
+from pinchslp.channel import effective_channels
 from pinchslp.cli import main as cli_main
 from pinchslp.config import (
     FIELDS,
@@ -31,7 +32,8 @@ from pinchslp.config import (
     load_config,
 )
 from pinchslp.placement import optimize_all_positions
-from pinchslp.precoder import InfeasibleProblemError, db_to_linear, recover_beam_matrix
+from pinchslp.precoder import (InfeasibleProblemError, build_ci_qp, db_to_linear,
+                               recover_beam_matrix, solve_min_power)
 
 FAST = dict(
     num_waveguides=2,
@@ -253,6 +255,44 @@ class TestRunners:
         r1 = run_power_vs_sinr(cfg)
         r2 = run_power_vs_sinr(cfg)
         assert r1 == r2
+
+
+def _direct_fixed_power(cfg, trial, gamma_db, L):
+    """The fixed scheme's power on one point, solved on its own."""
+    geom, symbols = generate_scenario(cfg, trial, num_pas=L)
+    snap = effective_channels(geom, fixed_uniform_placement(geom), cfg.params)
+    gamma = np.full(cfg.num_users, db_to_linear(gamma_db))
+    return solve_min_power(build_ci_qp(snap, symbols, gamma, cfg.noise_w, cfg.theta_th)).power
+
+
+class TestFixedReadsAoRoundZero:
+    """Where the proposed scheme runs, the fixed scheme's record is the AO's
+    round 0, the same solve of the same QP: it must equal a direct solve bit
+    for bit."""
+
+    @pytest.mark.parametrize("schemes", [("proposed", "fixed"), ("fixed", "proposed"),
+                                         ("fixed",)])
+    def test_fixed_equals_direct_solve(self, schemes):
+        cfg = ExperimentConfig(**{**FAST, "gamma_db": (10.0, 14.0), "schemes": schemes})
+        fixed = [r for r in run_power_vs_sinr(cfg) if r.scheme == "fixed"]
+        assert len(fixed) == 2 * 2
+        for r in fixed:
+            assert r.converged and r.ao_iters == 0
+            assert r.power_w.hex() == _direct_fixed_power(cfg, r.trial, r.gamma_db,
+                                                          r.num_pas).hex()
+
+    def test_failed_ao_leaves_fixed_its_own_solve(self, monkeypatch):
+        from pinchslp import bench
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleProblemError("no feasible precoder", np.ones(1))
+
+        monkeypatch.setattr(bench, "ao_solve", infeasible)
+        cfg = ExperimentConfig(**{**FAST, "schemes": ("proposed", "fixed")})
+        records = {r.scheme: r for r in run_power_vs_numpas(cfg) if r.trial == 0}
+        assert math.isnan(records["proposed"].power_w)
+        assert records["fixed"].converged
+        assert records["fixed"].power_w.hex() == _direct_fixed_power(cfg, 0, 14.0, 2).hex()
 
 
 class TestEmitCsv:
@@ -629,7 +669,9 @@ def _golden_sweep(N, K, L, smoothing, pgd):
 
 # Whole AO runs, re-recorded when the first sweep of each AO started from a
 # guide-wavelength grid (first recorded when round 0 and the later rounds were
-# still two copies of the round body): (L, trial, gamma_db, ao) -> sha256 over
+# still two copies of the round body); L5-t0-10dB with both tolerances again
+# when later rounds tried the kept active set first, which moved their powers
+# by a relative 9.8e-16: (L, trial, gamma_db, ao) -> sha256 over
 # the float.hex of every round's power and placement objective, the accepted
 # flags, the converged flag, and the bytes of the final W and placement.
 GOLDEN_AO = {
@@ -637,7 +679,7 @@ GOLDEN_AO = {
     (3, 0, 20.0, AOConfig()): "4afc190809ff11a499586c78d602eae1ca263331f8442e6fb16dd0f97e651868",
     (3, 1, 10.0, AOConfig()): "26ffb8003bbc5ccdd653ec9b74c4fd4320ca25ed78a2d0dcec9078aac8c3bcc8",
     (3, 1, 20.0, AOConfig()): "cd67f6569d3a52bde57db59a48c069e954f410bb926c3f31ce30edca77ec1dec",
-    (5, 0, 10.0, AOConfig()): "a0ef9cdd2bad294c7b2d921a5b572576f7d2df49ff3e4d05d4df46eda81fe7ef",
+    (5, 0, 10.0, AOConfig()): "cfd4915062d3e5235b4813e80b4605553454d793612426e8ae0ab58d27e8d685",
     (5, 0, 20.0, AOConfig()): "91d937158a45c0c0983ab8693283613e5c7cad4268ee63df140aea6666950354",
     (5, 1, 10.0, AOConfig()): "9015d02d67c002cdd6b62d45a71cbbf3033a28f487e748ba1e0647d0d8a8685c",
     (5, 1, 20.0, AOConfig()): "d92c3f8b240c1e32ab13dddeb50bce523bb1d855a3fc852872cfa41a897b5dd0",
@@ -653,7 +695,7 @@ GOLDEN_AO = {
     (3, 0, 10.0, AOConfig(max_iters=2)):
         "75e1dabf0cc9960606bc02309947cb7d844bb6e1f59a14ec851edccc868e2c12",
     (5, 0, 10.0, AOConfig(rel_tol=1e-2)):
-        "376bcbf7ef6e759d56140995e5592b455057783258db777de5e68e0b9458da46",
+        "23d7138976189d6b287c63dcdb18096c6b9736989cf487783f62d00eba1b362d",
 }
 
 
@@ -770,13 +812,15 @@ class TestTraceHooks:
         assert counts == {"effective_channels": 3, "build_ci_qp": 3, "solve_min_power": 3,
                           "optimize_all_positions": 2, "placement_objective_exact": 2}
 
-    # Counts recorded with the three hand-written experiment loops; a small
-    # config with two trials, targets (10, 14) dB and L in (2, 3).
+    # Counts recorded with the three hand-written experiment loops, and the
+    # baseline counts again when the fixed scheme took the AO's round 0: only
+    # random and conventional solve here; a small config with two trials,
+    # targets (10, 14) dB and L in (2, 3).
     BENCH_COUNTS = {
-        "power-vs-sinr": {"generate_scenario": 2, "ao_solve": 4, "effective_channels": 8,
-                          "build_ci_qp": 12, "solve_min_power": 12},
-        "power-vs-numpas": {"generate_scenario": 4, "ao_solve": 4, "effective_channels": 8,
-                            "build_ci_qp": 12, "solve_min_power": 12},
+        "power-vs-sinr": {"generate_scenario": 2, "ao_solve": 4, "effective_channels": 4,
+                          "build_ci_qp": 8, "solve_min_power": 8},
+        "power-vs-numpas": {"generate_scenario": 4, "ao_solve": 4, "effective_channels": 4,
+                            "build_ci_qp": 8, "solve_min_power": 8},
         "convergence": {"generate_scenario": 4, "ao_solve": 4, "effective_channels": 0,
                         "build_ci_qp": 0, "solve_min_power": 0},
     }

@@ -100,6 +100,25 @@ class TestConstellation:
         for M in (2, 4, 8, 16):
             assert np.allclose(np.abs(psk_constellation(M)), 1.0, atol=1e-15)
 
+    def test_symbols_equal_constellation_points(self):
+        rng = np.random.default_rng(14)
+        for M in (2, 4, 8, 16, 2**10):
+            idx = rng.integers(0, 3 * M, 50)
+            s = psk_symbols(idx, M).s
+            assert s.tobytes() == psk_constellation(M)[idx % M].tobytes()
+
+    def test_symbols_memory_independent_of_order(self):
+        # only the drawn points are evaluated, not the whole constellation
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            psk_symbols(np.array([0, 1, 2**19, 2**20 - 1]), 2**20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_symbol_vector_rejects_scaled(self):
         with pytest.raises(ValueError):
             SymbolVector(s=np.array([2.0 + 0j]))
@@ -294,6 +313,116 @@ class TestSolveMinPower:
         qp = QPInstance(A=np.array([[1.0, 0.0], [-1.0, 0.0]]),
                         b=np.array([1.0, 1.0]))  # z0 >= 1 and z0 <= -1
         assert power_or_none(qp) is None
+
+
+def overloaded_k6_instance():
+    """Six users on four waveguides: 12 CI rows in 8 unknowns."""
+    cfg = ExperimentConfig(num_users=6, master_seed=11)
+    geom, symbols = generate_scenario(cfg, 0, num_pas=5)
+    snap = effective_channels(geom, fixed_uniform_placement(geom), cfg.params)
+    return build_ci_qp(snap, symbols, np.full(6, 10.0), cfg.noise_w, cfg.theta_th)
+
+
+def assert_same_solution(s1, s2):
+    assert s1.x_opt.tobytes() == s2.x_opt.tobytes()
+    assert s1.duals.tobytes() == s2.duals.tobytes()
+    assert (s1.power, s1.kkt_residual, s1.active) == (s2.power, s2.kkt_residual, s2.active)
+
+
+def equality_multipliers(qp, rows):
+    """Multipliers of the row-normalized equality system on rows, and the
+    worst row margin of its point, relative to the largest normalized b."""
+    norms = np.linalg.norm(qp.A, axis=1)
+    An, bn = qp.A / norms[:, None], qp.b / norms
+    G = An[rows] @ An[rows].T
+    mu = np.linalg.solve(G, bn[rows])
+    margins = An @ (An[rows].T @ mu) - bn
+    return mu, margins.min() / np.abs(bn).max()
+
+
+class TestWarmStart:
+    """solve_min_power(qp, active) re-solves the given rows first and keeps
+    that point only under the cold path's certificate; otherwise it runs the
+    cold path."""
+
+    def qps(self):
+        rng = np.random.default_rng(12)
+        return [random_instance(rng, k)[0] for k in (1, 2, 3, 4, 4, 4)] + [
+            overloaded_k6_instance()]
+
+    def test_own_active_set_is_bit_identical(self):
+        for qp in self.qps():
+            cold = solve_min_power(qp)
+            assert cold.active and len(set(cold.active)) == len(cold.active)
+            assert_same_solution(solve_min_power(qp, active=cold.active), cold)
+
+    def test_warm_path_skips_the_loop(self, monkeypatch):
+        # the warm path factorizes only the given rows, once
+        qp = overloaded_k6_instance()
+        cold = solve_min_power(qp)
+        shapes, qr = [], np.linalg.qr
+        monkeypatch.setattr(precoder.np.linalg, "qr",
+                            lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+        solve_min_power(qp, active=cold.active)
+        assert shapes == [(8, len(cold.active))]
+
+    def test_negative_multiplier_falls_back(self):
+        tried = 0
+        for qp in self.qps():
+            cold = solve_min_power(qp)
+            for row in sorted(set(range(qp.A.shape[0])) - set(cold.active)):
+                rows = list(cold.active) + [row]
+                if len(rows) > qp.A.shape[1]:
+                    continue
+                mu, _ = equality_multipliers(qp, rows)
+                if mu.min() < 0:
+                    tried += 1
+                    assert_same_solution(solve_min_power(qp, active=rows), cold)
+        assert tried >= 3
+
+    def test_violated_row_falls_back(self):
+        # one row of a larger active set: its multiplier is b_i > 0, and a
+        # lone tight row would be optimal, so another row is violated
+        tried = 0
+        for qp in self.qps():
+            cold = solve_min_power(qp)
+            if len(cold.active) < 2:
+                continue
+            for row in cold.active:
+                mu, worst = equality_multipliers(qp, [row])
+                assert mu[0] > 0 and worst < -1e-6
+                tried += 1
+                assert_same_solution(solve_min_power(qp, active=(row,)), cold)
+        assert tried >= 3
+
+    def test_dependent_rows_fall_back(self):
+        qp = overloaded_k6_instance()
+        cold = solve_min_power(qp)
+        # a row repeated at twice its scale: the same constraint, and both
+        # multipliers could share its weight
+        row = cold.active[0]
+        doubled = QPInstance(A=np.vstack([qp.A, 2 * qp.A[row]]),
+                             b=np.append(qp.b, 2 * qp.b[row]))
+        cold2 = solve_min_power(doubled)
+        assert cold2.power == pytest.approx(cold.power, rel=1e-12)
+        m = qp.A.shape[0]
+        assert row in cold2.active and m not in cold2.active
+        for rows in (list(cold2.active) + [m], [m] + list(cold2.active)):
+            assert_same_solution(solve_min_power(doubled, active=rows), cold2)
+        # more rows than unknowns, and a repeated index
+        assert_same_solution(solve_min_power(qp, active=range(9)), cold)
+        assert_same_solution(solve_min_power(qp, active=cold.active + cold.active[:1]), cold)
+
+    def test_infeasible_with_hint_raises_farkas(self):
+        qp = QPInstance(A=np.array([[1.0, 0.0], [-1.0, 0.0]]), b=np.array([1.0, 1.0]))
+        for hint in ((0,), (1,), (0, 1)):
+            with pytest.raises(InfeasibleProblemError) as exc:
+                solve_min_power(qp, active=hint)
+            assert_farkas(qp, exc.value.farkas)
+
+    def test_empty_hint_is_cold(self):
+        qp = random_instance(np.random.default_rng(13), 3)[0]
+        assert_same_solution(solve_min_power(qp, active=()), solve_min_power(qp))
 
 
 class TestBeamRecovery:
