@@ -76,9 +76,10 @@ def _run_scheme(
     ao_round0: float | None = None,
 ) -> tuple[list[float], bool]:
     """Power after every AO round (one entry for a baseline) and the
-    convergence flag of one scheme; an infeasible point is ([nan], False).
-    ao_round0, the proposed scheme's round-0 power on the same point, is the
-    fixed scheme's power: the same solve of the same QP."""
+    convergence flag of one scheme; a returned baseline solve is certified
+    feasible (True), an infeasible point is ([nan], False). ao_round0, the
+    proposed scheme's round-0 power on the same point, is the fixed scheme's
+    power: the same solve of the same QP."""
     if scheme == "fixed" and ao_round0 is not None:
         return [ao_round0], True
     params = cfg.params
@@ -97,9 +98,8 @@ def _run_scheme(
             snapshot = effective_channels(geom, x, params)
         else:  # "conventional"; ExperimentConfig admits no other scheme
             snapshot = conventional_array_snapshot(geom, params)
-        sol = solve_min_power(build_ci_qp(snapshot, symbols, gamma_lin, cfg.noise_w,
-                                          cfg.theta_th))
-        return [sol.power], sol.feasible
+        qp = build_ci_qp(snapshot, symbols, gamma_lin, cfg.noise_w, cfg.theta_th)
+        return [solve_min_power(qp).power], True
     except InfeasibleProblemError:
         return [math.nan], False
 

@@ -85,7 +85,7 @@ class QPSolution:
     scaling; kkt_residual is the max of primal violation and complementary
     slackness on the row-normalized system (stationarity holds by
     construction). active lists the rows of the final equality system in
-    factorization order; solve_min_power takes it back as a warm start.
+    factorization order; solve_min_power takes it back to seed its loop.
     """
 
     x_opt: np.ndarray
@@ -136,8 +136,8 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     residual.
 
     Works on the row-normalized system with Hessian I, so z = A_n^T mu at
-    every step. From z = 0 it adds the most violated row p: d is the part of
-    a_p orthogonal to the active normals and r their least-squares
+    every step. From its start it adds the most violated row p: d is the part
+    of a_p orthogonal to the active normals and r their least-squares
     coefficients, so a step t moves z by t d and the active multipliers by
     -t r. A full step makes row p tight and activates it; a partial step
     stops where an active multiplier reaches zero and drops that row. When
@@ -147,11 +147,9 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     RuntimeError rather than being returned uncertified.
 
     active, the QPSolution.active of an earlier solve of a QP with as many
-    rows, is tried first: its rows are re-solved in that order, and the point
-    is returned if it passes the same certificate, every multiplier >= 0 and
-    no row violated. Otherwise (a negative or non-finite multiplier, a
-    violated row, dependent rows) the solve runs from z = 0, so only that
-    path certifies infeasibility.
+    rows, seeds the loop if its rows are independent with every equality
+    multiplier >= 0 (a valid dual start, returned without a step when no row
+    is violated). Any other hint starts from z = 0, as no hint does.
     """
     A = np.ascontiguousarray(qp.A)  # row-major, so the result does not depend on layout
     m = A.shape[0]
@@ -161,16 +159,14 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     bn = qp.b / norms
     scale = float(np.abs(bn).max(initial=0.0))
 
-    if active:
-        sol = _certify(qp, An, bn, norms, scale, list(active), warm=True)
-        if sol is not None:
-            return sol
-
-    mu = np.zeros(m)
-    active = []  # the cold path's working set, in insertion order
+    seed = _equality_multipliers(An, bn, list(active)) if active else None
+    if seed is None or not np.all(seed >= 0.0):  # NaN fails too
+        active, seed = (), np.empty(0)  # z = 0
+    active, mu = list(active), np.zeros(m)  # the working set, in insertion order
+    mu[active] = seed
     p = None  # the row being added, between a partial step and its full step
     max_steps = 100 * (m + 1)
-    for _ in range(max_steps):
+    for step in range(max_steps):
         z = An.T @ mu
         if p is None:
             margins = An @ z - bn
@@ -206,29 +202,32 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
             del active[j]
     else:
         raise RuntimeError(f"active-set loop exceeded {max_steps} steps")
-    return _certify(qp, An, bn, norms, scale, active, warm=False)
+    return _certify(qp, An, bn, norms, scale, active, seed if step == 0 else None)
 
 
-def _certify(qp, An, bn, norms, scale, active, warm):
-    """The point of the equality system on the active rows, in their order,
-    with its KKT certificate. The loop's steps accumulate rounding in mu, so
-    the cold path ends here too. A warm set whose multipliers are not all
-    >= 0 or whose rows are dependent, or whose point violates a row, yields
-    None; a cold point that violates a row raises RuntimeError."""
-    R = np.linalg.qr(An[active].T, mode="r")
-    if warm and (len(active) > An.shape[1] or not np.all(np.diag(R) ** 2 > _DEPENDENT)):
+def _equality_multipliers(An, bn, active):
+    """Multipliers of the equality system on the active rows, in their order
+    (R^T R mu = bn from an R-only QR), or None for dependent rows."""
+    R = np.linalg.qr(An[active].T, mode="r")  # more rows than unknowns: R is wide
+    if R.shape[0] < len(active) or not (R.diagonal() ** 2).min(initial=math.inf) > _DEPENDENT:
         return None
-    mu_active = np.linalg.solve(R, np.linalg.solve(R.T, bn[active]))
-    if warm and not np.all(mu_active >= 0.0):  # NaN fails too
-        return None
+    return np.linalg.solve(R, np.linalg.solve(R.T, bn[active]))
+
+
+def _certify(qp, An, bn, norms, scale, active, mu_active):
+    """The point of the equality system on the active rows with its KKT
+    certificate, from mu_active when the loop took no step (steps accumulate
+    rounding in mu). Dependent rows or a violated row raise RuntimeError."""
+    if mu_active is None:
+        mu_active = _equality_multipliers(An, bn, active)
+        if mu_active is None:
+            raise RuntimeError("active-set rows are dependent")
     mu = np.zeros(An.shape[0])
     mu[active] = np.maximum(mu_active, 0.0)
     z = An.T @ mu
     margins = An @ z - bn
     primal = max(0.0, float(-margins.min(initial=0.0)))
     if primal > _VIOLATION * max(scale, float(mu.sum())):
-        if warm:
-            return None
         raise RuntimeError(f"active-set solution violates a row by {primal:.3g}")
     comp = float(np.max(np.abs(mu * margins), initial=0.0))
     n = qp.num_streams

@@ -341,9 +341,11 @@ def equality_multipliers(qp, rows):
 
 
 class TestWarmStart:
-    """solve_min_power(qp, active) re-solves the given rows first and keeps
-    that point only under the cold path's certificate; otherwise it runs the
-    cold path."""
+    """solve_min_power(qp, active) seeds its one Goldfarb-Idnani loop with the
+    given rows when they are a valid dual start (independent, every
+    multiplier >= 0): with no row violated it returns their point without a
+    step, otherwise the loop goes on from there. Any other hint starts from
+    z = 0, as no hint does."""
 
     def qps(self):
         rng = np.random.default_rng(12)
@@ -380,20 +382,63 @@ class TestWarmStart:
                     assert_same_solution(solve_min_power(qp, active=rows), cold)
         assert tried >= 3
 
-    def test_violated_row_falls_back(self):
+    def test_violated_row_continues_the_loop(self, monkeypatch):
         # one row of a larger active set: its multiplier is b_i > 0, and a
-        # lone tight row would be optimal, so another row is violated
-        tried = 0
+        # lone tight row would be optimal, so another row is violated; the
+        # loop goes on from that row to the cold solve's active set
+        reduced, qr = [], np.linalg.qr
+        monkeypatch.setattr(precoder.np.linalg, "qr", lambda a, mode="reduced": (
+            reduced.append(mode == "reduced") or qr(a, mode=mode)))
+
+        def solve(qp, hint=None):
+            reduced.clear()
+            return solve_min_power(qp, active=hint), sum(reduced)
+
+        tried = shorter = 0
         for qp in self.qps():
-            cold = solve_min_power(qp)
+            cold, cold_qrs = solve(qp)
             if len(cold.active) < 2:
                 continue
             for row in cold.active:
                 mu, worst = equality_multipliers(qp, [row])
                 assert mu[0] > 0 and worst < -1e-6
                 tried += 1
-                assert_same_solution(solve_min_power(qp, active=(row,)), cold)
-        assert tried >= 3
+                warm, _ = solve(qp, (row,))
+                assert set(warm.active) == set(cold.active)
+                assert warm.power == pytest.approx(cold.power, rel=1e-12, abs=0.0)
+                assert warm.kkt_residual <= 1e-9
+            # a one-row seed saves only the cold solve's first step, which
+            # factorizes nothing; a seed of all but one optimal row saves
+            # every factorization but the last step's
+            for drop in range(len(cold.active)):
+                rows = list(cold.active[:drop] + cold.active[drop + 1:])
+                mu, worst = equality_multipliers(qp, rows)
+                if len(rows) > 1 and mu.min() >= 0 and worst < -1e-6:
+                    shorter += 1
+                    warm, qrs = solve(qp, rows)
+                    assert set(warm.active) == set(cold.active)
+                    assert warm.kkt_residual <= 1e-9
+                    assert qrs < cold_qrs
+        assert tried >= 3 and shorter >= 3
+
+    def test_any_hint_gives_the_cold_optimum(self):
+        # random row subsets: valid dual starts (violating rows or not),
+        # negative multipliers and dependent rows alike
+        rng = np.random.default_rng(14)
+        for qp in self.qps():
+            m = qp.A.shape[0]
+            cold = solve_min_power(qp)
+            oracle = active_set_qp_oracle(qp) if m <= 12 else None
+            assert oracle is None or cold.power == pytest.approx(oracle.power, rel=1e-6)
+            for _ in range(40):
+                hint = rng.choice(m, int(rng.integers(1, m + 1)), replace=False)
+                warm = solve_min_power(qp, active=hint.tolist())
+                assert warm.power == pytest.approx(cold.power, rel=1e-12, abs=0.0)
+                assert warm.kkt_residual <= 1e-9 and np.all(warm.duals >= 0)
+                z = np.concatenate([warm.x_opt.real, warm.x_opt.imag])
+                assert np.allclose(qp.A.T @ warm.duals, z, atol=1e-12)
+                if oracle is not None:
+                    assert warm.power == pytest.approx(oracle.power, rel=1e-6)
 
     def test_dependent_rows_fall_back(self):
         qp = overloaded_k6_instance()
