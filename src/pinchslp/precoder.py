@@ -85,7 +85,8 @@ class QPSolution:
     scaling; kkt_residual is the max of primal violation and complementary
     slackness on the row-normalized system (stationarity holds by
     construction). active lists the rows of the final equality system in
-    factorization order; solve_min_power takes it back to seed its loop.
+    increasing order, the order the certificate factors them in, so the bits
+    depend only on that set; solve_min_power takes it back to seed its loop.
     """
 
     x_opt: np.ndarray
@@ -159,7 +160,8 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     bn = qp.b / norms
     scale = float(np.abs(bn).max(initial=0.0))
 
-    seed = _equality_multipliers(An, bn, list(active)) if active else None
+    active = sorted(active or ())  # the seed's rows in the certificate's order
+    seed = _equality_multipliers(An, bn, active) if active else None
     if seed is None or not np.all(seed >= 0.0):  # NaN fails too
         active, seed = (), np.empty(0)  # z = 0
     active, mu = list(active), np.zeros(m)  # the working set, in insertion order
@@ -202,7 +204,7 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
             del active[j]
     else:
         raise RuntimeError(f"active-set loop exceeded {max_steps} steps")
-    return _certify(qp, An, bn, norms, scale, active, seed if step == 0 else None)
+    return _certify(qp, An, bn, norms, scale, sorted(active), seed if step == 0 else None)
 
 
 def _equality_multipliers(An, bn, active):
