@@ -9,8 +9,8 @@ kept candidate's exact objective is evaluated on the same channel; a
 rejected round repeats the kept value. Round 1's sweep starts each antenna
 at its best point on a guide-wavelength grid over its cell where that beats
 its warm start (see placement.optimize_all_positions); later sweeps start
-from the warm start. From round 1 on, the kept solution's active set seeds
-the precoder's one active-set loop (see precoder.solve_min_power).
+from the warm start. Round 0's precoder solve starts from every row and later
+ones from the kept solution's active set, pruned (see precoder.solve_min_power).
 """
 
 from __future__ import annotations

@@ -147,10 +147,12 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     violates a row by more than the loop's exit threshold raises a plain
     RuntimeError rather than being returned uncertified.
 
-    active, the QPSolution.active of an earlier solve of a QP with as many
-    rows, seeds the loop if its rows are independent with every equality
-    multiplier >= 0 (a valid dual start, returned without a step when no row
-    is violated). Any other hint starts from z = 0, as no hint does.
+    The start is active (an earlier QPSolution.active of a QP with as many
+    rows), or every row when None: rows with a negative or NaN equality
+    multiplier are dropped until all are >= 0, a valid dual start returned
+    without a step when no row is violated; dependent rows, more rows than
+    unknowns or none left start from z = 0. The certificate solves the final
+    rows in increasing order, so every start that ends on them gives the same bits.
     """
     A = np.ascontiguousarray(qp.A)  # row-major, so the result does not depend on layout
     m = A.shape[0]
@@ -160,21 +162,24 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     bn = qp.b / norms
     scale = float(np.abs(bn).max(initial=0.0))
 
-    active = sorted(active or ())  # the seed's rows in the certificate's order
-    seed = _equality_multipliers(An, bn, active) if active else None
-    if seed is None or not np.all(seed >= 0.0):  # NaN fails too
-        active, seed = (), np.empty(0)  # z = 0
-    active, mu = list(active), np.zeros(m)  # the working set, in insertion order
-    mu[active] = seed
+    active, mu = sorted(set(range(m) if active is None else active)), np.zeros(m)
+    while active:  # prune to a valid dual start: independent rows, every multiplier >= 0
+        seed = _equality_multipliers(An, bn, active)  # None: dependent rows, start at z = 0
+        keep = [] if seed is None else [i for i, u in zip(active, seed) if u >= 0.0]  # not NaN
+        if len(keep) == len(active):
+            mu[active] = seed
+            break
+        active = keep
     p = None  # the row being added, between a partial step and its full step
     max_steps = 100 * (m + 1)
     for step in range(max_steps):
         z = An.T @ mu
         if p is None:
             margins = An @ z - bn
-            margins[active] = math.inf  # tight by construction, up to rounding
-            p = int(np.argmin(margins))
-            if margins[p] >= -_VIOLATION * max(scale, float(np.abs(mu).sum())):
+            loose = margins.copy()
+            loose[active] = math.inf  # tight by construction, up to rounding
+            p = int(np.argmin(loose))
+            if loose[p] >= -_VIOLATION * max(scale, float(np.abs(mu).sum())):
                 break
         if active:
             Q, R = np.linalg.qr(An[active].T)
@@ -204,30 +209,33 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
             del active[j]
     else:
         raise RuntimeError(f"active-set loop exceeded {max_steps} steps")
-    return _certify(qp, An, bn, norms, scale, sorted(active), seed if step == 0 else None)
+    return _certify(qp, An, bn, norms, scale, sorted(active), None if step else (mu, z, margins))
 
 
 def _equality_multipliers(An, bn, active):
     """Multipliers of the equality system on the active rows, in their order
     (R^T R mu = bn from an R-only QR), or None for dependent rows."""
-    R = np.linalg.qr(An[active].T, mode="r")  # more rows than unknowns: R is wide
-    if R.shape[0] < len(active) or not (R.diagonal() ** 2).min(initial=math.inf) > _DEPENDENT:
+    if len(active) > An.shape[1]:  # more rows than unknowns
+        return None
+    R = np.linalg.qr(An[active].T, mode="r")
+    if not (R.diagonal() ** 2).min(initial=math.inf) > _DEPENDENT:
         return None
     return np.linalg.solve(R, np.linalg.solve(R.T, bn[active]))
 
 
-def _certify(qp, An, bn, norms, scale, active, mu_active):
-    """The point of the equality system on the active rows with its KKT
-    certificate, from mu_active when the loop took no step (steps accumulate
-    rounding in mu). Dependent rows or a violated row raise RuntimeError."""
-    if mu_active is None:
+def _certify(qp, An, bn, norms, scale, active, loop):
+    """The point of the equality system on the sorted active rows and its KKT
+    certificate, from loop's (mu, z, margins) if the loop took no step (steps
+    accumulate rounding in mu). Dependent rows or a violated row raise RuntimeError."""
+    if loop is None:
         mu_active = _equality_multipliers(An, bn, active)
         if mu_active is None:
             raise RuntimeError("active-set rows are dependent")
-    mu = np.zeros(An.shape[0])
-    mu[active] = np.maximum(mu_active, 0.0)
-    z = An.T @ mu
-    margins = An @ z - bn
+        mu = np.zeros(An.shape[0])
+        mu[active] = np.maximum(mu_active, 0.0)
+        z = An.T @ mu
+        loop = mu, z, An @ z - bn
+    mu, z, margins = loop
     primal = max(0.0, float(-margins.min(initial=0.0)))
     if primal > _VIOLATION * max(scale, float(mu.sum())):
         raise RuntimeError(f"active-set solution violates a row by {primal:.3g}")

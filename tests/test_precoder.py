@@ -340,12 +340,23 @@ def equality_multipliers(qp, rows):
     return mu, margins.min() / np.abs(bn).max()
 
 
+def count_qrs(monkeypatch):
+    """Record the mode and shape of every np.linalg.qr call the solver makes."""
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(precoder.np.linalg, "qr", lambda a, mode="reduced": (
+        calls.append((mode, a.shape)) or qr(a, mode=mode)))
+    return calls
+
+
 class TestWarmStart:
-    """solve_min_power(qp, active) seeds its one Goldfarb-Idnani loop with the
-    given rows when they are a valid dual start (independent, every
-    multiplier >= 0): with no row violated it returns their point without a
-    step, otherwise the loop goes on from there. Any other hint starts from
-    z = 0, as no hint does."""
+    """solve_min_power(qp, active) starts its one Goldfarb-Idnani loop from
+    the sorted hint, or from every row without one, pruned of the rows with a
+    negative multiplier until the rest are a valid dual start (independent,
+    every multiplier >= 0): with no row violated it returns their point
+    without a step, otherwise the loop goes on from there. Dependent rows,
+    more rows than unknowns or an empty set start from z = 0. The certificate
+    solves the final rows in increasing order, so every start gives the same
+    bits."""
 
     def qps(self):
         rng = np.random.default_rng(12)
@@ -359,16 +370,18 @@ class TestWarmStart:
             assert_same_solution(solve_min_power(qp, active=cold.active), cold)
 
     def test_warm_path_skips_the_loop(self, monkeypatch):
-        # the warm path factorizes only the given rows, once
+        # the warm path factorizes only the given rows, once, and the
+        # certificate reuses that factorization's point and margins
         qp = overloaded_k6_instance()
         cold = solve_min_power(qp)
-        shapes, qr = [], np.linalg.qr
-        monkeypatch.setattr(precoder.np.linalg, "qr",
-                            lambda a, *args, **kw: shapes.append(a.shape) or qr(a, *args, **kw))
+        calls = count_qrs(monkeypatch)
         solve_min_power(qp, active=cold.active)
-        assert shapes == [(8, len(cold.active))]
+        assert calls == [("r", (8, len(cold.active)))]
 
-    def test_negative_multiplier_falls_back(self):
+    def test_negative_multiplier_rows_are_pruned(self):
+        # the optimal rows plus one more, with a negative multiplier among
+        # them: the start drops those rows, and the solve ends on the cold
+        # solution bit for bit
         tried = 0
         for qp in self.qps():
             cold = solve_min_power(qp)
@@ -386,17 +399,16 @@ class TestWarmStart:
         # one row of a larger active set: its multiplier is b_i > 0, and a
         # lone tight row would be optimal, so another row is violated; the
         # loop goes on from that row to the cold solve's active set
-        reduced, qr = [], np.linalg.qr
-        monkeypatch.setattr(precoder.np.linalg, "qr", lambda a, mode="reduced": (
-            reduced.append(mode == "reduced") or qr(a, mode=mode)))
+        calls = count_qrs(monkeypatch)
 
         def solve(qp, hint=None):
-            reduced.clear()
-            return solve_min_power(qp, active=hint), sum(reduced)
+            calls.clear()
+            return solve_min_power(qp, active=hint), sum(mode == "reduced" for mode, _ in calls)
 
         tried = shorter = 0
         for qp in self.qps():
-            cold, cold_qrs = solve(qp)
+            cold, _ = solve(qp)
+            _, zero_qrs = solve(qp, ())  # an empty start: the loop from z = 0
             if len(cold.active) < 2:
                 continue
             for row in cold.active:
@@ -407,7 +419,7 @@ class TestWarmStart:
                 assert set(warm.active) == set(cold.active)
                 assert warm.power == pytest.approx(cold.power, rel=1e-12, abs=0.0)
                 assert warm.kkt_residual <= 1e-9
-            # a one-row seed saves only the cold solve's first step, which
+            # a one-row seed saves only the first step from z = 0, which
             # factorizes nothing; a seed of all but one optimal row saves
             # every factorization but the last step's
             for drop in range(len(cold.active)):
@@ -418,7 +430,7 @@ class TestWarmStart:
                     warm, qrs = solve(qp, rows)
                     assert set(warm.active) == set(cold.active)
                     assert warm.kkt_residual <= 1e-9
-                    assert qrs < cold_qrs
+                    assert qrs < zero_qrs
         assert tried >= 3 and shorter >= 3
 
     def test_any_hint_gives_the_cold_optimum(self):
@@ -439,6 +451,71 @@ class TestWarmStart:
                 assert np.allclose(qp.A.T @ warm.duals, z, atol=1e-12)
                 if oracle is not None:
                     assert warm.power == pytest.approx(oracle.power, rel=1e-6)
+
+    def test_every_start_gives_the_same_bits(self):
+        # random row subsets of each QP and of a copy with a loose extra row,
+        # the sum of two rows: valid dual starts with or without a violated
+        # row, negative multipliers, dependent rows, repeated indices, more
+        # rows than unknowns, the empty set and every row
+        rng = np.random.default_rng(15)
+        kinds = dict.fromkeys(("negative", "dependent", "valid"), 0)
+        tried = 0
+        for base in self.qps():
+            i, j = (list(solve_min_power(base).active) + [0, 1])[:2]
+            loose = QPInstance(A=np.vstack([base.A, base.A[i] + base.A[j]]),
+                               b=np.append(base.b, -base.b.max()))
+            for qp in (base, loose):
+                m, n = qp.A.shape
+                An = qp.A / np.linalg.norm(qp.A, axis=1)[:, None]
+                cold = solve_min_power(qp)
+                hints = [(), list(range(m)), list(cold.active)[::-1]]
+                for _ in range(126):
+                    hint = rng.choice(m, int(rng.integers(1, m + 1)), replace=False).tolist()
+                    hints.append(hint + hint[:1] if rng.random() < 0.2 else hint)
+                for hint in hints:
+                    rows = sorted(set(hint))
+                    if rows and len(rows) <= n:
+                        if np.linalg.matrix_rank(An[rows]) < len(rows):
+                            kinds["dependent"] += 1
+                        else:
+                            mu, _ = equality_multipliers(qp, rows)
+                            kinds["negative" if mu.min() < 0 else "valid"] += 1
+                    tried += 1
+                    assert_same_solution(solve_min_power(qp, active=hint), cold)
+        assert tried >= 1800 and min(kinds.values()) >= 20
+
+    def test_unhinted_optimal_start_takes_no_step(self, monkeypatch):
+        # K = N = 4: every row is the start, and where pruning it leaves the
+        # optimal rows the solve returns their point without a loop step,
+        # which would factorize the active rows in reduced mode
+        rng = np.random.default_rng(16)
+        calls = count_qrs(monkeypatch)
+        optimal = 0
+        for _ in range(20):
+            qp = random_instance(rng, 4)[0]
+            rows = list(range(8))
+            while rows:  # the pruning, on the normal equations
+                mu, worst = equality_multipliers(qp, rows)
+                if mu.min() >= 0:
+                    break
+                rows = [i for i, u in zip(rows, mu) if u >= 0]
+            if rows and worst > -1e-9:
+                optimal += 1
+                calls.clear()
+                sol = solve_min_power(qp)
+                assert sol.active == tuple(rows)
+                assert calls and all(mode == "r" for mode, _ in calls)
+        assert optimal >= 5
+
+    def test_overloaded_unhinted_starts_from_zero(self, monkeypatch):
+        # 12 rows in 8 unknowns: every row is no start, and the first step
+        # from z = 0 adds one row, factorized only at the next step
+        qp = overloaded_k6_instance()
+        calls = count_qrs(monkeypatch)
+        sol = solve_min_power(qp)
+        assert calls[0] == ("reduced", (8, 1))
+        assert all(cols <= 8 for _, (_, cols) in calls)
+        assert_same_solution(sol, solve_min_power(qp, active=()))
 
     def test_dependent_rows_fall_back(self):
         qp = overloaded_k6_instance()
