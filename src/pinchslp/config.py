@@ -31,9 +31,8 @@ Row = namedtuple("Row", "kind low closed high many", defaults=(None, False, None
 
 # One row for each settable value of the four configs, by config class. The
 # rules that link fields stay in the classes. Counts stay below _COUNT, so an
-# absurd one fails here, not in numpy or in an endless loop. The PGD step
-# schedule holds max_backtracks + 1 steps and each row runs 1 + restarts
-# starts, so those two stay far below it.
+# absurd one fails here, not in numpy or in an endless loop. Each PGD row runs
+# 1 + restarts starts, so restarts stays far below it.
 _COUNT = 2**31
 FIELDS = {
     "ExperimentConfig": {
@@ -47,12 +46,8 @@ FIELDS = {
         "trials": Row(int, 0), "master_seed": Row(int, 0, closed=True),
         "schemes": Row(tuple),
     },
-    "SmoothingParams": {"kappa": Row(float, 0), "floor": Row(float, 0)},
-    "PGDConfig": {
-        "max_iters": Row(int, 0), "step_tol": Row(float, 0), "init_step": Row(float, 0),
-        "armijo_c1": Row(float, 0), "shrink": Row(float, 0, high=1),
-        "max_backtracks": Row(int, 0, high=2**12), "restarts": Row(int, 0, closed=True, high=2**10),
-    },
+    "SmoothingParams": {"kappa": Row(float, 0)},
+    "PGDConfig": {"restarts": Row(int, 0, closed=True, high=2**10)},
     "AOConfig": {"max_iters": Row(int, 0, closed=True), "rel_tol": Row(float, 0)},
 }
 _KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
@@ -101,23 +96,16 @@ class _Checked:
 @dataclass(frozen=True)
 class SmoothingParams(_Checked):
     """Log-sum-exp temperature policy: per subproblem, kappa times the largest
-    branch magnitude at the warm start, floored."""
+    branch magnitude at the warm start, floored (see placement.pick_eps)."""
 
     kappa: float = 1e-3
-    floor: float = 1e-15
 
 
 @dataclass(frozen=True)
 class PGDConfig(_Checked):
-    """Projected-gradient settings: iteration/step limits and the
-    Armijo-Goldstein backtracking schedule."""
+    """Projected-gradient settings: the extra starts per row. The step schedule
+    and the iteration limits are constants of placement.pgd_solve."""
 
-    max_iters: int = 200
-    step_tol: float = 1e-6
-    init_step: float = 0.1
-    armijo_c1: float = 1e-4
-    shrink: float = 0.5
-    max_backtracks: int = 40
     restarts: int = 0  # extra evenly spaced starts per region (0 = warm start only)
 
 

@@ -30,6 +30,12 @@ from .config import PGDConfig, SmoothingParams
 from .geometry import (MovableRegion, SystemGeometry, offset_distances, placement_cells,
                        validate_placement)
 
+_MAX_ITERS = 200  # PGD steps per row, at most
+_STEP_TOL = 1e-6  # a PGD row retires once a step moves it by at most this
+_STEPS = 0.1 * 0.5 ** np.arange(41)  # each Armijo search tries these in order
+_ARMIJO_C1 = 1e-4  # the Armijo decrease constant
+_EPS_FLOOR = 1e-15  # the least temperature pick_eps returns
+
 
 @dataclass(frozen=True)
 class SubproblemTerms:
@@ -180,10 +186,10 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
 
 def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
     """Subproblem temperature per row: kappa times the largest branch magnitude
-    max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0, floored."""
+    max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0, or _EPS_FLOOR."""
     (g_im, g_re), _ = _pair_parts(terms, x0)
     scale = (np.abs(g_im) + terms.tan_th * np.abs(g_re)).max(axis=(0, 1), initial=0.0)
-    eps = np.maximum(smoothing.kappa * scale, smoothing.floor)
+    eps = np.maximum(smoothing.kappa * scale, _EPS_FLOOR)
     return float(eps) if eps.ndim == 0 else eps
 
 
@@ -234,16 +240,16 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
 def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init):
     """Projected gradient descent over one movable region per row.
 
-    Iterates x <- Proj(x - mu * grad), with mu backtracked on the projected
-    candidate per the Armijo-Goldstein decrease test, until the position
-    change drops below step_tol or max_iters is hit. From the second step
-    on, a row whose gradient changed sign since its previous point also
-    evaluates, in the first backtracking batch, the projected Barzilai-Borwein
-    point x - g * (x - x_prev) / (g - g_prev), and moves there instead when
-    its objective is strictly lower. The objective sequence is
+    Iterates x <- Proj(x - mu * grad), with mu the first step of _STEPS whose
+    projected candidate passes the Armijo-Goldstein decrease test, until the
+    position change drops below _STEP_TOL or _MAX_ITERS steps are taken. From
+    the second step on, a row whose gradient changed sign since its previous
+    point also evaluates, in the first backtracking batch, the projected
+    Barzilai-Borwein point x - g * (x - x_prev) / (g - g_prev), and moves there
+    instead when its objective is strictly lower. The objective sequence is
     non-increasing and the returned point is feasible. Stacked rows step
     together (region bounds, eps and x_init broadcast over them), and a row
-    stops once its own change drops below step_tol, so it follows the path it
+    stops once its own change drops below _STEP_TOL, so it follows the path it
     would follow alone. Besides the warm start x_init, each row gets
     cfg.restarts evenly spaced starts as further rows with its bounds and eps,
     and returns its first best end.
@@ -262,12 +268,11 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     x = np.minimum(np.maximum(x, lower), upper)
     branches = _pair_parts(terms, x)
     f = subproblem_objective(terms, x, eps, branches)
-    steps = cfg.init_step * cfg.shrink ** np.arange(cfg.max_backtracks + 1)
     # the rows still stepping, with their point, objective, bounds and eps;
     # x and f are written back when rows retire and at the end
     active, x_act, f_act = np.arange(x.size), x.copy(), f.copy()
     x_prev = g_prev = None  # each active row's previous point and gradient
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         g = subproblem_gradient(terms, x_act, eps, branches)
         extra = None
         if g_prev is not None:
@@ -276,8 +281,8 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
                 xs = x_act - g * (x_act - x_prev) / np.where(flip, g - g_prev, 1.0)
                 extra = np.where(flip, np.minimum(np.maximum(xs, lower), upper), x_act)
         x_next, f_act, branches = _armijo_rows(
-            terms, lower, upper, eps, f_act, g, x_act, steps, cfg.armijo_c1, extra)
-        stay = np.abs(x_next - x_act) <= cfg.step_tol
+            terms, lower, upper, eps, f_act, g, x_act, _STEPS, _ARMIJO_C1, extra)
+        stay = np.abs(x_next - x_act) <= _STEP_TOL
         x_prev, g_prev, x_act = x_act, g, x_next
         stopped = np.count_nonzero(stay)
         if stopped == stay.size:

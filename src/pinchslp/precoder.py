@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -148,7 +149,8 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     RuntimeError rather than being returned uncertified.
 
     The start is active (an earlier QPSolution.active of a QP with as many
-    rows), or every row when None: rows with a negative or NaN equality
+    rows; an entry that is not an integer in [0, m) raises ValueError), or
+    every row when None: rows with a negative or NaN equality
     multiplier are dropped until all are >= 0, a valid dual start returned
     without a step when no row is violated; dependent rows, more rows than
     unknowns or none left start from z = 0. The certificate solves the final
@@ -162,6 +164,9 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     bn = qp.b / norms
     scale = float(np.abs(bn).max(initial=0.0))
 
+    for i in () if active is None else active:
+        if not (isinstance(i, Integral) and 0 <= i < m):
+            raise ValueError(f"active entry {i!r} is not a row of the {m}-row QP")
     active, mu = sorted(set(range(m) if active is None else active)), np.zeros(m)
     while active:  # prune to a valid dual start: independent rows, every multiplier >= 0
         seed = _equality_multipliers(An, bn, active)  # None: dependent rows, start at z = 0

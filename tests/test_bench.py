@@ -31,6 +31,7 @@ from pinchslp.config import (
     config_from_dict,
     load_config,
 )
+from pinchslp import placement
 from pinchslp.placement import optimize_all_positions
 from pinchslp.precoder import (InfeasibleProblemError, build_ci_qp, db_to_linear,
                                recover_beam_matrix, solve_min_power)
@@ -69,8 +70,8 @@ class TestConfig:
             config_from_dict({"schemes": ["proposed", "zf"]})
 
     def test_subconfig_parsed(self):
-        cfg = config_from_dict({"pgd": {"max_iters": 17}, "gamma_db": [10, 12]})
-        assert cfg.pgd == PGDConfig(max_iters=17)
+        cfg = config_from_dict({"pgd": {"restarts": 3}, "gamma_db": [10, 12]})
+        assert cfg.pgd == PGDConfig(restarts=3)
         assert cfg.gamma_sweep() == (10, 12)
 
     def test_load_config_roundtrip(self, tmp_path):
@@ -148,7 +149,7 @@ class TestConfigFuzz:
         for cls in (ExperimentConfig, *SUBCONFIG_TYPES.values()):
             names = [f.name for f in fields(cls) if f.name not in SUBCONFIG_TYPES]
             assert list(FIELDS[cls.__name__]) == names
-        assert sum(map(len, FIELDS.values())) == 26
+        assert sum(map(len, FIELDS.values())) == 19
 
 
 class TestGenerateScenario:
@@ -412,12 +413,14 @@ class TestCli:
         assert "unknown config keys" in capsys.readouterr().err
 
     # A row whose message the per-field checker reworded keeps its first id,
-    # which quotes the old message, so its test keeps its name.
+    # which quotes the old message, so its test keeps its name. So does a row
+    # whose key left the config for a placement constant: its input is
+    # unchanged, and it now expects the unknown-key message.
     @pytest.mark.parametrize("overrides, message", [
         ({"num_users": 0}, "num_users must be positive"),
         pytest.param({"num_pas": 0}, "num_pas must be positive, got 0",
                      id="overrides1-num_pas must be one or more positive integers"),
-        pytest.param({"pgd": {"max_iters": 1.5}}, "pgd: max_iters must be an integer, got 1.5",
+        pytest.param({"pgd": {"max_iters": 1.5}}, "unknown pgd keys: ['max_iters']",
                      id="overrides2-pgd: max_iters, max_backtracks and restarts must be "
                         "integers"),
         ({"trials": 1.5}, "trials must be an integer"),
@@ -445,30 +448,33 @@ class TestCli:
         pytest.param({"smoothing": {"kappa": math.inf}}, "smoothing: kappa must be a finite number",
                      id="overrides20-smoothing: kappa and floor must be finite"),
         ({"smoothing": {"eps": math.inf}}, "unknown smoothing keys: ['eps']"),
-        pytest.param({"pgd": {"init_step": math.inf}}, "pgd: init_step must be a finite number",
+        pytest.param({"pgd": {"init_step": math.inf}}, "unknown pgd keys: ['init_step']",
                      id="overrides22-pgd: step_tol, init_step and armijo_c1 must be finite"),
-        pytest.param({"pgd": {"step_tol": math.inf}}, "pgd: step_tol must be a finite number",
+        pytest.param({"pgd": {"step_tol": math.inf}}, "unknown pgd keys: ['step_tol']",
                      id="overrides23-pgd: step_tol, init_step and armijo_c1 must be finite"),
-        pytest.param({"pgd": {"armijo_c1": math.inf}}, "pgd: armijo_c1 must be a finite number",
+        pytest.param({"pgd": {"armijo_c1": math.inf}}, "unknown pgd keys: ['armijo_c1']",
                      id="overrides24-pgd: step_tol, init_step and armijo_c1 must be finite"),
-        pytest.param({"pgd": {"shrink": math.inf}}, "pgd: shrink must be a finite number",
+        pytest.param({"pgd": {"shrink": math.inf}}, "unknown pgd keys: ['shrink']",
                      id="overrides25-pgd: shrink factor must be < 1"),
-        pytest.param({"pgd": {"init_step": math.nan}}, "pgd: init_step must be a finite number",
+        pytest.param({"pgd": {"init_step": math.nan}}, "unknown pgd keys: ['init_step']",
                      id="overrides26-pgd: all PGD settings must be positive"),
         pytest.param({"ao": {"rel_tol": math.inf}}, "ao: rel_tol must be a finite number",
                      id="overrides27-ao: rel_tol must be positive and finite"),
         ({"ao": {"guard_enabled": False}}, "unknown ao keys: ['guard_enabled']"),
         ({"smoothing": {"kappa": True}}, "smoothing: kappa must be a number, got True"),
-        ({"pgd": {"step_tol": True}}, "pgd: step_tol must be a number, got True"),
+        pytest.param({"pgd": {"step_tol": True}}, "unknown pgd keys: ['step_tol']",
+                     id="overrides30-pgd: step_tol must be a number, got True"),
         ({"ao": {"rel_tol": True}}, "ao: rel_tol must be a number, got True"),
-        ({"pgd": {"init_step": "0.1"}}, "pgd: init_step must be a number, got '0.1'"),
+        pytest.param({"pgd": {"init_step": "0.1"}}, "unknown pgd keys: ['init_step']",
+                     id="overrides32-pgd: init_step must be a number, got '0.1'"),
         ({"noise_dbm": 4000}, "noise_dbm must have a positive finite linear value, got 4000"),
         ({"noise_dbm": -4000}, "noise_dbm must have a positive finite linear value, got -4000"),
         ({"gamma_db": [14, 4000]}, "gamma_db must have a positive finite linear value, got 4000"),
         ({"gamma_db": [-4000]}, "gamma_db must have a positive finite linear value, got -4000"),
         ({"schemes": "fixed"}, "schemes must be a list of names, got 'fixed'"),
         ({"schemes": ["fixed", "fixed"]}, "schemes must name at least one scheme, each once"),
-        ({"pgd": {"shrink": 1}}, "pgd: shrink must be less than 1, got 1"),
+        pytest.param({"pgd": {"shrink": 1}}, "unknown pgd keys: ['shrink']",
+                     id="overrides39-pgd: shrink must be less than 1, got 1"),
         ({"psk_order": True}, "psk_order must be an integer, got True"),
         ({"min_spacing_m": -0.5}, "min_spacing_m must be non-negative, got -0.5"),
         ({"num_pas": [2, "3"]}, "num_pas must be an integer, got '3'"),
@@ -481,15 +487,18 @@ class TestCli:
                               "squared user-to-antenna distance finite, got 20.0, 20.0, 1e+200"),
         ({"region_side_m": 1e200}, "squared user-to-antenna distance finite, got 1e+200, 20.0"),
         ({"waveguide_length_m": 1e300}, "squared user-to-antenna distance finite, got 20.0, 1e+300"),
-        ({"pgd": {"max_backtracks": 2**40}},
-         "pgd: max_backtracks must be less than 4096, got 1099511627776"),
-        ({"pgd": {"max_backtracks": 2**31 - 1}},
-         "pgd: max_backtracks must be less than 4096, got 2147483647"),
+        pytest.param({"pgd": {"max_backtracks": 2**40}}, "unknown pgd keys: ['max_backtracks']",
+                     id="overrides51-pgd: max_backtracks must be less than 4096, got "
+                        "1099511627776"),
+        pytest.param({"pgd": {"max_backtracks": 2**31 - 1}},
+                     "unknown pgd keys: ['max_backtracks']",
+                     id="overrides52-pgd: max_backtracks must be less than 4096, got 2147483647"),
         ({"pgd": {"restarts": 2**40}}, "pgd: restarts must be less than 1024, got 1099511627776"),
         ({"trials": 1, "gamma_db": [10], "num_pas": 1, "carrier_freq_hz": 1e-290,
           "schemes": ["conventional", "fixed"]}, "carrier_freq_hz 1e-290 gives a channel scale"),
         ({"num_pas": 1, "carrier_freq_hz": 1.9e-147, "schemes": ["conventional"]},
          "the conventional array at carrier_freq_hz 1.9e-147 spans"),
+        ({"smoothing": {"floor": 1e-15}}, "unknown smoothing keys: ['floor']"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
@@ -631,40 +640,45 @@ GOLDEN_PLACEMENTS = {
 }
 
 
-# Shapes the cases above miss, recorded with them: (N, K, L, smoothing, pgd)
-# -> row-major N x L entries. K = 1 is a 1 x 1 pair axis; init_step=1e6 misses
-# the first half of the Armijo schedule at every step; max_iters=3 stops the
+# Placement constants that shape cases set: a schedule from 1e6 misses the
+# first half of the Armijo schedule at every step; three iterations stop the
 # solve at its iteration limit.
+SHAPE_CONSTANTS = {"armijo-second-half": {"_STEPS": 1e6 * 0.5 ** np.arange(41)},
+                   "max-iters": {"_MAX_ITERS": 3}}
+
+# Shapes the cases above miss, recorded with them: (N, K, L, smoothing, pgd,
+# SHAPE_CONSTANTS key or None) -> row-major N x L entries. K = 1 is a 1 x 1
+# pair axis.
 GOLDEN_SHAPES = {
-    (4, 1, 3, SmoothingParams(), PGDConfig()): (
+    (4, 1, 3, SmoothingParams(), PGDConfig(), None): (
         "0x1.b56f213b4b54ap+1 0x1.4cc4f28df311dp+3 0x1.1a099f31e3905p+4 "
         "0x1.e2b9706e08956p+1 0x1.3253a4bc2c588p+3 0x1.1c933daa727efp+4 "
         "0x1.aabfc64a9c2eep+1 0x1.e9b708e2fcd62p+2 0x1.fe8dbff7faf35p+3 "
         "0x1.3dbaa0c3ed599p+1 0x1.40058de82379ep+3 0x1.0aabb4fed21d5p+4"
     ),
-    (4, 6, 3, SmoothingParams(), PGDConfig()): (
+    (4, 6, 3, SmoothingParams(), PGDConfig(), None): (
         "0x1.b1ed40936eb50p+1 0x1.4eb4578b3db47p+3 0x1.099c452bf2bafp+4 "
         "0x1.5dd9cda50d184p+1 0x1.8c8b334c5d269p+3 0x1.0a7de4ba2114cp+4 "
         "0x1.a9c4bfd975d55p+2 0x1.9bdd95dfea3efp+3 0x1.4000000000000p+4 "
         "0x1.aa7ecfb23244bp+2 0x1.81dc2eab73789p+3 0x1.b1541639c0507p+3"
     ),
-    (1, 4, 5, SmoothingParams(), PGDConfig()): (
+    (1, 4, 5, SmoothingParams(), PGDConfig(), None): (
         "0x1.fa5e19a8a5772p+1 0x1.002bdaf878660p+2 0x1.0b553e3330f04p+3 "
         "0x1.acdc9202de7aap+3 0x1.000cd8b670f3dp+4"
     ),
-    (3, 2, 4, SmoothingParams(), PGDConfig(restarts=1)): (
+    (3, 2, 4, SmoothingParams(), PGDConfig(restarts=1), None): (
         "0x1.349ecb49bc2a3p+1 0x1.100934500d2bdp+3 0x1.4285423bfd6c9p+3 "
         "0x1.194dab9c50df1p+4 0x1.93801e2a75565p+0 0x1.3fea1283c3cd0p+3 "
         "0x1.45e27e5d916e5p+3 0x1.1e38e82b32d65p+4 0x1.94c5621650814p+0 "
         "0x1.e191455ac3108p+2 0x1.8f6d56d6d101dp+3 0x1.183f1f7bf2adbp+4"
     ),
-    (4, 4, 3, SmoothingParams(), PGDConfig(init_step=1e6)): (
+    (4, 4, 3, SmoothingParams(), PGDConfig(), "armijo-second-half"): (
         "0x1.d86253b1c8bdep+1 0x1.63e458a62cd39p+3 0x1.35399cde40e07p+4 "
         "0x1.aa72b2b6679edp+2 0x1.8c68c4c81908cp+3 0x1.1bdcdad3f5e15p+4 "
         "0x1.a9cb619db2a0ap+0 0x1.d5ec8ec6012a9p+2 0x1.4000000000000p+4 "
         "0x1.515ab08031e9ep-2 0x1.aa94bd2e6e77bp+3 0x1.aac09826e6ddbp+3"
     ),
-    (4, 4, 3, SmoothingParams(), PGDConfig(max_iters=3)): (
+    (4, 4, 3, SmoothingParams(), PGDConfig(), "max-iters"): (
         "0x1.a4d204336ccc2p+1 0x1.4ef4a7335ed5ap+3 0x1.05fa8fa1a605ep+4 "
         "0x1.b005fb2409537p+1 0x1.5006e324f7187p+3 0x1.06f851697cdc7p+4 "
         "0x1.08e7d1c9d8ecap-2 0x1.17c9ac26510efp+3 0x1.e5e57d1fd4978p+3 "
@@ -822,8 +836,10 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("case", list(GOLDEN_SHAPES), ids=[
         "K1", "K6", "N1", "N3-restarts", "armijo-second-half", "max-iters"])
-    def test_optimize_all_positions_shapes(self, case):
-        x = _golden_sweep(*case)
+    def test_optimize_all_positions_shapes(self, case, monkeypatch):
+        for name, value in SHAPE_CONSTANTS.get(case[-1], {}).items():
+            monkeypatch.setattr(placement, name, value)
+        x = _golden_sweep(*case[:-1])
         assert [v.hex() for v in x.ravel().tolist()] == GOLDEN_SHAPES[case].split(), (
             GOLDEN_NOTE)
 

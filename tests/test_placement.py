@@ -279,19 +279,20 @@ def zero_collapsed_rows(rows=3, num_users=4):
 
 
 class TestTemperatureFloor:
-    """Zero beams at the smallest temperature SmoothingParams allows: every
-    pair term is eps*log(2), which rounds to eps itself, and the slope is 0."""
+    """Zero beams: pick_eps returns its floor, and at the smallest positive
+    temperature, the subnormal 5e-324, every pair term is eps*log(2), which
+    rounds to eps itself, and the slope is 0."""
 
     def test_zero_rows_at_the_subnormal_floor(self):
-        terms, x = zero_collapsed_rows(), np.array([2.0, 9.5, 17.0])
+        terms, x, eps = zero_collapsed_rows(), np.array([2.0, 9.5, 17.0]), np.full(3, 5e-324)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eps = pick_eps(terms, x, SmoothingParams(floor=5e-324))
+            floor = pick_eps(terms, x, SmoothingParams())
             f = subproblem_objective(terms, x, eps)
             g = subproblem_gradient(terms, x, eps)
             end = pgd_solve(terms, MovableRegion(np.zeros(3), np.full(3, 20.0)), eps, PGDConfig(),
                             x)
-        assert np.array_equal(eps, np.full(3, 5e-324))
+        assert np.array_equal(floor, np.full(3, placement._EPS_FLOOR))
         assert np.array_equal(f, np.full(3, 8e-323))  # 4 pairs of 5e-324, times mult 4
         assert np.array_equal(g, np.zeros(3))
         assert np.array_equal(end, x)
@@ -768,15 +769,18 @@ def one_row_sweep(geom, x_current, W, s, smoothing, cfg, iterations=None):
 class TestLockstepRows:
     """Stacked rows must reproduce the one-row path of every row exactly."""
 
-    CASES = [
-        (SmoothingParams(), PGDConfig()),
-        (SmoothingParams(), PGDConfig(restarts=2)),
-        (SmoothingParams(), PGDConfig(max_iters=3, max_backtracks=6)),
-        (SmoothingParams(), PGDConfig(restarts=1)),
+    CASES = [  # (smoothing, cfg, the placement constants to set)
+        (SmoothingParams(), PGDConfig(), {}),
+        (SmoothingParams(), PGDConfig(restarts=2), {}),
+        (SmoothingParams(), PGDConfig(), {"_MAX_ITERS": 3, "_STEPS": placement._STEPS[:7]}),
+        (SmoothingParams(), PGDConfig(restarts=1), {}),
     ]
 
-    @pytest.mark.parametrize("smoothing, cfg", CASES)
-    def test_sweep_matches_independent_rows(self, smoothing, cfg):
+    @pytest.mark.parametrize("smoothing, cfg, constants", CASES,
+                             ids=[f"smoothing{i}-cfg{i}" for i in range(len(CASES))])
+    def test_sweep_matches_independent_rows(self, smoothing, cfg, constants, monkeypatch):
+        for name, value in constants.items():
+            monkeypatch.setattr(placement, name, value)
         rng = np.random.default_rng(30)
         for num_users, num_pas in ((4, 5), (3, 1), (5, 3)):
             geom, symbols, W = demo_setup(rng, num_users=num_users, num_pas=num_pas)

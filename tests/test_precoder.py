@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -355,8 +356,10 @@ class TestWarmStart:
     every multiplier >= 0): with no row violated it returns their point
     without a step, otherwise the loop goes on from there. Dependent rows,
     more rows than unknowns or an empty set start from z = 0. The certificate
-    solves the final rows in increasing order, so every start gives the same
-    bits."""
+    solves the final rows in increasing order, so every start that ends on the
+    same rows gives the same bits. That is every start where the final active
+    set is unique; with a row repeated at another scale, starts that end on
+    the other, equivalent set agree to rounding."""
 
     def qps(self):
         rng = np.random.default_rng(12)
@@ -452,19 +455,32 @@ class TestWarmStart:
                 if oracle is not None:
                     assert warm.power == pytest.approx(oracle.power, rel=1e-6)
 
+    @pytest.mark.parametrize("entry", [-1, 8, 2.0])
+    def test_hint_entries_outside_the_qp_raise(self, entry):
+        # m = 8 rows: -1 would index the last row and 2.0 fail inside numpy
+        qp = random_instance(np.random.default_rng(1), 4)[0]
+        with pytest.raises(ValueError, match=re.escape(f"active entry {entry!r} is not a row "
+                                                       "of the 8-row QP")):
+            solve_min_power(qp, active=[0, entry])
+
     def test_every_start_gives_the_same_bits(self):
         # random row subsets of each QP and of a copy with a loose extra row,
         # the sum of two rows: valid dual starts with or without a violated
         # row, negative multipliers, dependent rows, repeated indices, more
-        # rows than unknowns, the empty set and every row
+        # rows than unknowns, the empty set and every row. A third copy
+        # repeats an active row at twice its scale, so the optimum has two
+        # equivalent active sets: there every start certifies and agrees with
+        # the unhinted solve to a relative 1e-14, not bit for bit.
         rng = np.random.default_rng(15)
         kinds = dict.fromkeys(("negative", "dependent", "valid"), 0)
-        tried = 0
+        tried = other_set = 0
         for base in self.qps():
             i, j = (list(solve_min_power(base).active) + [0, 1])[:2]
             loose = QPInstance(A=np.vstack([base.A, base.A[i] + base.A[j]]),
                                b=np.append(base.b, -base.b.max()))
-            for qp in (base, loose):
+            twice = QPInstance(A=np.vstack([base.A, 2.0 * base.A[i]]),
+                               b=np.append(base.b, 2.0 * base.b[i]))
+            for qp in (base, loose, twice):
                 m, n = qp.A.shape
                 An = qp.A / np.linalg.norm(qp.A, axis=1)[:, None]
                 cold = solve_min_power(qp)
@@ -481,8 +497,16 @@ class TestWarmStart:
                             mu, _ = equality_multipliers(qp, rows)
                             kinds["negative" if mu.min() < 0 else "valid"] += 1
                     tried += 1
-                    assert_same_solution(solve_min_power(qp, active=hint), cold)
-        assert tried >= 1800 and min(kinds.values()) >= 20
+                    warm = solve_min_power(qp, active=hint)
+                    if qp is not twice:
+                        assert_same_solution(warm, cold)
+                        continue
+                    other_set += warm.active != cold.active
+                    assert warm.feasible and warm.kkt_residual <= 1e-9
+                    assert warm.power == pytest.approx(cold.power, rel=1e-14, abs=0.0)
+                    assert (np.abs(warm.x_opt - cold.x_opt).max()
+                            <= 1e-14 * np.abs(cold.x_opt).max())
+        assert tried >= 2700 and min(kinds.values()) >= 20 and other_set >= 20
 
     def test_unhinted_optimal_start_takes_no_step(self, monkeypatch):
         # K = N = 4: every row is the start, and where pruning it leaves the
