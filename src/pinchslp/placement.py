@@ -6,8 +6,9 @@ where g_im/g_re are the imaginary/real parts of that antenna's contribution to
 the received point. The |.| kink is smoothed by log-sum-exp of its two
 branches, computed as the soft-abs |g_im| + eps*log1p(exp(-2|g_im|/eps)) with
 eps = kappa * max(|g_im| + t*|g_re|) at the warm start. Each subproblem is
-solved by projected gradient descent with Armijo backtracking (plus a
-Barzilai-Borwein candidate) over the antenna's movable cell. The cells come
+solved by projected gradient descent over the antenna's movable cell; a step
+evaluates a batch of Armijo step sizes and takes the lowest passing step of the
+first half, else of the second (or a Barzilai-Borwein candidate). The cells come
 from the current placement and keep neighbours apart, so one sweep is a single
 stack of independent rows stepping together, held with the (m, k) pair axes
 first and the candidate and row axes last. The subproblem is quasi-periodic
@@ -32,7 +33,7 @@ from .geometry import (MovableRegion, SystemGeometry, offset_distances, placemen
 
 _MAX_ITERS = 200  # PGD steps per row, at most
 _STEP_TOL = 1e-6  # a PGD row retires once a step moves it by at most this
-_STEPS = 0.1 * 0.5 ** np.arange(41)  # each Armijo search tries these in order
+_STEPS = 0.1 * 0.5 ** np.arange(41)  # each Armijo search tries the first half, then the rest
 _ARMIJO_C1 = 1e-4  # the Armijo decrease constant
 _EPS_FLOOR = 1e-15  # the least temperature pick_eps returns
 
@@ -193,18 +194,21 @@ def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
     return float(eps) if eps.ndim == 0 else eps
 
 
-def _first_pass(ok, *arrays):
-    """Per row (last axis of ok): whether a candidate passed, then each array
-    at the first passing candidate, or at the first one if none did; a take on
-    the merged (candidate, row) axes costs far less than two index arrays."""
-    flat = ok.argmax(axis=0) * ok.shape[1] + np.arange(ok.shape[1])
-    return [a.reshape(a.shape[:-2] + (-1,)).take(flat, axis=-1) for a in (ok, *arrays)]
+def _best_pass(ok, vals, *arrays):
+    """Per row (last axis of ok): whether a candidate passed, then vals and each
+    array at the passing candidate of lowest vals (the first of equal ones), else
+    at the first; a take on the merged axes costs far less than two index arrays."""
+    best = np.where(ok, vals[:ok.shape[0]], np.inf).argmin(axis=0)
+    flat = best * ok.shape[1] + np.arange(ok.shape[1])
+    return [a.reshape(a.shape[:-2] + (-1,)).take(flat, axis=-1) for a in (ok, vals, *arrays)]
 
 
 def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
-    """Backtracking on the projected candidate, per row: the first step of the
-    schedule whose clamped point passes the Armijo test. Steps [0, h) are tried
-    for every row, [h, end) only for rows without a hit there, h = ceil(len/2).
+    """Batched Armijo search on the projected candidate, per row: the lowest
+    passing step of the first half, else of the second, i.e. of the steps whose
+    clamped point passes the Armijo test the one of least objective (the larger
+    of equal ones). The first half, steps [0, h) with h = ceil(len/2), is tried
+    for every row, the second only for rows without a hit there.
     Returns per row the point, its objective and its _pair_parts; a row without
     a hit keeps (x, f0) and the parts of a rejected candidate. extra, when
     given, is one more point per row, evaluated in the first batch: a row takes
@@ -219,7 +223,7 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     all_g, all_q = _pair_parts(terms, cands)
     all_vals = subproblem_objective(terms, cands, eps, (all_g, all_q))
     ok = all_vals[:half] <= f0 - c1_steps[:half] * g2
-    hit, x_new, f_new, g_new, q = _first_pass(ok, cands, all_vals, all_g, all_q)
+    hit, f_new, x_new, g_new, q = _best_pass(ok, all_vals, cands, all_g, all_q)
     if np.count_nonzero(hit) < x.size:
         miss = np.flatnonzero(~hit)
         terms, x_miss, g = terms.rows(miss), x[miss], g[miss]
@@ -227,7 +231,7 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
         parts = _pair_parts(terms, cands)
         vals = subproblem_objective(terms, cands, eps[miss], parts)
         ok = vals <= f0[miss] - c1_steps[half:] * g2[miss]
-        hit, x_hit, f_hit, g_new[..., miss], q[..., miss] = _first_pass(ok, cands, vals, *parts)
+        hit, f_hit, x_hit, g_new[..., miss], q[..., miss] = _best_pass(ok, vals, cands, *parts)
         x_new[miss], f_new[miss] = np.where(hit, x_hit, x_miss), np.where(hit, f_hit, f0[miss])
     if extra is not None:
         take = np.flatnonzero(all_vals[half] < f_new)
@@ -240,11 +244,12 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
 def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init):
     """Projected gradient descent over one movable region per row.
 
-    Iterates x <- Proj(x - mu * grad), with mu the first step of _STEPS whose
-    projected candidate passes the Armijo-Goldstein decrease test, until the
-    position change drops below _STEP_TOL or _MAX_ITERS steps are taken. From
-    the second step on, a row whose gradient changed sign since its previous
-    point also evaluates, in the first backtracking batch, the projected
+    Iterates x <- Proj(x - mu * grad), with mu the lowest passing step of the
+    first half of _STEPS, else of the second (the passing step of least
+    objective under the Armijo-Goldstein decrease test, see _armijo_rows),
+    until the position change drops below _STEP_TOL or _MAX_ITERS steps are
+    taken. From the second step on, a row whose gradient changed sign since
+    its previous point also evaluates, in the first batch, the projected
     Barzilai-Borwein point x - g * (x - x_prev) / (g - g_prev), and moves there
     instead when its objective is strictly lower. The objective sequence is
     non-increasing and the returned point is feasible. Stacked rows step

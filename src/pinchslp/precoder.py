@@ -167,7 +167,7 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
     for i in () if active is None else active:
         if not (isinstance(i, Integral) and 0 <= i < m):
             raise ValueError(f"active entry {i!r} is not a row of the {m}-row QP")
-    active, mu = sorted(set(range(m) if active is None else active)), np.zeros(m)
+    active, mu = sorted(set(range(m) if active is None else map(int, active))), np.zeros(m)
     while active:  # prune to a valid dual start: independent rows, every multiplier >= 0
         seed = _equality_multipliers(An, bn, active)  # None: dependent rows, start at z = 0
         keep = [] if seed is None else [i for i, u in zip(active, seed) if u >= 0.0]  # not NaN

@@ -154,9 +154,13 @@ class TestProposedMetamorphic:
     every target by (1 + 2**-50). The first sweep of each AO starts every
     antenna at its best point on a guide-wavelength grid, so rounding cannot
     pick another basin and the final power moves by at most a relative 1e-9.
-    Without that start, some of these trials moved by over 1 %."""
+    Without that start, some of these trials moved by over 1 %. At 16 dB and
+    L = 7, later sweeps amplified rounding from round to round (by a relative
+    5.2e-9 on trial 2) until each Armijo batch took its lowest passing step;
+    the worst case over these cases is now 9.8e-13. Trial 39 at L = 7 is the
+    relabelling case that once moved by 2.2e-6."""
 
-    @pytest.mark.parametrize("gamma_db", [10.0, 20.0])
+    @pytest.mark.parametrize("gamma_db", [10.0, 16.0, 20.0])
     @pytest.mark.parametrize("num_pas", [1, 3, 7])
     def test_relabelling_and_target_rounding(self, num_pas, gamma_db):
         cfg = ExperimentConfig(master_seed=2026, num_pas=num_pas)
@@ -168,7 +172,7 @@ class TestProposedMetamorphic:
                             fixed_uniform_placement(geom), cfg.ao, cfg.pgd,
                             cfg.smoothing)[2].powers[-1]
 
-        for trial in range(4):
+        for trial in [0, 1, 2, 3] + [39] * (num_pas == 7):
             geom, symbols = generate_scenario(cfg, trial)
             p = final_power(geom, symbols, gamma)
             relabelled = (replace(geom, users=tuple(geom.users[i] for i in perm)),

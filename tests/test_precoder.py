@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -462,6 +463,16 @@ class TestWarmStart:
         with pytest.raises(ValueError, match=re.escape(f"active entry {entry!r} is not a row "
                                                        "of the 8-row QP")):
             solve_min_power(qp, active=[0, entry])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_hints_come_back_as_int(self, dtype):
+        # a hint read back from an array, e.g. a saved active set
+        qp = random_instance(np.random.default_rng(1), 4)[0]
+        cold = solve_min_power(qp)
+        warm = solve_min_power(qp, active=np.array(cold.active, dtype=dtype))
+        assert warm.active == cold.active
+        assert all(type(i) is int for i in warm.active)
+        assert json.loads(json.dumps(warm.active)) == list(cold.active)
 
     def test_every_start_gives_the_same_bits(self):
         # random row subsets of each QP and of a copy with a loose extra row,
