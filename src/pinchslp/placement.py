@@ -14,8 +14,8 @@ stack of independent rows stepping together, held with the (m, k) pair axes
 first and the candidate and row axes last. The subproblem is quasi-periodic
 in the guide wavelength, so the first AO sweep starts each row at the best
 of its warm start and a guide-wavelength grid over its cell. The grid only
-ranks starts, so it takes sine and cosine in float32 of a phase reduced in
-float64; PGD and every reported value stay float64.
+ranks starts: it ranks by the unsmoothed objective, summed in float32 from the
+float64 phase reduced to [-pi, pi]; PGD and every reported value stay float64.
 """
 
 from __future__ import annotations
@@ -112,10 +112,9 @@ def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray
     )
 
 
-def _pair_parts(terms: SubproblemTerms, x, ranking=False):
-    """g = (g_im, g_re) of every (m, k) pair, (2, m, k, *x.shape), and the user
-    distances q, (k, *x.shape): pair axes first, so ufuncs run over x's axes.
-    ranking takes sine and cosine in float32, of the phase reduced in float64."""
+def _phase(terms: SubproblemTerms, x):
+    """The user distances q, (k, *x.shape), and the phase and amplitude amp/q of
+    every (m, k) pair, (m, k, *x.shape): pair axes first, so ufuncs run over x's axes."""
     x = np.asarray(x, dtype=float)
     amp, off, dy2 = terms.amp, terms.phase_off, terms.dy2
     pad = (1,) * (x.ndim - (amp.ndim - 1))  # the candidate axes of x
@@ -123,13 +122,26 @@ def _pair_parts(terms: SubproblemTerms, x, ranking=False):
     q = offset_distances(terms.user_x.reshape((K,) + (1,) * x.ndim), x,
                          dy2.reshape((K,) + pad + dy2.shape[1:]), terms.height**2)
     ang = (-terms.beta0 * q - terms.beta1 * x) + off.reshape(off.shape[:2] + pad + off.shape[2:])
-    scale = amp.reshape(amp.shape[:1] + (1,) + pad + amp.shape[1:]) / q
+    return q, ang, amp.reshape(amp.shape[:1] + (1,) + pad + amp.shape[1:]) / q
+
+
+def _pair_parts(terms: SubproblemTerms, x):
+    """g = (g_im, g_re) of every (m, k) pair, (2, m, k, *x.shape), and q, from _phase."""
+    q, ang, scale = _phase(terms, x)
     g = np.empty((2,) + ang.shape)
-    if ranking:
-        ang = (ang - np.rint(ang * (0.5 / math.pi)) * (2 * math.pi)).astype(np.float32)
     np.multiply(scale, np.sin(ang, out=g[0]), out=g[0])
     np.multiply(scale, np.cos(ang, out=g[1]), out=g[1])
     return g, q
+
+
+def _rank_values(terms: SubproblemTerms, x):
+    """The unsmoothed pair sum of |g_im| - t*g_re, without mult, in float32 of the
+    phase from _phase reduced to [-pi, pi] in float64: the start grid's ranking."""
+    _, ang, scale = _phase(terms, x)
+    ang = (ang - np.rint(ang * (0.5 / math.pi)) * (2 * math.pi)).astype(np.float32)
+    v = np.abs(np.sin(ang))
+    v -= np.cos(ang, out=ang) * np.float32(terms.tan_th)
+    return _pair_sum(v * scale.astype(np.float32))
 
 
 def _pair_sum(v):
@@ -307,21 +319,19 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
 _solve_region = pgd_solve  # the name tests/test_acceptance.py imports
 
 
-_GRID_CHUNK = 2048  # (point, row) entries per objective call of the start grid
+_GRID_CHUNK = 2048  # (point, row) entries per _rank_values call of the start grid
 
 
-def _grid_start(terms, lower, upper, eps, spacing, x_warm):
-    """Per row, the first minimum of the smoothed objective in the sequence
-    x_warm, lower, lower + spacing, lower + 2*spacing, ... (clamped to upper,
-    up to upper itself), evaluated in chunks of about _GRID_CHUNK (point, row)
-    entries with a running best per row, valued by _pair_parts(ranking=True)."""
-    def rank(x):
-        return subproblem_objective(terms, x, eps, _pair_parts(terms, x, ranking=True))
-    x, best, cols = x_warm.copy(), rank(x_warm), np.arange(x_warm.size)
+def _grid_start(terms, lower, upper, spacing, x_warm):
+    """Per row, the first minimum of the unsmoothed objective (_rank_values, in
+    float32) in the sequence x_warm, lower, lower + spacing, ... (clamped to
+    upper, up to upper itself), evaluated in chunks of about _GRID_CHUNK
+    (point, row) entries with a running best per row."""
+    x, best, cols = x_warm.copy(), _rank_values(terms, x_warm), np.arange(x_warm.size)
     points, per = math.ceil(np.max(upper - lower) / spacing) + 1, max(1, _GRID_CHUNK // cols.size)
     for j in range(0, points, per):
         grid = np.minimum(lower + np.arange(j, min(j + per, points))[:, None] * spacing, upper)
-        vals = rank(grid)
+        vals = _rank_values(terms, grid)
         i = vals.argmin(axis=0)
         win = vals[i, cols] < best
         x[win], best[win] = grid[i, cols][win], vals[i, cols][win]
@@ -335,9 +345,9 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
     """Sweep every antenna once, each within its cell of x_current (see
     geometry.placement_cells), warm-started at its current position or, with
     grid_start, at the better of that and its best point on a guide-wavelength
-    grid over the cell (the first AO sweep, see _grid_start). W is the beam
-    matrix or, for rank-one beams, the precoded vector x (see
-    build_subproblem_terms).
+    grid over the cell, both by the unsmoothed objective (the first AO sweep,
+    see _grid_start). W is the beam matrix or, for rank-one beams, the
+    precoded vector x (see build_subproblem_terms).
 
     The cells keep neighbours min_spacing apart, so the N x L subproblems are
     independent: one stacked solve with a row per antenna, row-major in
@@ -354,7 +364,7 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
     x_warm = np.asarray(x_current, dtype=float).ravel()
     eps = pick_eps(terms, x_warm, smoothing)
     region = MovableRegion(cells.lower.ravel(), cells.upper.ravel())
-    x_start = (_grid_start(terms, *region, eps, params.guide_wavelength, x_warm) if grid_start
+    x_start = (_grid_start(terms, *region, params.guide_wavelength, x_warm) if grid_start
                else x_warm)
     x_new = pgd_solve(terms, region, eps, cfg, x_start).reshape(N, L)
     report = validate_placement(geom, x_new)

@@ -745,17 +745,24 @@ GOLDEN_AO = {
     (7, 0, 20.0, AOConfig()): "525b4dc715cc71da1a99e188c97c038b1e730c62d861b0246435ee7f8e118960",
     (7, 1, 10.0, AOConfig()): "6c87d8d254ad626b9b6b26153481f6732f9a23658d30bfd8bcda8a2e00ba1906",
     (7, 1, 20.0, AOConfig()): "9a1bb3b8cdfa5585f514048c8d9b2928be88c7f44f848fbb5700d5788dac4da4",
-    # round 0 only; a round limit of 2, which this trial now meets on the
-    # rejected round where the default stops too (same digest as L3-t0-10dB);
-    # a looser tolerance, which on this trial stops at accepted round 2 where
-    # the default stops at rejected round 4 (L3-t1-10dB, L3-t1-20dB,
-    # L5-t1-10dB, L5-t1-20dB and L7-t1-10dB stop on an accepted round)
+    # one case per exit of the AO loop besides the defaults' convergence:
+    # - max_iters=0: round 0 only, unconverged, no sweep;
+    # - max_iters=2 on L3-t0-10dB: converged on rejected round 2, also its
+    #   round limit, where the default stops too (same digest as L3-t0-10dB);
+    # - rel_tol=1e-2: converged on accepted round 2, where the default stops
+    #   at rejected round 4;
+    # - max_iters=2 on L5-t1-10dB: the round limit, unconverged on accepted
+    #   round 2, where the default goes on to converge at accepted round 6.
+    # Of the defaults, L3-t1-10dB, L3-t1-20dB, L5-t1-10dB, L5-t1-20dB and
+    # L7-t1-10dB converge on an accepted round, the others on a rejected one.
     (3, 0, 10.0, AOConfig(max_iters=0)):
         "e014c2f9f0e32db1433e90beb015175054b77eb6275ebdca9f7d3716d5074b01",
     (3, 0, 10.0, AOConfig(max_iters=2)):
         "aec17aae7de625c68618ed908579453ca904f4da5e6a8719c6e63278bda3490f",
     (5, 0, 10.0, AOConfig(rel_tol=1e-2)):
         "2f94dc5b338b00e16cd0dde467aa6aa8ea6a1765434187e191088482b8d9a09e",
+    (5, 1, 10.0, AOConfig(max_iters=2)):
+        "05d2da87b528d7c924a5d4f91acc5085245b4eae601931d8272c2dd8bd3b795d",
 }
 
 
@@ -782,6 +789,7 @@ PORTABLE_AO = {
     (3, 0, 10.0, AOConfig(max_iters=0)): (1, 0.0076650330644216684),
     (3, 0, 10.0, AOConfig(max_iters=2)): (3, 0.0004362566376843711),
     (5, 0, 10.0, AOConfig(rel_tol=1e-2)): (3, 0.00022250924282979123),
+    (5, 1, 10.0, AOConfig(max_iters=2)): (3, 0.00025930186139312483),
 }
 
 

@@ -655,14 +655,14 @@ class TestOptimizeAllPositions:
         assert np.all((x >= 0) & (x <= 20))
 
 
-def first_sweep_case(seed):
+def first_sweep_case(seed, params=PARAMS):
     """A seeded scenario at the uniform grid with rank-one beams, and the
     stacked terms, cell bounds and temperature of its sweep."""
     rng = np.random.default_rng(seed)
     geom, symbols, _ = demo_setup(rng)
     x_opt = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
     x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1))
-    terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), x_opt, symbols.s, PARAMS,
+    terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), x_opt, symbols.s, params,
                                    THETA)
     cells = placement_cells(geom, x0)
     eps = pick_eps(terms, x0.ravel(), SmoothingParams())
@@ -676,56 +676,105 @@ def start_candidates(lower, upper, x_warm, spacing=PARAMS.guide_wavelength):
     return np.vstack([x_warm, np.minimum(lower + np.arange(points)[:, None] * spacing, upper)])
 
 
-def brute_force_start(objective, terms, lower, upper, eps, x_warm,
-                      spacing=PARAMS.guide_wavelength):
-    """The rule in one objective call: per row, the first minimum over
-    start_candidates."""
+def brute_force_start(objective, terms, lower, upper, x_warm, spacing=PARAMS.guide_wavelength):
+    """The rule in one call of objective(terms, x): per row, the first minimum
+    over start_candidates."""
     cands = start_candidates(lower, upper, x_warm, spacing)
-    return cands[objective(terms, cands, eps).argmin(axis=0), np.arange(x_warm.size)]
+    return cands[objective(terms, cands).argmin(axis=0), np.arange(x_warm.size)]
+
+
+def smoothed(eps):
+    """The smoothed objective at temperature eps, as brute_force_start calls it."""
+    return lambda terms, x: subproblem_objective(terms, x, eps)
+
+
+def unsmoothed(terms, x):
+    """The unsmoothed pair sum of max(phi-bar, phi-hat) = |g_im| - t*g_re in
+    float64, without mult, as _rank_values lays it out."""
+    bar, hat, *_ = _all_branches(terms, x)
+    return placement._pair_sum(np.maximum(bar, hat))
 
 
 class TestGridStart:
     """optimize_all_positions(..., grid_start=True), which ao_solve asks for
     in its first sweep only: each row starts at the first best of its warm
-    start and the guide-wavelength grid over its cell, found chunk by chunk."""
+    start and the guide-wavelength grid over its cell, ranked by the
+    unsmoothed objective in float32 and found chunk by chunk."""
 
     @pytest.mark.parametrize("chunk", [2048, 20 * 7, 1])
     def test_chunked_pick_is_one_call_argmin(self, monkeypatch, chunk):
         sizes = []
+        rank_values = placement._rank_values
 
-        def objective(terms, x, eps, branches=None):
+        def rank(terms, x):
             sizes.append(np.size(x))
-            return subproblem_objective(terms, x, eps, branches)
+            return rank_values(terms, x)
 
         monkeypatch.setattr(placement, "_GRID_CHUNK", chunk)
-        monkeypatch.setattr(placement, "subproblem_objective", objective)
+        monkeypatch.setattr(placement, "_rank_values", rank)
         for seed in (40, 41, 42):
-            *_, x0, terms, lower, upper, eps = first_sweep_case(seed)
-            x = placement._grid_start(terms, lower, upper, eps, PARAMS.guide_wavelength,
-                                      x0.ravel())
-            expected = brute_force_start(subproblem_objective, terms, lower, upper, eps,
-                                         x0.ravel())
+            *_, x0, terms, lower, upper, _ = first_sweep_case(seed)
+            x = placement._grid_start(terms, lower, upper, PARAMS.guide_wavelength, x0.ravel())
+            expected = brute_force_start(rank_values, terms, lower, upper, x0.ravel())
             assert np.array_equal(x, expected)
             assert np.any(x != x0.ravel())
         # one grid point per call at least, whatever the chunk size
         assert max(sizes) <= max(chunk, 20) and len(sizes) > 3
 
     def test_float32_ranking_keeps_the_float64_picks(self):
-        # the grid ranks with float32 sine and cosine of a phase reduced in
-        # float64; unreduced, the float32 phase of thousands of radians errs by
-        # about 1e-3 of a row's largest value
+        # the grid ranks the unsmoothed objective in float32, from the float64
+        # phase reduced to [-pi, pi]; unreduced, the float32 phase of thousands
+        # of radians errs by about 1e-3 of a row's largest value. Its picks are
+        # those of the smoothed float64 objective on these seeds.
         for seed in range(40, 48):
             *_, x0, terms, lower, upper, eps = first_sweep_case(seed)
             cands = start_candidates(lower, upper, x0.ravel())
-            exact = subproblem_objective(terms, cands, eps)
-            ranked = subproblem_objective(terms, cands, eps,
-                                          placement._pair_parts(terms, cands, ranking=True))
-            assert ranked.dtype == exact.dtype == np.float64
+            exact, ranked = unsmoothed(terms, cands), placement._rank_values(terms, cands)
+            assert ranked.dtype == np.float32 and exact.dtype == np.float64
             assert np.all(np.abs(ranked - exact) <= 1e-6 * np.abs(exact).max(axis=0))
-            x = placement._grid_start(terms, lower, upper, eps, PARAMS.guide_wavelength,
-                                      x0.ravel())
-            assert np.array_equal(x, brute_force_start(subproblem_objective, terms, lower,
-                                                       upper, eps, x0.ravel()))
+            x = placement._grid_start(terms, lower, upper, PARAMS.guide_wavelength, x0.ravel())
+            assert np.array_equal(x, brute_force_start(smoothed(eps), terms, lower, upper,
+                                                       x0.ravel()))
+
+    def test_picks_match_a_scalar_unsmoothed_brute_force(self):
+        # float64, term by term from the oracle's two branches, one unstacked
+        # row at a time
+        for seed in (44, 45):
+            *_, x0, terms, lower, upper, _ = first_sweep_case(seed)
+            cands = start_candidates(lower, upper, x0.ravel())
+            pairs = [(m, k) for m in range(terms.amp.shape[0]) for k in range(terms.num_users)]
+            expected = []
+            for r in range(x0.size):
+                row = terms.rows(r)
+                vals = [sum(max(phi_branches(row, x, m, k)) for m, k in pairs)
+                        for x in cands[:, r]]
+                expected.append(cands[int(np.argmin(vals)), r])
+            x = placement._grid_start(terms, lower, upper, PARAMS.guide_wavelength, x0.ravel())
+            assert x.tolist() == expected
+
+    def test_zero_amplitude_row_keeps_its_warm_start(self):
+        # x_0 = 0 zeroes the amplitude of waveguide 0's five rows, so their
+        # values are 0 at every point and the tie goes to the warm start; a
+        # ranking without the amplitude amp/q would move them
+        geom, symbols, x_opt, x0, _, lower, upper, _ = first_sweep_case(40)
+        x_opt[0] = 0.0
+        terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), x_opt, symbols.s,
+                                       PARAMS, THETA)
+        vals = placement._rank_values(terms, start_candidates(lower, upper, x0.ravel()))
+        assert not np.any(vals[:, :5]) and np.all(np.any(vals[:, 5:], axis=0))
+        x = placement._grid_start(terms, lower, upper, PARAMS.guide_wavelength, x0.ravel())
+        assert np.array_equal(x[:5], x0[0])
+        assert np.any(x[5:] != x0.ravel()[5:])
+
+    def test_picks_at_280_ghz_match_the_float64_smoothed_picks(self):
+        params = WaveformParams.from_carrier(2.8e11)
+        for seed in (40, 41):
+            *_, x0, terms, lower, upper, eps = first_sweep_case(seed, params)
+            spacing = params.guide_wavelength
+            x = placement._grid_start(terms, lower, upper, spacing, x0.ravel())
+            assert np.array_equal(x, brute_force_start(smoothed(eps), terms, lower, upper,
+                                                       x0.ravel(), spacing))
+            assert np.any(x != x0.ravel())
 
     def test_ties_go_to_the_warm_start_then_the_earliest_point(self, monkeypatch):
         # grid 0, 1, ..., 10 m on three rows, three points (nine entries) per
@@ -733,21 +782,20 @@ class TestGridStart:
         # two equal minima, in neighbouring chunks; row 1 starts on one of them.
         first, second = np.array([2.0, 5.0, 8.0]), np.array([3.0, 6.0, 9.0])
 
-        def objective(terms, x, eps, branches=None):
+        def objective(terms, x):
             x = np.asarray(x)
             return np.where((x == first) | (x == second), 0.0, 1.0)
 
         calls = []
         monkeypatch.setattr(placement, "_GRID_CHUNK", 9)
-        monkeypatch.setattr(placement, "_pair_parts", lambda *a, **kw: None)
-        monkeypatch.setattr(placement, "subproblem_objective",
+        monkeypatch.setattr(placement, "_rank_values",
                             lambda *a: calls.append(np.size(a[1])) or objective(*a))
         x_warm, lower, upper = np.array([5.5, 6.0, 0.5]), np.zeros(3), np.full(3, 10.0)
-        x = placement._grid_start(None, lower, upper, np.ones(3), 1.0, x_warm)
+        x = placement._grid_start(None, lower, upper, 1.0, x_warm)
         assert x.tolist() == [2.0, 6.0, 8.0]
         assert calls == [3, 9, 9, 9, 6]
-        assert np.array_equal(x, brute_force_start(objective, None, lower, upper, None,
-                                                   x_warm, spacing=1.0))
+        assert np.array_equal(x, brute_force_start(objective, None, lower, upper, x_warm,
+                                                   spacing=1.0))
 
     def test_start_and_end_no_worse_than_the_warm_start(self, monkeypatch):
         seen = []
@@ -772,12 +820,18 @@ class TestGridStart:
         assert moved > 0
 
     def test_grid_calls_in_round_one_only(self, monkeypatch):
-        """Outside pgd_solve, the first sweep of an AO calls the objective
-        once at the warm starts and once per grid chunk; later sweeps never."""
-        calls, in_pgd = [], [False]
+        """The first sweep of an AO ranks once at the warm starts and once per
+        grid chunk; later sweeps never. No sweep calls the smoothed objective
+        outside pgd_solve."""
+        calls, stray, in_pgd = [], [], [False]
+        rank_values = placement._rank_values
+
+        def rank(*args):
+            calls[-1] += 1
+            return rank_values(*args)
 
         def objective(*args, **kwargs):
-            calls[-1] += not in_pgd[0]
+            stray[-1] += not in_pgd[0]
             return subproblem_objective(*args, **kwargs)
 
         def solve(*args, **kwargs):
@@ -789,8 +843,10 @@ class TestGridStart:
 
         def sweep(*args, **kwargs):
             calls.append(0)
+            stray.append(0)
             return optimize_all_positions(*args, **kwargs)
 
+        monkeypatch.setattr(placement, "_rank_values", rank)
         monkeypatch.setattr(placement, "subproblem_objective", objective)
         monkeypatch.setattr(placement, "pgd_solve", solve)
         monkeypatch.setattr(ao, "optimize_all_positions", sweep)
@@ -801,6 +857,7 @@ class TestGridStart:
                     ao.fixed_uniform_placement(geom), cfg.ao, cfg.pgd, cfg.smoothing)
         # 20 rows, so 102 grid points per chunk; 4 m cells hold 524 points
         assert calls == [7, 0, 0, 0]
+        assert stray == [0, 0, 0, 0]
 
 
 def stack_rows(rows):
