@@ -11,11 +11,14 @@ evaluates a batch of Armijo step sizes and takes the lowest passing step of the
 first half, else of the second (or a Barzilai-Borwein candidate). The cells come
 from the current placement and keep neighbours apart, so one sweep is a single
 stack of independent rows stepping together, held with the (m, k) pair axes
-first and the candidate and row axes last. The subproblem is quasi-periodic
-in the guide wavelength, so the first AO sweep starts each row at the best
-of its warm start and a guide-wavelength grid over its cell. The grid only
-ranks starts: it ranks by the unsmoothed objective, summed in float32 from the
-float64 phase reduced to [-pi, pi]; PGD and every reported value stay float64.
+first and the candidate and row axes last; the stepping rows are the columns of
+packed arrays (state, constants, candidate batch), so a row retires by a take of
+each, and the warm start's pair parts serve both eps and the first step. The
+subproblem is quasi-periodic in the guide wavelength, so the first AO sweep
+starts each row at the best of its warm start and a guide-wavelength grid over
+its cell. The grid only ranks starts: it ranks by the unsmoothed objective,
+summed in float32 from the float64 phase reduced to [-pi, pi]; PGD and every
+reported value stay float64.
 """
 
 from __future__ import annotations
@@ -76,14 +79,26 @@ class SubproblemTerms:
 
     def rows(self, idx) -> SubproblemTerms:
         """The stacked subproblems that the row indices idx select (or unstacked
-        terms as one row for idx = np.newaxis), with their dy2."""
-        def pick(a):  # take is much cheaper than fancy indexing on small arrays
-            return np.expand_dims(a, -1) if idx is None else a.take(idx, -1)
-        out = SubproblemTerms(pick(self.amp), pick(self.phase_off), self.user_x, self.user_y,
-                              pick(np.asarray(self.waveguide_y)), self.height, self.beta0,
-                              self.beta1, self.tan_th, self.mult)
-        out.__dict__["dy2"] = pick(self.dy2)
-        return out
+        terms as one row for idx = np.newaxis), with their dy2: one take of _pack."""
+        consts = _pack(self)
+        return _unpack(self, np.expand_dims(consts, -1) if idx is None else consts.take(idx, -1))
+
+
+def _pack(terms: SubproblemTerms) -> np.ndarray:
+    """The per-row constants as one array, (m + m*k + k + 1, *rows): amp,
+    phase_off, dy2 and waveguide_y."""
+    return np.concatenate((terms.amp, terms.phase_off.reshape((-1,) + terms.amp.shape[1:]),
+                           terms.dy2, np.asarray(terms.waveguide_y, dtype=float)[None]))
+
+
+def _unpack(terms: SubproblemTerms, consts) -> SubproblemTerms:
+    """terms whose per-row constants are views of consts (see _pack)."""
+    m, K = terms.amp.shape[0], terms.num_users
+    out = SubproblemTerms(consts[:m], consts[m:m + m * K].reshape((m, K) + consts.shape[1:]),
+                          terms.user_x, terms.user_y, consts[-1], terms.height, terms.beta0,
+                          terms.beta1, terms.tan_th, terms.mult)
+    out.__dict__["dy2"] = consts[m + m * K:-1]
+    return out
 
 
 def build_subproblem_terms(geom: SystemGeometry, n, W: np.ndarray, s: np.ndarray,
@@ -125,10 +140,13 @@ def _phase(terms: SubproblemTerms, x):
     return q, ang, amp.reshape(amp.shape[:1] + (1,) + pad + amp.shape[1:]) / q
 
 
-def _pair_parts(terms: SubproblemTerms, x):
-    """g = (g_im, g_re) of every (m, k) pair, (2, m, k, *x.shape), and q, from _phase."""
+def _pair_parts(terms: SubproblemTerms, x, out=None):
+    """g = (g_im, g_re) of every (m, k) pair, (2, m, k, *x.shape), and q, from _phase;
+    out, a (2mk + k, *x.shape) array, receives both, and they come back as its views."""
     q, ang, scale = _phase(terms, x)
-    g = np.empty((2,) + ang.shape)
+    g = np.empty((2,) + ang.shape) if out is None else out[:-len(q)].reshape((2,) + ang.shape)
+    if out is not None:
+        out[-len(q):], q = q, out[-len(q):]
     np.multiply(scale, np.sin(ang, out=g[0]), out=g[0])
     np.multiply(scale, np.cos(ang, out=g[1]), out=g[1])
     return g, q
@@ -197,22 +215,43 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     return float(out) if out.ndim == 0 else out
 
 
-def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams):
+def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams, branches=None):
     """Subproblem temperature per row: kappa times the largest branch magnitude
-    max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0, or _EPS_FLOOR."""
-    (g_im, g_re), _ = _pair_parts(terms, x0)
+    max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0, or _EPS_FLOOR.
+    branches, when given, are _pair_parts(terms, x0)."""
+    (g_im, g_re), _ = _pair_parts(terms, x0) if branches is None else branches
     scale = (np.abs(g_im) + terms.tan_th * np.abs(g_re)).max(axis=(0, 1), initial=0.0)
     eps = np.maximum(smoothing.kappa * scale, _EPS_FLOOR)
     return float(eps) if eps.ndim == 0 else eps
 
 
-def _best_pass(ok, vals, *arrays):
-    """Per row (last axis of ok): whether a candidate passed, then vals and each
-    array at the passing candidate of lowest vals (the first of equal ones), else
+def _split(batch, K):
+    """The _pair_parts (g, q) of a packed batch over K users, as views. A batch,
+    (2mk + k + 2, ..., rows), holds the g and q, point and objective of each
+    candidate, so choosing one per row, or dropping rows, is one take."""
+    return batch[:-K - 2].reshape((2, -1, K) + batch.shape[1:]), batch[-K - 2:-2]
+
+
+def _batch(terms, lower, upper, eps, x, g, steps, extra=None):
+    """The packed batch of the projected candidates min(max(x - step*g, lower),
+    upper), one per step, then extra when given: (2mk + k + 2, candidates, rows)."""
+    K, n = terms.num_users, steps.size + (extra is not None)
+    batch = np.empty((2 * terms.amp.shape[0] * K + K + 2, n, x.size))
+    cands = batch[-2]
+    np.minimum(np.maximum(x - steps[:, None] * g, lower), upper, out=cands[:steps.size])
+    if extra is not None:
+        cands[-1] = extra
+    batch[-1] = subproblem_objective(terms, cands, eps, _pair_parts(terms, cands, out=batch[:-2]))
+    return batch
+
+
+def _best_pass(ok, batch):
+    """Per row (last axis of ok): whether a candidate passed, and the batch's column
+    at the passing candidate of lowest objective (the first of equal ones), else
     at the first; a take on the merged axes costs far less than two index arrays."""
-    best = np.where(ok, vals[:ok.shape[0]], np.inf).argmin(axis=0)
+    best = np.where(ok, batch[-1, :ok.shape[0]], np.inf).argmin(axis=0)
     flat = best * ok.shape[1] + np.arange(ok.shape[1])
-    return [a.reshape(a.shape[:-2] + (-1,)).take(flat, axis=-1) for a in (ok, vals, *arrays)]
+    return ok.reshape(-1).take(flat), batch.reshape(batch.shape[0], -1).take(flat, axis=1)
 
 
 def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
@@ -221,39 +260,33 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     clamped point passes the Armijo test the one of least objective (the larger
     of equal ones). The first half, steps [0, h) with h = ceil(len/2), is tried
     for every row, the second only for rows without a hit there.
-    Returns per row the point, its objective and its _pair_parts; a row without
-    a hit keeps (x, f0) and the parts of a rejected candidate. extra, when
+    Returns per row the packed column of the chosen candidate (2mk + k + 2, rows:
+    its _pair_parts, see _split, then its point and objective); a row without
+    a hit keeps (x, f0) with the parts of a rejected candidate. extra, when
     given, is one more point per row, evaluated in the first batch: a row takes
     it, with its objective and parts, when its objective is strictly below
     the backtracking outcome."""
     g2 = np.float_power(g, 2)  # libm pow, the bits of Python's float ** 2
     c1_steps = (c1 * steps)[:, None]
     half = -(-steps.size // 2)
-    cands = np.minimum(np.maximum(x - steps[:half, None] * g, lower), upper)
-    if extra is not None:
-        cands = np.concatenate([cands, extra[None]])
-    all_g, all_q = _pair_parts(terms, cands)
-    all_vals = subproblem_objective(terms, cands, eps, (all_g, all_q))
-    ok = all_vals[:half] <= f0 - c1_steps[:half] * g2
-    hit, f_new, x_new, g_new, q = _best_pass(ok, all_vals, cands, all_g, all_q)
+    batch = _batch(terms, lower, upper, eps, x, g, steps[:half], extra)
+    hit, out = _best_pass(batch[-1, :half] <= f0 - c1_steps[:half] * g2, batch)
     if np.count_nonzero(hit) < x.size:
         miss = np.flatnonzero(~hit)
-        terms, x_miss, g = terms.rows(miss), x[miss], g[miss]
-        cands = np.minimum(np.maximum(x_miss - steps[half:, None] * g, lower[miss]), upper[miss])
-        parts = _pair_parts(terms, cands)
-        vals = subproblem_objective(terms, cands, eps[miss], parts)
-        ok = vals <= f0[miss] - c1_steps[half:] * g2[miss]
-        hit, f_hit, x_hit, g_new[..., miss], q[..., miss] = _best_pass(ok, vals, cands, *parts)
-        x_new[miss], f_new[miss] = np.where(hit, x_hit, x_miss), np.where(hit, f_hit, f0[miss])
+        more = _batch(terms.rows(miss), lower[miss], upper[miss], eps[miss], x[miss], g[miss],
+                      steps[half:])
+        hit, found = _best_pass(more[-1] <= f0[miss] - c1_steps[half:] * g2[miss], more)
+        found[-2:] = np.where(hit, found[-2:], (x[miss], f0[miss]))
+        out[:, miss] = found
     if extra is not None:
-        take = np.flatnonzero(all_vals[half] < f_new)
+        take = np.flatnonzero(batch[-1, half] < out[-1])
         if take.size:
-            x_new[take], f_new[take] = extra[take], all_vals[half, take]
-            g_new[..., take], q[..., take] = all_g[..., half, take], all_q[..., half, take]
-    return x_new, f_new, (g_new, q)
+            out[:, take] = batch[:, half, take]
+    return out
 
 
-def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init):
+def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig, x_init, *,
+              branches=None):
     """Projected gradient descent over one movable region per row.
 
     Iterates x <- Proj(x - mu * grad), with mu the lowest passing step of the
@@ -269,48 +302,55 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     stops once its own change drops below _STEP_TOL, so it follows the path it
     would follow alone. Besides the warm start x_init, each row gets
     cfg.restarts evenly spaced starts as further rows with its bounds and eps,
-    and returns its first best end.
+    and returns its first best end. branches, when given, are the stacked
+    _pair_parts(terms, x_init) of an x_init inside the region, without restarts.
+    The stepping rows are the columns of three arrays, so a row retires by a take
+    of each: their state (lower, upper, eps, x, f, x_prev, g_prev), constants
+    (_pack) and batch column at x, whose parts the next gradient reads.
     """
     single = np.ndim(terms.waveguide_y) == 0
     if single:  # one row
         terms = terms.rows(np.newaxis)
     n, starts = terms.amp.shape[-1], 1 + cfg.restarts
-    lower, upper, eps = (np.tile(np.broadcast_to(np.asarray(v, dtype=float), n), starts)
-                         for v in (*region, eps))
-    x = np.broadcast_to(np.asarray(x_init, dtype=float), n)
+    state = np.empty((7, starts, n))
+    for row, v in zip(state, (*region, eps, x_init)):
+        row[:] = np.asarray(v, dtype=float)
+    consts = _pack(terms)
     if cfg.restarts:
-        spread = [np.linspace(a, b, cfg.restarts) for a, b in zip(lower[:n], upper[:n])]
-        x = np.concatenate([x, np.ravel(spread, order="F")])
-        terms = terms.rows(np.tile(np.arange(n), starts))
-    x = np.minimum(np.maximum(x, lower), upper)
-    branches = _pair_parts(terms, x)
-    f = subproblem_objective(terms, x, eps, branches)
-    # the rows still stepping, with their point, objective, bounds and eps;
-    # x and f are written back when rows retire and at the end
-    active, x_act, f_act = np.arange(x.size), x.copy(), f.copy()
-    x_prev = g_prev = None  # each active row's previous point and gradient
-    for _ in range(_MAX_ITERS):
-        g = subproblem_gradient(terms, x_act, eps, branches)
+        spread = [np.linspace(a, b, cfg.restarts) for a, b in zip(state[0, 0], state[1, 0])]
+        state[3, 1:] = np.transpose(spread)
+        consts = consts.take(np.tile(np.arange(n), starts), -1)
+        terms = _unpack(terms, consts)
+    state = state.reshape(7, -1)
+    lower, upper, eps, x, f = state[:5]
+    np.minimum(np.maximum(x, lower), upper, out=x)
+    parts = _pair_parts(terms, x) if branches is None else branches
+    f[:] = subproblem_objective(terms, x, eps, parts)
+    out, active = np.empty((2, x.size)), np.arange(x.size)  # x and f as rows retire
+    for i in range(_MAX_ITERS):
+        lower, upper, eps, x, f, x_prev, g_prev = state
+        g = subproblem_gradient(terms, x, eps, parts)
         extra = None
-        if g_prev is not None:
+        if i:
             flip = g * g_prev < 0  # the row stepped over a stationary point
             if np.count_nonzero(flip):  # the projected Barzilai-Borwein (secant) point
-                xs = x_act - g * (x_act - x_prev) / np.where(flip, g - g_prev, 1.0)
-                extra = np.where(flip, np.minimum(np.maximum(xs, lower), upper), x_act)
-        x_next, f_act, branches = _armijo_rows(
-            terms, lower, upper, eps, f_act, g, x_act, _STEPS, _ARMIJO_C1, extra)
-        stay = np.abs(x_next - x_act) <= _STEP_TOL
-        x_prev, g_prev, x_act = x_act, g, x_next
+                xs = x - g * (x - x_prev) / np.where(flip, g - g_prev, 1.0)
+                extra = np.where(flip, np.minimum(np.maximum(xs, lower), upper), x)
+        batch = _armijo_rows(terms, lower, upper, eps, f, g, x, _STEPS, _ARMIJO_C1, extra)
+        stay = np.abs(batch[-2] - x) <= _STEP_TOL
+        state[5], state[6] = x, g
+        state[3:5] = batch[-2:]
         stopped = np.count_nonzero(stay)
         if stopped == stay.size:
             break
         if stopped:
-            x[active], f[active] = x_act, f_act
+            out[:, active] = state[3:5]
             go = np.flatnonzero(~stay)
-            active, lower, upper, eps = active[go], lower[go], upper[go], eps[go]
-            x_act, f_act, x_prev, g_prev = x_act[go], f_act[go], x_prev[go], g_prev[go]
-            terms, branches = terms.rows(go), tuple(b.take(go, axis=-1) for b in branches)
-    x[active], f[active] = x_act, f_act
+            active, state, batch, consts = (a.take(go, -1) for a in (active, state, batch, consts))
+            terms = _unpack(terms, consts)
+        parts = _split(batch, terms.num_users)
+    out[:, active] = state[3:5]
+    x, f = out
     if cfg.restarts:  # the first best end of each row's starts
         x = x.reshape(starts, n)[np.argmin(f.reshape(starts, n), axis=0), np.arange(n)]
     return float(x[0]) if single else x
@@ -362,11 +402,13 @@ def optimize_all_positions(geom: SystemGeometry, x_current: np.ndarray, W: np.nd
     terms = build_subproblem_terms(geom, np.repeat(np.arange(N), L), W, s, params, theta_th)
     cells = placement_cells(geom, x_current)
     x_warm = np.asarray(x_current, dtype=float).ravel()
-    eps = pick_eps(terms, x_warm, smoothing)
+    parts = _pair_parts(terms, x_warm)  # the cells hold x_warm, so PGD starts there
+    eps = pick_eps(terms, x_warm, smoothing, parts)
     region = MovableRegion(cells.lower.ravel(), cells.upper.ravel())
-    x_start = (_grid_start(terms, *region, params.guide_wavelength, x_warm) if grid_start
-               else x_warm)
-    x_new = pgd_solve(terms, region, eps, cfg, x_start).reshape(N, L)
+    if grid_start:
+        x_warm, parts = _grid_start(terms, *region, params.guide_wavelength, x_warm), None
+    x_new = pgd_solve(terms, region, eps, cfg, x_warm, branches=None if cfg.restarts else parts)
+    x_new = x_new.reshape(N, L)
     report = validate_placement(geom, x_new)
     if not report.ok:  # cells enforce this by construction
         raise AssertionError(f"position sweep produced violations: {report.violations}")

@@ -130,6 +130,7 @@ def build_ci_qp(
 
 _VIOLATION = 1e-14  # violated below -_VIOLATION * max(|bn|, sum(mu)), the rounding scale of z
 _DEPENDENT = 1e-24  # ||d||^2 below this: the entering normal lies in the active span
+_UPPER = {}  # k -> the upper-triangle mask of a k x k matrix, made on first use
 
 
 def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSolution:
@@ -219,10 +220,14 @@ def solve_min_power(qp: QPInstance, active: Sequence[int] | None = None) -> QPSo
 
 def _equality_multipliers(An, bn, active):
     """Multipliers of the equality system on the active rows, in their order
-    (R^T R mu = bn from an R-only QR), or None for dependent rows."""
-    if len(active) > An.shape[1]:  # more rows than unknowns
+    (R^T R mu = bn from an R-only QR: mode "r" is np.triu of the raw reflectors,
+    which the cached mask does faster), or None for dependent rows."""
+    k = len(active)
+    if k > An.shape[1]:  # more rows than unknowns
         return None
-    R = np.linalg.qr(An[active].T, mode="r")
+    if k not in _UPPER:
+        _UPPER[k] = np.triu(np.ones((k, k), dtype=bool))
+    R = np.where(_UPPER[k], np.linalg.qr(An[active].T, mode="raw")[0].T[:k], 0.0)
     if not (R.diagonal() ** 2).min(initial=math.inf) > _DEPENDENT:
         return None
     return np.linalg.solve(R, np.linalg.solve(R.T, bn[active]))

@@ -704,6 +704,39 @@ GOLDEN_SHAPES = {
 }
 
 
+def _pgd_stacks(count=200, seed=2800):
+    """Seeded random pgd_solve inputs, (terms, region, eps, cfg, x_init): 1-8
+    stacked rows over 1-4 users, rank-one (m = 1, mult K) or K x K pair axes,
+    zero-amplitude rows, point regions, every third case with 2 restarts and
+    every seventh a single unstacked row."""
+    rng = np.random.default_rng(seed)
+    params = ExperimentConfig().params
+    for i in range(count):
+        K, n = int(rng.integers(1, 5)), 1 if i % 7 == 0 else int(rng.integers(2, 9))
+        m = 1 if i % 2 else K
+        amp = rng.uniform(0, 0.1, (m, n))
+        amp[:, rng.random(n) < 0.15] = 0.0
+        lower = rng.uniform(0, 16, n)
+        upper = np.where(rng.random(n) < 0.1, lower, lower + rng.uniform(0, 4, n))
+        x0 = rng.uniform(lower, upper)
+        terms = placement.SubproblemTerms(
+            amp=amp, phase_off=rng.uniform(-np.pi, np.pi, (m, K, n)),
+            user_x=rng.uniform(0, 20, K), user_y=rng.uniform(0, 20, K),
+            waveguide_y=rng.uniform(0, 20, n), height=5.0, beta0=params.beta0,
+            beta1=params.beta1, tan_th=1.0, mult=float(K) if m == 1 else 1.0)
+        eps = placement.pick_eps(terms, x0, SmoothingParams(kappa=[0.01, 0.1, 1.0][i % 3]))
+        if n == 1:
+            terms = terms.rows(0)
+            lower, upper, eps, x0 = float(lower[0]), float(upper[0]), float(eps[0]), float(x0[0])
+        yield (terms, placement.MovableRegion(lower, upper), eps,
+               PGDConfig(restarts=2 if i % 3 == 0 else 0), x0)
+
+
+# pgd_solve's ends on _pgd_stacks(), recorded before its state was packed
+# into arrays: sha256 over the float.hex of every case's ends, case after case.
+GOLDEN_PGD_STACKS = "0bdad6c6d05ae16da3265210cc4f660b67cf1dd2e055f33318c029cbd459420b"
+
+
 def _golden_sweep(N, K, L, smoothing, pgd):
     """One position sweep of seeded scenario L with N waveguides and K users,
     from the uniform grid, under rank-one beams drawn from (77, L)."""
@@ -877,6 +910,41 @@ class TestGoldenOutputs:
         x = _golden_sweep(*case[:-1])
         assert [v.hex() for v in x.ravel().tolist()] == GOLDEN_SHAPES[case].split(), (
             GOLDEN_NOTE)
+
+    def test_pgd_solve_stacks(self, monkeypatch):
+        # the spies see the paths the stacks take: Barzilai-Borwein points
+        # taken, second-half Armijo batches (20 candidates) and rows retiring
+        # while others step on
+        taken, second_half, sizes = [], [], []
+
+        def armijo_rows(*args):
+            out = armijo(*args)
+            if len(args) > 9 and args[9] is not None:
+                taken.append(np.count_nonzero((out[-2] == args[9]) & (args[9] != args[6])))
+            return out
+
+        def objective(terms, x, *args):
+            second_half.append(np.ndim(x) == 2 and np.shape(x)[0] == 20)
+            return inner_objective(terms, x, *args)
+
+        def gradient(terms, x, *args):
+            sizes[-1].append(np.size(x))
+            return inner_gradient(terms, x, *args)
+
+        armijo, inner_objective = placement._armijo_rows, placement.subproblem_objective
+        inner_gradient = placement.subproblem_gradient
+        monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)
+        monkeypatch.setattr(placement, "subproblem_objective", objective)
+        monkeypatch.setattr(placement, "subproblem_gradient", gradient)
+        text = []
+        for terms, region, eps, cfg, x0 in _pgd_stacks():
+            sizes.append([])
+            text += [float(v).hex() for v in np.ravel(placement.pgd_solve(terms, region, eps, cfg,
+                                                                          x0))]
+        assert sum(taken) > 0 and sum(second_half) > 0
+        assert sum(any(0 < b < a for a, b in zip(s, s[1:])) for s in sizes) > 20
+        digest = hashlib.sha256(" ".join(text).encode()).hexdigest()
+        assert digest == GOLDEN_PGD_STACKS, GOLDEN_NOTE
 
 
 class TestTraceHooks:

@@ -375,25 +375,32 @@ def envelope_row(x_user=0.0):
     )
 
 
+def chosen(terms, column):
+    """The point, objective and _pair_parts (g, q) of the packed candidate
+    columns that _armijo_rows returns."""
+    return column[-2], column[-1], placement._split(column, terms.num_users)
+
+
 def armijo(terms, x, g, eps, steps, lower=-20.0, upper=20.0):
-    """_armijo_rows from rows at x with gradients g, bounds shared by all rows."""
+    """_armijo_rows from rows at x with gradients g, bounds shared by all rows:
+    the chosen points, objectives and parts, and the objectives at x."""
     x, g = np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(g, dtype=float))
     eps = np.full(x.size, eps)
     f0 = subproblem_objective(terms, x, eps)
     bounds = np.full(x.size, lower), np.full(x.size, upper)
-    return (*_armijo_rows(terms, *bounds, eps, f0, g, x, steps, 1e-4), f0)
+    return (*chosen(terms, _armijo_rows(terms, *bounds, eps, f0, g, x, steps, 1e-4)), f0)
 
 
 def spy_steps(monkeypatch):
     """Record every PGD step through placement._armijo_rows, wrapping what the
-    attribute holds now: per step the active rows' (x, f, x_next, f_next,
-    lower, upper)."""
+    attribute holds now: per step copies of the active rows' (x, f, x_next,
+    f_next, lower, upper), since pgd_solve writes its row state in place."""
     steps, inner = [], placement._armijo_rows
 
     def armijo_rows(terms, lower, upper, eps, f0, g, x, *rest):
-        x_next, f_next, branches = inner(terms, lower, upper, eps, f0, g, x, *rest)
-        steps.append((x, f0, x_next, f_next, lower, upper))
-        return x_next, f_next, branches
+        column = inner(terms, lower, upper, eps, f0, g, x, *rest)
+        steps.append(tuple(np.copy(a) for a in (x, f0, column[-2], column[-1], lower, upper)))
+        return column
 
     monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)
     return steps
@@ -798,10 +805,13 @@ class TestGridStart:
                                                    spacing=1.0))
 
     def test_start_and_end_no_worse_than_the_warm_start(self, monkeypatch):
+        # the grid start ranks by _rank_values, so only that order holds at the
+        # start, exactly (its values do not depend on the chunks); PGD from
+        # there descends the smoothed objective
         seen = []
 
-        def solve(terms, region, eps, cfg, x_init):
-            x = pgd_solve(terms, region, eps, cfg, x_init)
+        def solve(terms, region, eps, cfg, x_init, **kwargs):
+            x = pgd_solve(terms, region, eps, cfg, x_init, **kwargs)
             seen.append((terms, eps, np.array(x_init), x))
             return x
 
@@ -813,9 +823,9 @@ class TestGridStart:
                                        SmoothingParams(), PGDConfig(), grid_start=True)
             terms, eps, start, end = seen[-1]
             assert np.array_equal(end, x.ravel())
-            warm, f_start, f_end = (subproblem_objective(terms, v, eps)
-                                    for v in (x0.ravel(), start, end))
-            assert np.all(f_start <= warm) and np.all(f_end <= f_start)
+            rank_warm, rank_start = (placement._rank_values(terms, v) for v in (x0.ravel(), start))
+            f_start, f_end = (subproblem_objective(terms, v, eps) for v in (start, end))
+            assert np.all(rank_start <= rank_warm) and np.all(f_end <= f_start)
             moved += np.count_nonzero(start != x0.ravel())
         assert moved > 0
 
@@ -1079,9 +1089,9 @@ class TestBarzilaiBorweinCandidate:
         lower, upper = np.zeros(n), np.full(n, 20.0)
         f0, g = subproblem_objective(terms, x, eps), subproblem_gradient(terms, x, eps)
         args = terms, lower, upper, eps, f0, g, x, self.STEPS, 1e-4
-        x_arm, f_arm, br_arm = _armijo_rows(*args)
+        x_arm, f_arm, br_arm = chosen(terms, _armijo_rows(*args))
         extra = np.where(np.arange(n) % 3 == 0, x, x + rng.normal(0, 1e-3, n)).clip(0, 20)
-        x_new, f_new, br_new = _armijo_rows(*args, extra)
+        x_new, f_new, br_new = chosen(terms, _armijo_rows(*args, extra))
         f_extra = subproblem_objective(terms, extra, eps)
         take = f_extra < f_arm
         assert 0 < np.count_nonzero(take) < np.count_nonzero(extra != x)
@@ -1092,7 +1102,7 @@ class TestBarzilaiBorweinCandidate:
             assert np.array_equal(got[..., ~take], arm[..., ~take])
         # a row whose extra point is its own x comes out as without one
         assert not take[extra == x].any()
-        x_same, f_same, br_same = _armijo_rows(*args, x)
+        x_same, f_same, br_same = chosen(terms, _armijo_rows(*args, x))
         assert np.array_equal(x_same, x_arm) and np.array_equal(f_same, f_arm)
         assert all(np.array_equal(a, b) for a, b in zip(br_same, br_arm))
 
@@ -1103,7 +1113,7 @@ class TestBarzilaiBorweinCandidate:
         def armijo_rows(*args):
             out = _armijo_rows(*args)
             if len(args) > 9 and args[9] is not None:
-                taken.append(np.count_nonzero((out[0] == args[9]) & (args[9] != args[6])))
+                taken.append(np.count_nonzero((out[-2] == args[9]) & (args[9] != args[6])))
             return out
 
         monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)

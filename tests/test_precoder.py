@@ -343,10 +343,11 @@ def equality_multipliers(qp, rows):
 
 
 def count_qrs(monkeypatch):
-    """Record the mode and shape of every np.linalg.qr call the solver makes."""
+    """Record the mode and shape of every np.linalg.qr call the solver makes;
+    mode "raw" (the reflectors, no Q) is recorded as the R-only "r"."""
     calls, qr = [], np.linalg.qr
     monkeypatch.setattr(precoder.np.linalg, "qr", lambda a, mode="reduced": (
-        calls.append((mode, a.shape)) or qr(a, mode=mode)))
+        calls.append(("r" if mode == "raw" else mode, a.shape)) or qr(a, mode=mode)))
     return calls
 
 
