@@ -4,13 +4,13 @@ Each round takes a candidate placement (round 0: the initial one; later: a
 sweep of the antenna positions against the kept beams), builds its channel
 once, solves the precoder on it, and keeps the candidate only if its power
 does not rise; round 0 is always kept. This guard makes the power sequence
-non-increasing, so the relative-change stopping rule always terminates. A
-kept candidate's exact objective is evaluated on the same channel; a
-rejected round repeats the kept value. Round 1's sweep starts each antenna
-at its best point on a guide-wavelength grid over its cell where that beats
-its warm start (see placement.optimize_all_positions); later sweeps start
-from the warm start. Round 0's precoder solve starts from every row and later
-ones from the kept solution's active set, pruned (see precoder.solve_min_power).
+non-increasing, so the relative-change stopping rule always terminates. The
+beam matrix is recovered once, from the last kept solution. Round 1's sweep
+starts each antenna at its best point on a guide-wavelength grid over its cell
+where that beats its warm start (see placement.optimize_all_positions); later
+sweeps start from the warm start. Round 0's precoder solve starts from every
+row and later ones from the kept solution's active set, pruned (see
+precoder.solve_min_power).
 """
 
 from __future__ import annotations
@@ -22,17 +22,16 @@ import numpy as np
 from .channel import WaveformParams, effective_channels
 from .config import AOConfig, PGDConfig, SmoothingParams
 from .geometry import SystemGeometry, initial_regions, validate_placement
-from .placement import optimize_all_positions, placement_objective_exact
+from .placement import optimize_all_positions
 from .precoder import SymbolVector, build_ci_qp, recover_beam_matrix, solve_min_power
 
 
 @dataclass
 class AOTrace:
-    """Per-round history: power after the round, exact placement objective,
-    and whether that round's placement candidate was kept."""
+    """Per-round history: power after the round and whether that round's
+    placement candidate was kept."""
 
     powers: list[float] = field(default_factory=list)
-    placement_objectives: list[float] = field(default_factory=list)
     accepted: list[bool] = field(default_factory=list)
     converged: bool = False
 
@@ -59,7 +58,6 @@ def ao_solve(
     report = validate_placement(geom, x_init)
     if not report.ok:  # the sweeps check it too, but max_iters = 0 runs none
         raise ValueError(f"x_init violates the placement constraints: {report.violations}")
-    gamma = np.asarray(gamma, dtype=float)
     x_cand = np.array(x_init, dtype=float, copy=True)
     trace = AOTrace()
     for it in range(ao_cfg.max_iters + 1):
@@ -72,18 +70,14 @@ def ao_solve(
         accepted = not it or sol_cand.power <= sol.power
         if accepted:
             x, sol = x_cand, sol_cand
-            W = recover_beam_matrix(sol.x_opt, symbols)
-            objective = placement_objective_exact(snap_cand, W, symbols.s, gamma, noise_power,
-                                                  theta_th)
         trace.powers.append(sol.power)
-        trace.placement_objectives.append(objective)
         trace.accepted.append(accepted)
         if it:
             old = trace.powers[-2]
             if abs(sol.power - old) / max(old, 1e-300) <= ao_cfg.rel_tol:
                 trace.converged = True
                 break
-    return W, x, trace
+    return recover_beam_matrix(sol.x_opt, symbols), x, trace
 
 
 def fixed_uniform_placement(geom: SystemGeometry) -> np.ndarray:

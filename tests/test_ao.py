@@ -256,16 +256,14 @@ class TestAoSolve:
                 assert i == len(trace.accepted) - 1
                 assert trace.converged
 
-    def test_trace_objective_recorded(self):
+    def test_trace_flags_every_round(self):
         geom, symbols = scenario(34)
         gamma = np.full(4, 100.0)
         _, _, trace = ao_solve(
             geom, PARAMS, symbols, gamma, NOISE_W, THETA,
             fixed_uniform_placement(geom),
         )
-        assert len(trace.placement_objectives) == len(trace.powers)
         assert len(trace.accepted) == len(trace.powers)
-        assert all(math.isfinite(v) for v in trace.placement_objectives)
 
     @pytest.mark.parametrize("max_iters", [0, 1])
     def test_infeasible_x_init_raises(self, max_iters):

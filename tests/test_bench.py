@@ -1031,14 +1031,13 @@ class TestTraceHooks:
                           "subproblem_objective": 22, "pick_eps": 1}
 
     def test_ao_call_counts(self, monkeypatch):
-        """The tracer wraps these five names of pinchslp.ao. Every round,
+        """The tracer wraps these names of pinchslp.ao. Every round,
         round 0 included, builds one channel, one CI-QP and one solve; every
-        round after round 0 makes one sweep; only a kept round evaluates the
-        exact objective."""
+        round after round 0 makes one sweep."""
         from pinchslp import ao
 
         counts = dict.fromkeys(("effective_channels", "build_ci_qp", "solve_min_power",
-                                "optimize_all_positions", "placement_objective_exact"), 0)
+                                "optimize_all_positions"), 0)
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -1051,7 +1050,7 @@ class TestTraceHooks:
         (_, _, trace), _ = _golden_ao(3, 0, 20.0, AOConfig())
         assert trace.accepted == [True] * 2 + [False]
         assert counts == {"effective_channels": 3, "build_ci_qp": 3, "solve_min_power": 3,
-                          "optimize_all_positions": 2, "placement_objective_exact": 2}
+                          "optimize_all_positions": 2}
 
     # Counts recorded with the three hand-written experiment loops, and the
     # baseline counts again when the fixed scheme took the AO's round 0: only

@@ -650,6 +650,17 @@ class TestOptimizeAllPositions:
         assert validate_placement(geom, x).ok
         assert np.all(np.abs(x[:, 1:-1] - x0[:, 1:-1]) <= 1e-12)
         assert np.all(x[:, 0] <= x0[:, 0]) and np.all(x[:, -1] >= x0[:, -1])
+        # gaps and ends 0.9 nm past the constraints, inside their 1 nm
+        # tolerance: each cell is widened to hold its input entry, so the
+        # output is no worse than the input and needs no check of its own
+        run = np.arange(5) * (geom.min_spacing - 0.9e-9)
+        for start in 8.0 + run, run - 0.9e-9, geom.waveguide_length + 0.9e-9 - run[::-1]:
+            x0 = np.tile(start, (4, 1))
+            assert validate_placement(geom, x0).ok
+            for cfg in PGDConfig(), PGDConfig(restarts=2):
+                x = optimize_all_positions(geom, x0, W, symbols.s, PARAMS, THETA,
+                                           SmoothingParams(), cfg)
+                assert validate_placement(geom, x).ok
 
     def test_single_pa_independent_regions(self):
         rng = np.random.default_rng(18)
@@ -1105,6 +1116,17 @@ class TestBarzilaiBorweinCandidate:
         x_same, f_same, br_same = chosen(terms, _armijo_rows(*args, x))
         assert np.array_equal(x_same, x_arm) and np.array_equal(f_same, f_arm)
         assert all(np.array_equal(a, b) for a, b in zip(br_same, br_arm))
+
+    def test_exact_tie_keeps_the_armijo_point(self):
+        # the batch of TestArmijoStep's tie moves the row to -0.25; an extra
+        # point at 0.25 has the same objective to the bit, so it is not taken
+        terms, eps, x = envelope_row(), np.full(1, 1e-9), np.ones(1)
+        f0, g = subproblem_objective(terms, x, eps), np.ones(1)
+        column = _armijo_rows(terms, np.full(1, -20.0), np.full(1, 20.0), eps, f0, g, x,
+                              np.array([1.25, 0.75, 0.5, 0.25]), 1e-4, np.full(1, 0.25))
+        x_new, f_new, _ = chosen(terms, column)
+        assert f_new[0] == subproblem_objective(terms, np.full(1, 0.25), eps)[0]
+        assert x_new[0] == -0.25
 
     @pytest.mark.parametrize("restarts", [0, 2])
     def test_random_sweeps_descend_inside_their_cells(self, restarts, monkeypatch):
