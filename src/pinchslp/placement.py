@@ -8,17 +8,17 @@ branches, computed as the soft-abs |g_im| + eps*log1p(exp(-2|g_im|/eps)) with
 eps = kappa * max(|g_im| + t*|g_re|) at the warm start. Each subproblem is
 solved by projected gradient descent over the antenna's movable cell; a step
 evaluates a batch of Armijo step sizes and takes the lowest passing step of the
-first half, else of the second (or a Barzilai-Borwein candidate). The cells come
-from the current placement and keep neighbours apart, so one sweep is a single
-stack of independent rows stepping together, held with the (m, k) pair axes
-first and the candidate and row axes last; the stepping rows are the columns of
-packed arrays (state, constants, candidate batch), so a row retires by a take of
-each, and the warm start's pair parts serve both eps and the first step. The
-subproblem is quasi-periodic in the guide wavelength, so the first AO sweep
-starts each row at the best of its warm start and a guide-wavelength grid over
-its cell. The grid only ranks starts: it ranks by the unsmoothed objective,
-summed in float32 from the float64 phase reduced to [-pi, pi]; PGD and every
-reported value stay float64.
+first half, else of the second. The cells come from the current placement and
+keep neighbours apart, so one sweep is a single stack of independent rows
+stepping together, held with the (m, k) pair axes first and the candidate and
+row axes last; the stepping rows are the columns of packed arrays (state,
+constants, candidate batch), so a row retires by a take of each, and the warm
+start's pair parts serve both eps and the first step. The subproblem is
+quasi-periodic in the guide wavelength, so the first AO sweep starts each row at
+the best of its warm start and a guide-wavelength grid over its cell. The grid
+only ranks starts: it ranks by the unsmoothed objective, summed in float32 from
+the float64 phase reduced to [-pi, pi]; PGD and every reported value stay
+float64.
 """
 
 from __future__ import annotations
@@ -232,15 +232,12 @@ def _split(batch, K):
     return batch[:-K - 2].reshape((2, -1, K) + batch.shape[1:]), batch[-K - 2:-2]
 
 
-def _batch(terms, lower, upper, eps, x, g, steps, extra=None):
+def _batch(terms, lower, upper, eps, x, g, steps):
     """The packed batch of the projected candidates min(max(x - step*g, lower),
-    upper), one per step, then extra when given: (2mk + k + 2, candidates, rows)."""
-    K, n = terms.num_users, steps.size + (extra is not None)
-    batch = np.empty((2 * terms.amp.shape[0] * K + K + 2, n, x.size))
-    cands = batch[-2]
-    np.minimum(np.maximum(x - steps[:, None] * g, lower), upper, out=cands[:steps.size])
-    if extra is not None:
-        cands[-1] = extra
+    upper), one per step: (2mk + k + 2, steps, rows)."""
+    K = terms.num_users
+    batch = np.empty((2 * terms.amp.shape[0] * K + K + 2, steps.size, x.size))
+    cands = np.minimum(np.maximum(x - steps[:, None] * g, lower), upper, out=batch[-2])
     batch[-1] = subproblem_objective(terms, cands, eps, _pair_parts(terms, cands, out=batch[:-2]))
     return batch
 
@@ -249,12 +246,12 @@ def _best_pass(ok, batch):
     """Per row (last axis of ok): whether a candidate passed, and the batch's column
     at the passing candidate of lowest objective (the first of equal ones), else
     at the first; a take on the merged axes costs far less than two index arrays."""
-    best = np.where(ok, batch[-1, :ok.shape[0]], np.inf).argmin(axis=0)
+    best = np.where(ok, batch[-1], np.inf).argmin(axis=0)
     flat = best * ok.shape[1] + np.arange(ok.shape[1])
     return ok.reshape(-1).take(flat), batch.reshape(batch.shape[0], -1).take(flat, axis=1)
 
 
-def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
+def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
     """Batched Armijo search on the projected candidate, per row: the lowest
     passing step of the first half, else of the second, i.e. of the steps whose
     clamped point passes the Armijo test the one of least objective (the larger
@@ -262,15 +259,12 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
     for every row, the second only for rows without a hit there.
     Returns per row the packed column of the chosen candidate (2mk + k + 2, rows:
     its _pair_parts, see _split, then its point and objective); a row without
-    a hit keeps (x, f0) with the parts of a rejected candidate. extra, when
-    given, is one more point per row, evaluated in the first batch: a row takes
-    it, with its objective and parts, when its objective is strictly below
-    the backtracking outcome."""
+    a hit keeps (x, f0) with the parts of a rejected candidate."""
     g2 = np.float_power(g, 2)  # libm pow, the bits of Python's float ** 2
     c1_steps = (c1 * steps)[:, None]
     half = -(-steps.size // 2)
-    batch = _batch(terms, lower, upper, eps, x, g, steps[:half], extra)
-    hit, out = _best_pass(batch[-1, :half] <= f0 - c1_steps[:half] * g2, batch)
+    batch = _batch(terms, lower, upper, eps, x, g, steps[:half])
+    hit, out = _best_pass(batch[-1] <= f0 - c1_steps[:half] * g2, batch)
     if np.count_nonzero(hit) < x.size:
         miss = np.flatnonzero(~hit)
         more = _batch(terms.rows(miss), lower[miss], upper[miss], eps[miss], x[miss], g[miss],
@@ -278,10 +272,6 @@ def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1, extra=None):
         hit, found = _best_pass(more[-1] <= f0[miss] - c1_steps[half:] * g2[miss], more)
         found[-2:] = np.where(hit, found[-2:], (x[miss], f0[miss]))
         out[:, miss] = found
-    if extra is not None:
-        take = np.flatnonzero(batch[-1, half] < out[-1])
-        if take.size:
-            out[:, take] = batch[:, half, take]
     return out
 
 
@@ -293,26 +283,23 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
     first half of _STEPS, else of the second (the passing step of least
     objective under the Armijo-Goldstein decrease test, see _armijo_rows),
     until the position change drops below _STEP_TOL or _MAX_ITERS steps are
-    taken. From the second step on, a row whose gradient changed sign since
-    its previous point also evaluates, in the first batch, the projected
-    Barzilai-Borwein point x - g * (x - x_prev) / (g - g_prev), and moves there
-    instead when its objective is strictly lower. The objective sequence is
-    non-increasing and the returned point is feasible. Stacked rows step
-    together (region bounds, eps and x_init broadcast over them), and a row
-    stops once its own change drops below _STEP_TOL, so it follows the path it
-    would follow alone. Besides the warm start x_init, each row gets
-    cfg.restarts evenly spaced starts as further rows with its bounds and eps,
-    and returns its first best end. branches, when given, are the stacked
-    _pair_parts(terms, x_init) of an x_init inside the region, without restarts.
-    The stepping rows are the columns of three arrays, so a row retires by a take
-    of each: their state (lower, upper, eps, x, f, x_prev, g_prev), constants
-    (_pack) and batch column at x, whose parts the next gradient reads.
+    taken. The objective sequence is non-increasing and the returned point is
+    feasible. Stacked rows step together (region bounds, eps and x_init
+    broadcast over them), and a row stops once its own change drops below
+    _STEP_TOL, so it follows the path it would follow alone. Besides the warm
+    start x_init, each row gets cfg.restarts evenly spaced starts as further
+    rows with its bounds and eps, and returns its first best end. branches,
+    when given, are the stacked _pair_parts(terms, x_init) of an x_init inside
+    the region, without restarts. The stepping rows are the columns of three
+    arrays, so a row retires by a take of each: their state (lower, upper, eps,
+    x, f), constants (_pack) and batch column at x, whose parts the next
+    gradient reads.
     """
     single = np.ndim(terms.waveguide_y) == 0
     if single:  # one row
         terms = terms.rows(np.newaxis)
     n, starts = terms.amp.shape[-1], 1 + cfg.restarts
-    state = np.empty((7, starts, n))
+    state = np.empty((5, starts, n))
     for row, v in zip(state, (*region, eps, x_init)):
         row[:] = np.asarray(v, dtype=float)
     consts = _pack(terms)
@@ -321,35 +308,28 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
         state[3, 1:] = np.transpose(spread)
         consts = consts.take(np.tile(np.arange(n), starts), -1)
         terms = _unpack(terms, consts)
-    state = state.reshape(7, -1)
-    lower, upper, eps, x, f = state[:5]
+    state = state.reshape(5, -1)
+    lower, upper, eps, x, f = state
     np.minimum(np.maximum(x, lower), upper, out=x)
     parts = _pair_parts(terms, x) if branches is None else branches
     f[:] = subproblem_objective(terms, x, eps, parts)
     out, active = np.empty((2, x.size)), np.arange(x.size)  # x and f as rows retire
-    for i in range(_MAX_ITERS):
-        lower, upper, eps, x, f, x_prev, g_prev = state
+    for _ in range(_MAX_ITERS):
+        lower, upper, eps, x, f = state
         g = subproblem_gradient(terms, x, eps, parts)
-        extra = None
-        if i:
-            flip = g * g_prev < 0  # the row stepped over a stationary point
-            if np.count_nonzero(flip):  # the projected Barzilai-Borwein (secant) point
-                xs = x - g * (x - x_prev) / np.where(flip, g - g_prev, 1.0)
-                extra = np.where(flip, np.minimum(np.maximum(xs, lower), upper), x)
-        batch = _armijo_rows(terms, lower, upper, eps, f, g, x, _STEPS, _ARMIJO_C1, extra)
+        batch = _armijo_rows(terms, lower, upper, eps, f, g, x, _STEPS, _ARMIJO_C1)
         stay = np.abs(batch[-2] - x) <= _STEP_TOL
-        state[5], state[6] = x, g
-        state[3:5] = batch[-2:]
+        state[3:] = batch[-2:]
         stopped = np.count_nonzero(stay)
         if stopped == stay.size:
             break
         if stopped:
-            out[:, active] = state[3:5]
+            out[:, active] = state[3:]
             go = np.flatnonzero(~stay)
             active, state, batch, consts = (a.take(go, -1) for a in (active, state, batch, consts))
             terms = _unpack(terms, consts)
         parts = _split(batch, terms.num_users)
-    out[:, active] = state[3:5]
+    out[:, active] = state[3:]
     x, f = out
     if cfg.restarts:  # the first best end of each row's starts
         x = x.reshape(starts, n)[np.argmin(f.reshape(starts, n), axis=0), np.arange(n)]

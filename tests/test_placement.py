@@ -551,6 +551,17 @@ class TestProject:
             assert pgd_solve(zero_terms(), r, 1e-9, PGDConfig(), p) == p
 
 
+def random_sweep(rng):
+    """One stacked sweep of a seeded 4 x 5 demo scenario from a jittered grid,
+    on the cells of that placement: (terms, region, eps, x0) for pgd_solve."""
+    geom, symbols, W = demo_setup(rng)
+    x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1)) + rng.uniform(-1.5, 1.5, (4, 5))
+    terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), W, symbols.s, PARAMS, THETA)
+    cells = placement_cells(geom, x0)
+    return (terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()),
+            pick_eps(terms, x0.ravel(), SmoothingParams()), x0.ravel())
+
+
 class TestPgdSolve:
     def test_stationary_start_returns_init(self, monkeypatch):
         terms = zero_terms()
@@ -600,6 +611,36 @@ class TestPgdSolve:
         region = MovableRegion(0.0, 5.0)
         x = pgd_solve(terms, region, 1e-9, PGDConfig(), 1.0)
         assert x == region.upper
+
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_random_sweeps_descend_inside_their_cells(self, restarts, monkeypatch):
+        steps = spy_steps(monkeypatch)
+        rng = np.random.default_rng(34)
+        for _ in range(4):
+            terms, region, eps, x0 = random_sweep(rng)
+            pgd_solve(terms, region, eps, PGDConfig(restarts=restarts), x0)
+        assert steps and non_increasing(steps)
+        for x, _, x_next, _, lower, upper in steps:
+            assert np.all((lower <= x) & (x <= upper) & (lower <= x_next) & (x_next <= upper))
+
+    def test_every_move_is_a_projected_armijo_step(self, monkeypatch):
+        # each row stays at x or moves to min(max(x - s*g, lower), upper) for
+        # a step s of _STEPS, bit for bit: no candidate off the schedule
+        moves, inner = [], placement._armijo_rows
+
+        def armijo_rows(terms, lower, upper, eps, f0, g, x, *rest):
+            column = inner(terms, lower, upper, eps, f0, g, x, *rest)
+            cands = np.minimum(np.maximum(x - placement._STEPS[:, None] * g, lower), upper)
+            moved = column[-2] != x
+            assert np.all((cands == column[-2]).any(axis=0) | ~moved)
+            moves.append(np.count_nonzero(moved))
+            return column
+
+        monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)
+        terms, region, eps, x0 = random_sweep(np.random.default_rng(36))
+        for restarts in (0, 2):
+            pgd_solve(terms, region, eps, PGDConfig(restarts=restarts), x0)
+        assert sum(moves) > 0
 
 
 class TestOptimizeAllPositions:
@@ -1004,13 +1045,12 @@ def restart_cases(seed=50):
              pick_eps(stacked, x0.ravel(), SmoothingParams()), x0.ravel())]
 
 
-# _solve_region's ends for restart_cases(), re-recorded when the smoothed
-# pair term took its soft-abs form: restarts -> sha256 over the float.hex of the
-# unstacked row's end followed by the 20 stacked rows' ends.
+# _solve_region's ends for restart_cases(): restarts -> sha256 over the
+# float.hex of the unstacked row's end followed by the 20 stacked rows' ends.
 GOLDEN_SOLVE_REGION = {
-    0: "f059e84cf6c5e7887b04e99bde9f54bc75c6d8e22ba386c00cfc6ca9f41f42d1",
-    1: "1be1eacc1dd31497683e4f8f8eb61fc1d21dc36822be4b7e323c134cced7009f",
-    3: "63f744110fb1b29c1ff943f8a83c4c22b260255289c26c738f1ac08a7e0f059a",
+    0: "7cc37f517e66458d265a797100d19ed6418954813f722a9414e172ff99cc2772",
+    1: "2d2ce21fda0dc45d2819367514c1a09088baab6cbbaba2fc1f7abe8ca785f206",
+    3: "3d767c8589cd16ade1d7546f51601fbaab7eab203e23380e3d2e40a8835ce2a5",
 }
 
 
@@ -1070,12 +1110,9 @@ def zigzag_row():
             pick_eps(terms, x0[2, 1], SmoothingParams()), x0[2, 1])
 
 
-# zigzag_row's end (float.hex) and the step count of the first-pass Armijo
-# schedule alone, before the Barzilai-Borwein candidate joined it. The end was
-# re-pinned when each Armijo batch began to move a row to its lowest passing
-# step: the first step no longer jumps to the cell edge, where the row landed
-# in a deeper basin (7.9964 m, objective -0.0396), and the row now ends at
-# 6.0407 m (objective -0.0011) in 5 steps.
+# zigzag_row's end (float.hex), 6.0407 m in 5 steps under the lowest passing
+# step, and the 109 steps it took when each Armijo search took its first
+# passing step.
 ZIGZAG_END, ZIGZAG_STEPS = "0x1.829af297e2e6ep+2", 109
 
 
@@ -1086,75 +1123,6 @@ class TestZigzagTail:
         end = pgd_solve(terms, region, eps, PGDConfig(), x_warm)
         assert len(steps) <= 20 < ZIGZAG_STEPS
         assert abs(end - float.fromhex(ZIGZAG_END)) <= 1e-5
-
-
-class TestBarzilaiBorweinCandidate:
-    """_armijo_rows' extra point per row, and pgd_solve's use of it."""
-
-    STEPS = 0.1 * 0.5 ** np.arange(41)
-
-    def test_extra_taken_iff_strictly_below(self):
-        rng = np.random.default_rng(33)
-        n, eps = 60, np.full(60, 1e-7)
-        terms, x = random_rows(rng, n)
-        lower, upper = np.zeros(n), np.full(n, 20.0)
-        f0, g = subproblem_objective(terms, x, eps), subproblem_gradient(terms, x, eps)
-        args = terms, lower, upper, eps, f0, g, x, self.STEPS, 1e-4
-        x_arm, f_arm, br_arm = chosen(terms, _armijo_rows(*args))
-        extra = np.where(np.arange(n) % 3 == 0, x, x + rng.normal(0, 1e-3, n)).clip(0, 20)
-        x_new, f_new, br_new = chosen(terms, _armijo_rows(*args, extra))
-        f_extra = subproblem_objective(terms, extra, eps)
-        take = f_extra < f_arm
-        assert 0 < np.count_nonzero(take) < np.count_nonzero(extra != x)
-        assert np.array_equal(x_new, np.where(take, extra, x_arm))
-        assert np.array_equal(f_new, np.where(take, f_extra, f_arm))
-        for got, arm, at_extra in zip(br_new, br_arm, _pair_parts(terms, extra)):
-            assert np.array_equal(got[..., take], at_extra[..., take])
-            assert np.array_equal(got[..., ~take], arm[..., ~take])
-        # a row whose extra point is its own x comes out as without one
-        assert not take[extra == x].any()
-        x_same, f_same, br_same = chosen(terms, _armijo_rows(*args, x))
-        assert np.array_equal(x_same, x_arm) and np.array_equal(f_same, f_arm)
-        assert all(np.array_equal(a, b) for a, b in zip(br_same, br_arm))
-
-    def test_exact_tie_keeps_the_armijo_point(self):
-        # the batch of TestArmijoStep's tie moves the row to -0.25; an extra
-        # point at 0.25 has the same objective to the bit, so it is not taken
-        terms, eps, x = envelope_row(), np.full(1, 1e-9), np.ones(1)
-        f0, g = subproblem_objective(terms, x, eps), np.ones(1)
-        column = _armijo_rows(terms, np.full(1, -20.0), np.full(1, 20.0), eps, f0, g, x,
-                              np.array([1.25, 0.75, 0.5, 0.25]), 1e-4, np.full(1, 0.25))
-        x_new, f_new, _ = chosen(terms, column)
-        assert f_new[0] == subproblem_objective(terms, np.full(1, 0.25), eps)[0]
-        assert x_new[0] == -0.25
-
-    @pytest.mark.parametrize("restarts", [0, 2])
-    def test_random_sweeps_descend_inside_their_cells(self, restarts, monkeypatch):
-        taken = []
-
-        def armijo_rows(*args):
-            out = _armijo_rows(*args)
-            if len(args) > 9 and args[9] is not None:
-                taken.append(np.count_nonzero((out[-2] == args[9]) & (args[9] != args[6])))
-            return out
-
-        monkeypatch.setattr(placement, "_armijo_rows", armijo_rows)
-        steps = spy_steps(monkeypatch)
-        rng = np.random.default_rng(34)
-        cfg = PGDConfig(restarts=restarts)
-        for _ in range(4):
-            geom, symbols, W = demo_setup(rng)
-            x0 = np.tile((np.arange(5) + 0.5) * 4.0, (4, 1)) + rng.uniform(-1.5, 1.5, (4, 5))
-            terms = build_subproblem_terms(geom, np.repeat(np.arange(4), 5), W, symbols.s,
-                                           PARAMS, THETA)
-            cells = placement_cells(geom, x0)
-            eps = pick_eps(terms, x0.ravel(), SmoothingParams())
-            pgd_solve(terms, MovableRegion(cells.lower.ravel(), cells.upper.ravel()), eps, cfg,
-                      x0.ravel())
-        assert steps and non_increasing(steps)
-        for x, _, x_next, _, lower, upper in steps:
-            assert np.all((lower <= x) & (x <= upper) & (lower <= x_next) & (x_next <= upper))
-        assert sum(taken) > 0  # the sweeps did take Barzilai-Borwein points
 
 
 U = 2.0 ** -53  # unit roundoff of float64
