@@ -5,20 +5,21 @@ subproblem per antenna: a double sum over user pairs of |g_im| - g_re*tan(th),
 where g_im/g_re are the imaginary/real parts of that antenna's contribution to
 the received point. The |.| kink is smoothed by log-sum-exp of its two
 branches, computed as the soft-abs |g_im| + eps*log1p(exp(-2|g_im|/eps)) with
-eps = kappa * max(|g_im| + t*|g_re|) at the warm start. Each subproblem is
-solved by projected gradient descent over the antenna's movable cell; a step
-evaluates a batch of Armijo step sizes and takes the lowest passing step of the
-first half, else of the second. The cells come from the current placement and
-keep neighbours apart, so one sweep is a single stack of independent rows
-stepping together, held with the (m, k) pair axes first and the candidate and
-row axes last; the stepping rows are the columns of packed arrays (state,
-constants, candidate batch), so a row retires by a take of each, and the warm
-start's pair parts serve both eps and the first step. The subproblem is
-quasi-periodic in the guide wavelength, so the first AO sweep starts each row at
-the best of its warm start and a guide-wavelength grid over its cell. The grid
-only ranks starts: it ranks by the unsmoothed objective, summed in float32 from
-the float64 phase reduced to [-pi, pi]; PGD and every reported value stay
-float64.
+eps = kappa * b, b = max(|g_im| + t*|g_re|) the branch scale at the warm start.
+Each subproblem is solved by projected gradient descent over the antenna's
+movable cell; a step evaluates one batch of Armijo steps along g/b in units of
+the guide wavelength and takes its passing candidate of least objective, so
+neither the beams' scale, kappa nor the carrier sets the step. The cells come
+from the current placement and keep neighbours apart, so one sweep is a single
+stack of independent rows stepping together, held with the (m, k) pair axes
+first and the candidate and row axes last; the stepping rows are the columns of
+packed arrays (state, constants, candidate batch), so a row retires by a take
+of each, and the warm start's pair parts serve eps, b and the first step. The
+subproblem is quasi-periodic in the guide wavelength, so the first AO sweep
+starts each row at the best of its warm start and a guide-wavelength grid over
+its cell. The grid only ranks starts: it ranks by the unsmoothed objective,
+summed in float32 from the float64 phase reduced to [-pi, pi]; PGD and every
+reported value stay float64.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from .geometry import (MovableRegion, SystemGeometry, offset_distances, placemen
                        validate_placement)
 
 _MAX_ITERS = 200  # PGD steps per row, at most
-_STEP_TOL = 1e-6  # a PGD row retires once a step moves it by at most this
-_STEPS = 0.1 * 0.5 ** np.arange(41)  # each Armijo search tries the first half, then the rest
+_STEP_TOL = 1.3e-4  # a PGD row retires once a step moves it by at most this many lambda_g
+_STEPS = 0.15625 * 0.5 ** np.arange(16)  # the Armijo batch, in lambda_g**2 per branch scale
 _ARMIJO_C1 = 1e-4  # the Armijo decrease constant
-_EPS_FLOOR = 1e-15  # the least temperature pick_eps returns
+_EPS_FLOOR = 1e-15  # the least temperature and branch scale: a zero row's, kept positive
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,6 @@ class SubproblemTerms:
     def dy2(self) -> np.ndarray:
         """(user_y - waveguide_y)**2, (k) or (k, rows)."""
         return np.subtract.outer(self.user_y, self.waveguide_y) ** 2
-
-    def rows(self, idx) -> SubproblemTerms:
-        """The stacked subproblems that the row indices idx select (or unstacked
-        terms as one row for idx = np.newaxis), with their dy2: one take of _pack."""
-        consts = _pack(self)
-        return _unpack(self, np.expand_dims(consts, -1) if idx is None else consts.take(idx, -1))
 
 
 def _pack(terms: SubproblemTerms) -> np.ndarray:
@@ -190,7 +185,7 @@ def subproblem_objective(terms: SubproblemTerms, x, eps, branches=None):
     e = np.asarray(eps, dtype=float)
     a = np.abs(g_im)
     # divide first (-2 / eps overflows at a subnormal eps); past 20 the log1p term is
-    # under half an ulp of |g_im|: the clamp keeps every bit, and exp off its slow underflow
+    # below 0.5 ulp of |g_im|: the clamp keeps every bit, and exp off its slow underflow
     soft = np.log1p(np.exp(np.minimum(a / e, 20.0) * -2.0))
     soft = soft * e + a - terms.tan_th * g_re
     out = _pair_sum(soft) * terms.mult
@@ -215,12 +210,16 @@ def subproblem_gradient(terms: SubproblemTerms, x, eps, branches=None):
     return float(out) if out.ndim == 0 else out
 
 
+def _branch_scale(terms: SubproblemTerms, branches):
+    """Per row, the largest branch magnitude |g_im| + t*|g_re| of the pairs' branches."""
+    (g_im, g_re), _ = branches
+    return (np.abs(g_im) + terms.tan_th * np.abs(g_re)).max(axis=(0, 1), initial=0.0)
+
+
 def pick_eps(terms: SubproblemTerms, x0, smoothing: SmoothingParams, branches=None):
-    """Subproblem temperature per row: kappa times the largest branch magnitude
-    max(|bar|, |hat|) = |g_im| + t*|g_re| over the pairs at x0, or _EPS_FLOOR.
-    branches, when given, are _pair_parts(terms, x0)."""
-    (g_im, g_re), _ = _pair_parts(terms, x0) if branches is None else branches
-    scale = (np.abs(g_im) + terms.tan_th * np.abs(g_re)).max(axis=(0, 1), initial=0.0)
+    """Subproblem temperature per row: kappa times the branch scale at x0 (see
+    _branch_scale), or _EPS_FLOOR. branches, when given, are _pair_parts(terms, x0)."""
+    scale = _branch_scale(terms, _pair_parts(terms, x0) if branches is None else branches)
     eps = np.maximum(smoothing.kappa * scale, _EPS_FLOOR)
     return float(eps) if eps.ndim == 0 else eps
 
@@ -232,46 +231,22 @@ def _split(batch, K):
     return batch[:-K - 2].reshape((2, -1, K) + batch.shape[1:]), batch[-K - 2:-2]
 
 
-def _batch(terms, lower, upper, eps, x, g, steps):
-    """The packed batch of the projected candidates min(max(x - step*g, lower),
-    upper), one per step: (2mk + k + 2, steps, rows)."""
-    K = terms.num_users
-    batch = np.empty((2 * terms.amp.shape[0] * K + K + 2, steps.size, x.size))
-    cands = np.minimum(np.maximum(x - steps[:, None] * g, lower), upper, out=batch[-2])
-    batch[-1] = subproblem_objective(terms, cands, eps, _pair_parts(terms, cands, out=batch[:-2]))
-    return batch
-
-
-def _best_pass(ok, batch):
-    """Per row (last axis of ok): whether a candidate passed, and the batch's column
-    at the passing candidate of lowest objective (the first of equal ones), else
-    at the first; a take on the merged axes costs far less than two index arrays."""
-    best = np.where(ok, batch[-1], np.inf).argmin(axis=0)
-    flat = best * ok.shape[1] + np.arange(ok.shape[1])
-    return ok.reshape(-1).take(flat), batch.reshape(batch.shape[0], -1).take(flat, axis=1)
-
-
-def _armijo_rows(terms, lower, upper, eps, f0, g, x, steps, c1):
-    """Batched Armijo search on the projected candidate, per row: the lowest
-    passing step of the first half, else of the second, i.e. of the steps whose
-    clamped point passes the Armijo test the one of least objective (the larger
-    of equal ones). The first half, steps [0, h) with h = ceil(len/2), is tried
-    for every row, the second only for rows without a hit there.
+def _armijo_rows(terms, lower, upper, eps, f0, g, d, x, steps, c1):
+    """Batched Armijo search along -d, per row: of the projected candidates
+    min(max(x - s*d, lower), upper), one per step s, those passing
+    f <= f0 - c1*s*g*d, the one of least objective (the larger step of equal ones).
     Returns per row the packed column of the chosen candidate (2mk + k + 2, rows:
     its _pair_parts, see _split, then its point and objective); a row without
-    a hit keeps (x, f0) with the parts of a rejected candidate."""
-    g2 = np.float_power(g, 2)  # libm pow, the bits of Python's float ** 2
-    c1_steps = (c1 * steps)[:, None]
-    half = -(-steps.size // 2)
-    batch = _batch(terms, lower, upper, eps, x, g, steps[:half])
-    hit, out = _best_pass(batch[-1] <= f0 - c1_steps[:half] * g2, batch)
-    if np.count_nonzero(hit) < x.size:
-        miss = np.flatnonzero(~hit)
-        more = _batch(terms.rows(miss), lower[miss], upper[miss], eps[miss], x[miss], g[miss],
-                      steps[half:])
-        hit, found = _best_pass(more[-1] <= f0[miss] - c1_steps[half:] * g2[miss], more)
-        found[-2:] = np.where(hit, found[-2:], (x[miss], f0[miss]))
-        out[:, miss] = found
+    a passing step keeps (x, f0) with the parts of a rejected candidate. A take
+    on the merged (step, row) axes costs far less than two index arrays."""
+    K = terms.num_users
+    batch = np.empty((2 * terms.amp.shape[0] * K + K + 2, steps.size, x.size))
+    cands = np.minimum(np.maximum(x - steps[:, None] * d, lower), upper, out=batch[-2])
+    batch[-1] = subproblem_objective(terms, cands, eps, _pair_parts(terms, cands, out=batch[:-2]))
+    ok = batch[-1] <= f0 - (c1 * steps)[:, None] * (g * d)
+    flat = np.where(ok, batch[-1], np.inf).argmin(axis=0) * x.size + np.arange(x.size)
+    out = batch.reshape(batch.shape[0], -1).take(flat, axis=1)
+    out[-2:] = np.where(ok.any(axis=0), out[-2:], (x, f0))
     return out
 
 
@@ -279,57 +254,65 @@ def pgd_solve(terms: SubproblemTerms, region: MovableRegion, eps, cfg: PGDConfig
               branches=None):
     """Projected gradient descent over one movable region per row.
 
-    Iterates x <- Proj(x - mu * grad), with mu the lowest passing step of the
-    first half of _STEPS, else of the second (the passing step of least
-    objective under the Armijo-Goldstein decrease test, see _armijo_rows),
-    until the position change drops below _STEP_TOL or _MAX_ITERS steps are
-    taken. The objective sequence is non-increasing and the returned point is
+    Iterates x <- Proj(x - s * d) along d = (g / b) * lambda_g**2, the gradient
+    g over the row's branch scale b at its start (_branch_scale, at least
+    _EPS_FLOOR) in units of the guide wavelength lambda_g = 2*pi / terms.beta1
+    (so beta1 must be positive), with s the passing step of _STEPS of least
+    objective under the Armijo-Goldstein decrease test (see _armijo_rows),
+    until the position change drops to _STEP_TOL * lambda_g, no step passes, or
+    _MAX_ITERS steps are taken. d depends on neither the beams' scale nor eps.
+    The objective sequence is non-increasing and the returned point is
     feasible. Stacked rows step together (region bounds, eps and x_init
-    broadcast over them), and a row stops once its own change drops below
-    _STEP_TOL, so it follows the path it would follow alone. Besides the warm
+    broadcast over them), and a row stops once its own change drops to the
+    tolerance, so it follows the path it would follow alone. Besides the warm
     start x_init, each row gets cfg.restarts evenly spaced starts as further
     rows with its bounds and eps, and returns its first best end. branches,
     when given, are the stacked _pair_parts(terms, x_init) of an x_init inside
     the region, without restarts. The stepping rows are the columns of three
-    arrays, so a row retires by a take of each: their state (lower, upper, eps,
-    x, f), constants (_pack) and batch column at x, whose parts the next
+    arrays, so a row retires by a take of each: their state (b, lower, upper,
+    eps, x, f), constants (_pack) and batch column at x, whose parts the next
     gradient reads.
     """
     single = np.ndim(terms.waveguide_y) == 0
     if single:  # one row
-        terms = terms.rows(np.newaxis)
+        terms = _unpack(terms, _pack(terms)[..., None])
     n, starts = terms.amp.shape[-1], 1 + cfg.restarts
-    state = np.empty((5, starts, n))
-    for row, v in zip(state, (*region, eps, x_init)):
+    state = np.empty((6, starts, n))
+    for row, v in zip(state[1:], (*region, eps, x_init)):
         row[:] = np.asarray(v, dtype=float)
     consts = _pack(terms)
     if cfg.restarts:
-        spread = [np.linspace(a, b, cfg.restarts) for a, b in zip(state[0, 0], state[1, 0])]
-        state[3, 1:] = np.transpose(spread)
+        spread = [np.linspace(a, b, cfg.restarts) for a, b in zip(state[1, 0], state[2, 0])]
+        state[4, 1:] = np.transpose(spread)
         consts = consts.take(np.tile(np.arange(n), starts), -1)
         terms = _unpack(terms, consts)
-    state = state.reshape(5, -1)
-    lower, upper, eps, x, f = state
+    state = state.reshape(6, -1)
+    scale, lower, upper, eps, x, f = state
     np.minimum(np.maximum(x, lower), upper, out=x)
     parts = _pair_parts(terms, x) if branches is None else branches
     f[:] = subproblem_objective(terms, x, eps, parts)
+    np.maximum(_branch_scale(terms, parts), _EPS_FLOOR, out=scale)
     out, active = np.empty((2, x.size)), np.arange(x.size)  # x and f as rows retire
+    lam = 2 * math.pi / terms.beta1
     for _ in range(_MAX_ITERS):
-        lower, upper, eps, x, f = state
+        scale, lower, upper, eps, x, f = state
         g = subproblem_gradient(terms, x, eps, parts)
-        batch = _armijo_rows(terms, lower, upper, eps, f, g, x, _STEPS, _ARMIJO_C1)
-        stay = np.abs(batch[-2] - x) <= _STEP_TOL
-        state[3:] = batch[-2:]
+        # d in float32: the candidates keep none of the last bits of tanh, which
+        # numpy's SIMD and baseline loops round apart; a zero row has d = 0
+        d = (g / scale * lam**2).astype(np.float32).astype(float)
+        batch = _armijo_rows(terms, lower, upper, eps, f, g, d, x, _STEPS, _ARMIJO_C1)
+        stay = np.abs(batch[-2] - x) <= _STEP_TOL * lam
+        state[4:] = batch[-2:]
         stopped = np.count_nonzero(stay)
         if stopped == stay.size:
             break
         if stopped:
-            out[:, active] = state[3:]
+            out[:, active] = state[4:]
             go = np.flatnonzero(~stay)
             active, state, batch, consts = (a.take(go, -1) for a in (active, state, batch, consts))
             terms = _unpack(terms, consts)
         parts = _split(batch, terms.num_users)
-    out[:, active] = state[3:]
+    out[:, active] = state[4:]
     x, f = out
     if cfg.restarts:  # the first best end of each row's starts
         x = x.reshape(starts, n)[np.argmin(f.reshape(starts, n), axis=0), np.arange(n)]

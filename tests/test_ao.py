@@ -149,16 +149,17 @@ class TestBaselineMetamorphic:
 
 
 class TestProposedMetamorphic:
-    """The proposed scheme under two perturbations that move nothing but
-    rounding: relabelling the users together with their symbols, and scaling
-    every target by (1 + 2**-50). The first sweep of each AO starts every
-    antenna at its best point on a guide-wavelength grid, so rounding cannot
-    pick another basin and the final power moves by at most a relative 1e-9.
-    Without that start, some of these trials moved by over 1 %. At 16 dB and
-    L = 7, later sweeps amplified rounding from round to round (by a relative
-    5.2e-9 on trial 2) until each Armijo batch took its lowest passing step;
-    the worst case over these cases is now 9.8e-13. Trial 39 at L = 7 is the
-    relabelling case that once moved by 2.2e-6."""
+    """The proposed scheme under perturbations that move nothing but rounding:
+    relabelling the users together with their symbols, and scaling every
+    target by (1 + 2**-50) or, with the power, by 10. The first sweep of each
+    AO starts every antenna at its best point on a guide-wavelength grid, so
+    rounding cannot pick another basin and the final power moves by at most a
+    relative 1e-9. Without that start, some of these trials moved by over 1 %.
+    At 16 dB and L = 7, later sweeps amplified rounding from round to round
+    (by a relative 5.2e-9 on trial 2) until each Armijo batch took its lowest
+    passing step (9.8e-13); since PGD steps in units of the branch scale and
+    the guide wavelength the worst case over these cases is 1.6e-15. Trial 39
+    at L = 7 is the relabelling case that once moved by 2.2e-6."""
 
     @pytest.mark.parametrize("gamma_db", [10.0, 16.0, 20.0])
     @pytest.mark.parametrize("num_pas", [1, 3, 7])
@@ -180,6 +181,21 @@ class TestProposedMetamorphic:
             assert final_power(*relabelled, gamma) == pytest.approx(p, rel=1e-9, abs=0.0)
             assert final_power(geom, symbols, gamma * (1 + 2**-50)) == pytest.approx(
                 p, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("num_pas", [3, 7])
+    def test_target_times_ten_scales_the_power(self, num_pas):
+        # every CI-QP row scales with sqrt(gamma), and PGD steps along the
+        # gradient over its temperature, which the beams' scale leaves alone:
+        # so the AO's path is the same and its power scales with the target,
+        # to rounding (4.4e-16 here). Steps in metres moved these by up to 15 %.
+        cfg = ExperimentConfig(master_seed=2026, num_pas=num_pas)
+        gamma = np.full(cfg.num_users, db_to_linear(10.0))
+        for trial in range(8):
+            geom, symbols = generate_scenario(cfg, trial)
+            p, p10 = (ao_solve(geom, cfg.params, symbols, g, cfg.noise_w, cfg.theta_th,
+                               fixed_uniform_placement(geom), cfg.ao, cfg.pgd,
+                               cfg.smoothing)[2].powers[-1] for g in (gamma, 10 * gamma))
+            assert p10 == pytest.approx(10 * p, rel=1e-12, abs=0.0)
 
 
 class TestAoSolve:

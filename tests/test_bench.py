@@ -625,77 +625,69 @@ GOLDEN_NOTE = (f"\nrunning:  {_numpy_targets()}; OpenBLAS core {_openblas_core()
 # placement as float.hex.
 GOLDEN_PLACEMENTS = {
     (3, SmoothingParams(), PGDConfig()): (
-        "0x1.aa39a6f35669ep+1 0x1.4a49f106afab3p+3 0x1.09e71f5a88076p+4 "
-        "0x1.de1915175ff1ap+1 0x1.50057ae78b481p+3 0x1.0aab85df9cbb9p+4 "
-        "0x1.08fd6c7f03b3dp-2 0x1.3fe97e15f86c7p+3 0x1.0a4c5a9a2f532p+4 "
-        "0x1.b81a188ac50dfp+1 0x1.407fa2058df15p+3 0x1.eca7e32c6dcc7p+3"
+        "0x1.aa39a76c2ca4bp+1 0x1.40544e9fedb24p+3 0x1.0af2fd0f7abb2p+4 "
+        "0x1.ad70dad27b7cbp+1 0x1.415446bc395f0p+3 0x1.0aab85cde8b55p+4 "
+        "0x1.a7d6d9395852bp+1 0x1.3fe97df54fdd8p+3 0x1.0a7343fe9b45bp+4 "
+        "0x1.a8cbc19885a43p+1 0x1.407fa1ebfba2ep+3 0x1.0a83a47b5b1abp+4"
     ),
     (5, SmoothingParams(), PGDConfig(restarts=2)): (
-        "0x1.feea26bf01dcap+1 0x1.e8d11d839bb58p+2 0x1.11ffbd1cf8904p+3 "
-        "0x1.8620c1a780d55p+3 0x1.201763b73fd2dp+4 0x1.fc791d811bf93p+0 "
-        "0x1.ed2429c7a67a9p+2 0x1.2495b6752fa7fp+3 0x1.d3b71c05bcaecp+3 "
-        "0x1.1e47ec78c41dbp+4 0x1.007a05642c1bep+1 0x1.4e70c5449ec2cp+2 "
-        "0x1.7f5116a8b8053p+3 0x1.ffe583e8c4c6ap+3 0x1.3fbaf4722a1d1p+4 "
-        "0x1.288bb16596831p+1 0x1.013e5a6a07a29p+2 0x1.430fd66fc1301p+3 "
-        "0x1.ad8b300f2d310p+3 0x1.200481fcf1cbcp+4"
+        "0x1.feea26cdd4767p+1 0x1.ffa719528be58p+2 0x1.3f7d27b1185bap+3 "
+        "0x1.bf41da4998ea4p+3 0x1.209686fbabce8p+4 0x1.008cb17d20470p+1 "
+        "0x1.002bdaf878660p+2 0x1.002765f6f3310p+3 0x1.c01c4a6ad6defp+3 "
+        "0x1.1fabf31cf7868p+4 0x1.007a05000cfb0p+1 0x1.ff884ad840b36p+2 "
+        "0x1.7f51168ab3dc8p+3 0x1.ffe58442b5168p+3 0x1.202bf0de98c4cp+4 "
+        "0x1.ffa84a0f0f33fp+1 0x1.0091d81220c80p+2 0x1.4013fdd8f9da0p+3 "
+        "0x1.c09dda8c3a28cp+3 0x1.3ff26adf2367cp+4"
     ),
     (7, SmoothingParams(), PGDConfig()): (
-        "0x1.b6fbc0e7dcdc8p+0 0x1.1bca8d33005bap+2 0x1.c913982bb723dp+2 "
-        "0x1.3d80959f996dap+3 0x1.9be9e59379c04p+3 0x1.0b571fdfe31bdp+4 "
-        "0x1.29302bf5a7bbep+4 0x1.9d13b4df84eebp+0 0x1.cde0ca1c3b5afp+1 "
-        "0x1.c8bea4f3b08aep+2 0x1.3f60b92822a9cp+3 0x1.9b65e8c9e5a28p+3 "
-        "0x1.f6e6b0c1f4354p+3 0x1.2aa4ba106c4b3p+4 0x1.50d7c1a7d8df9p+0 "
-        "0x1.11e46e5d17dddp+2 0x1.ca8ef44acaa25p+2 0x1.69839c6b1ccedp+3 "
-        "0x1.a31938eaa7151p+3 0x1.f9a97fa4cf3b8p+3 0x1.368d3f70cef97p+4 "
-        "0x1.0d20799bd1c36p-5 0x1.126beb2f028fep+2 0x1.cab9ea5c87e9fp+2 "
-        "0x1.4016ee3b68aeap+3 0x1.8f91bc4f188e4p+3 0x1.ea27cef41a09ep+3 "
-        "0x1.2bb093100c32ap+4"
+        "0x1.714a77932fe85p+0 0x1.1274d3d0f370dp+2 0x1.c91398495eb0dp+2 "
+        "0x1.408fcc75d7f60p+3 0x1.9bb5ecd8e6e53p+3 0x1.f817e7f424a53p+3 "
+        "0x1.296c28208bab7p+4 0x1.6d7fda45b8a0fp+0 0x1.12d4f7daadf2fp+2 "
+        "0x1.c8bea5eee021dp+2 0x1.3f10bde3e7fbcp+3 0x1.99b2c45f55c23p+3 "
+        "0x1.f699d939491a3p+3 0x1.28f3c69614697p+4 0x1.6cf4aeae96a2fp+0 "
+        "0x1.11e46de9f1341p+2 0x1.c7f18e01baecdp+2 0x1.4003f426a4f74p+3 "
+        "0x1.9bc6a9b2fb73ep+3 0x1.f6ddc870d8f9bp+3 0x1.291a09b75790dp+4 "
+        "0x1.6d90c6520b30fp+0 0x1.126bea473d299p+2 0x1.c901dcf5cdfdcp+2 "
+        "0x1.4016ee41477d4p+3 0x1.9b7724834433ap+3 0x1.f5d40e561db2bp+3 "
+        "0x1.293bb7f43f8a0p+4"
     ),
 }
 
 
-# Placement constants that shape cases set: a schedule from 1e6 misses the
-# first half of the Armijo schedule at every step; three iterations stop the
-# solve at its iteration limit.
-SHAPE_CONSTANTS = {"armijo-second-half": {"_STEPS": 1e6 * 0.5 ** np.arange(41)},
-                   "max-iters": {"_MAX_ITERS": 3}}
+# Placement constants that shape cases set: three iterations stop the solve
+# at its iteration limit.
+SHAPE_CONSTANTS = {"max-iters": {"_MAX_ITERS": 3}}
 
 # Sweeps of shapes the cases above miss (K = 1 is a 1 x 1 pair axis): (N, K,
 # L, smoothing, pgd, SHAPE_CONSTANTS key or None) -> row-major N x L entries.
 GOLDEN_SHAPES = {
     (4, 1, 3, SmoothingParams(), PGDConfig(), None): (
-        "0x1.a9ef660d28a5dp+1 0x1.4024af484c18ap+3 0x1.1a099f2dddab3p+4 "
-        "0x1.ab7451a78bfbbp+1 0x1.3ddc2cdba2e65p+3 0x1.0aa5a3f34161ep+4 "
-        "0x1.aabfc68fcb3bep+1 0x1.37b541e4cc37ap+3 0x1.fe8dbfb4af083p+3 "
-        "0x1.a3cd7978b70f0p+1 0x1.40058e4ddaebcp+3 0x1.0aabb539de63ap+4"
+        "0x1.a9ef63ab2a55bp+1 0x1.4024af2b62f12p+3 0x1.0ab053fab6d84p+4 "
+        "0x1.ab74524b8440bp+1 0x1.3ffc86ff4a664p+3 0x1.0aa5a4509bef3p+4 "
+        "0x1.aabfc6256940bp+1 0x1.400ffae6eb78ap+3 0x1.0aa003c32d492p+4 "
+        "0x1.aa65842c464ebp+1 0x1.40058ebaf5c28p+3 0x1.0aabb502306c7p+4"
     ),
     (4, 6, 3, SmoothingParams(), PGDConfig(), None): (
-        "0x1.a57460d5e384dp+1 0x1.4e3080a2883f0p+3 0x1.0c469b550907fp+4 "
-        "0x1.3b204e2316198p+0 0x1.359ea6efdc48cp+3 0x1.0a7de4c0f3300p+4 "
-        "0x1.2ebf44e2af9e2p+0 0x1.6bdb88d7da12cp+3 0x1.152838ad8a88bp+4 "
-        "0x1.aa138ef1dfba1p+1 0x1.4f4b8fcf93b68p+3 0x1.0aa2a913f1d8dp+4"
+        "0x1.a7c6c58cc5ef3p+1 0x1.40970acbfd580p+3 0x1.0aa8e4f3eba07p+4 "
+        "0x1.aaa494f88a48bp+1 0x1.402227cac16b0p+3 0x1.0a25abd7d8bc2p+4 "
+        "0x1.aba0b7e17c75bp+1 0x1.3f8e1e69aab22p+3 0x1.0a985c866db53p+4 "
+        "0x1.ab89f3f04f23bp+1 0x1.40e94ff59481bp+3 0x1.0aa2a93c73433p+4"
     ),
     (1, 4, 5, SmoothingParams(), PGDConfig(), None): (
-        "0x1.010c8779ea292p+1 0x1.002bdaf878660p+2 0x1.0b553ec78288fp+3 "
-        "0x1.bfcd629cb8d45p+3 0x1.000cd8a0da2ddp+4"
+        "0x1.010c88a06ad70p+1 0x1.80c0f865fae00p+2 0x1.3f81777b3d400p+3 "
+        "0x1.bf79edb88e782p+3 0x1.201219f9a632cp+4"
     ),
     (3, 2, 4, SmoothingParams(), PGDConfig(restarts=1), None): (
-        "0x1.2eff56d128150p+1 0x1.fb76705326fa7p+2 0x1.8ff2808eb13e3p+3 "
-        "0x1.189cbe6b26573p+4 0x1.3f0c8aa4ea13fp+1 0x1.edf1760520162p+2 "
-        "0x1.900d287574d6fp+3 0x1.e01ecb4df9823p+3 0x1.20917a442a921p+1 "
-        "0x1.dfff3dc60e23bp+2 0x1.8e77f267c68d2p+3 0x1.e01cfdda5e369p+3"
-    ),
-    (4, 4, 3, SmoothingParams(), PGDConfig(), "armijo-second-half"): (
-        "0x1.aa39a88a25317p+1 0x1.981640178894fp+3 0x1.09e71e6eadcf9p+4 "
-        "0x1.27a13dd788acap-11 0x1.5005761631bb2p+3 0x1.18be2d4365b56p+4 "
-        "0x1.d34b878dda82dp+1 0x1.78796068fff8ep+3 0x1.0a733db6a2fd3p+4 "
-        "0x1.77c68dfa7326ep+1 0x1.aa94bd2e6e77bp+3 0x1.e47ced86dee74p+3"
+        "0x0.0p+0 0x1.407d7d9bade5ep+2 0x1.8ff280b134660p+3 "
+        "0x1.1801d235aa722p+4 0x1.65d1b68d21800p-8 0x1.df9f290f80a30p+2 "
+        "0x1.900d287a88a86p+3 0x1.e01ecb4f35e68p+3 0x1.3f4bb3f386320p+1 "
+        "0x1.dfff3d4acabd0p+2 0x1.900072db1a498p+3 0x1.e01cfeca385a8p+3"
     ),
     (4, 4, 3, SmoothingParams(), PGDConfig(), "max-iters"): (
-        "0x1.aa33cd987b202p+1 0x1.4a49f46b3c439p+3 0x1.09e74a4b70184p+4 "
-        "0x1.de194c86cb028p+1 0x1.50058abaf045dp+3 0x1.0aab8644ab017p+4 "
-        "0x1.08fed727c3dd4p-2 0x1.3fe94d81f0b89p+3 0x1.0a4c5873cd901p+4 "
-        "0x1.b8155f1339fcdp+1 0x1.407ee7b4521e1p+3 0x1.eca7f396e2a6cp+3"
+        "0x1.aa3840ed30aabp+1 0x1.40542da42dc00p+3 0x1.0af14fdacfaabp+4 "
+        "0x1.aadaea85c12abp+1 0x1.415517ac8d800p+3 0x1.0aab8771743cbp+4 "
+        "0x1.aa3aaddfa6aabp+1 0x1.3fe94f6c11400p+3 0x1.0a732e05e7dabp+4 "
+        "0x1.a8cbe7ef96eabp+1 0x1.407d4ef37c000p+3 0x1.0a83ae8717cabp+4"
     ),
 }
 
@@ -722,7 +714,7 @@ def _pgd_stacks(count=200, seed=2800):
             beta1=params.beta1, tan_th=1.0, mult=float(K) if m == 1 else 1.0)
         eps = placement.pick_eps(terms, x0, SmoothingParams(kappa=[0.01, 0.1, 1.0][i % 3]))
         if n == 1:
-            terms = terms.rows(0)
+            terms = placement._unpack(terms, placement._pack(terms).take(0, -1))
             lower, upper, eps, x0 = float(lower[0]), float(upper[0]), float(eps[0]), float(x0[0])
         yield (terms, placement.MovableRegion(lower, upper), eps,
                PGDConfig(restarts=2 if i % 3 == 0 else 0), x0)
@@ -730,7 +722,7 @@ def _pgd_stacks(count=200, seed=2800):
 
 # pgd_solve's ends on _pgd_stacks(): sha256 over the float.hex of every
 # case's ends, case after case.
-GOLDEN_PGD_STACKS = "aeaed972bb73e836c905fb66e1a9d786a90cc2e543a3ce05e05ba81902d1b5bb"
+GOLDEN_PGD_STACKS = "2e30af284581a723e2cf783df0712e8a980dbec00bbf54c9bd3fa01ebd59b266"
 
 
 def _golden_sweep(N, K, L, smoothing, pgd):
@@ -753,79 +745,79 @@ def _golden_sweep(N, K, L, smoothing, pgd):
 # - max_iters=2 on L3-t0-10dB: converged on rejected round 2, also its
 #   round limit, where the default stops too (same digest as L3-t0-10dB);
 # - rel_tol=1e-2: converged on accepted round 2, where the default stops
-#   at rejected round 4;
+#   at rejected round 3;
 # - max_iters=2 on L5-t1-10dB: the round limit, unconverged on accepted
 #   round 2, where the default goes on to converge at accepted round 6.
-# Of the defaults, L3-t1-10dB, L3-t1-20dB, L5-t1-10dB, L7-t1-10dB and
-# L7-t1-20dB converge on an accepted round, the others on a rejected one.
+# Of the defaults, L3-t1-10dB, L3-t1-20dB, L5-t1-10dB and L5-t1-20dB
+# converge on an accepted round, the others on a rejected one.
 GOLDEN_AO = {
     "SkylakeX": {
         (3, 0, 10.0, AOConfig()):
-            "20cd7590f8627abb3e099fe5a66833a823a255362e2c27978b719ecf5caf1b5a",
+            "3eb9eb7299ec76a2c8f805516712d48d9899925342ec416c68a696ac77105b04",
         (3, 0, 20.0, AOConfig()):
-            "826a7d3dd4cc96a76e8e516e110790c3c89dcd9d809b8e3aca130f322daabc70",
+            "b8ce6078dab2f052fe5d8ce2c25bf36eb596df1bf41ab1f14d226c45551203ea",
         (3, 1, 10.0, AOConfig()):
-            "a5d3b94e7e8ea3c501c249813ca04e519160f45ea5297bd71a2de49050102cdc",
+            "04e44cad9c2b8545df8eca9479d2a509b31c5bd1794f6df63d2896a6d68241ed",
         (3, 1, 20.0, AOConfig()):
-            "e4379317561c2bacb2e6c9228641f015410079e1bc9a89b30d8f82677b1e4fb4",
+            "1d2385d14800956ea203bf48c8ee785dc8d037b635a374d361ab80031a16cfff",
         (5, 0, 10.0, AOConfig()):
-            "1bed5e1f6ea7cd927563331d7da0213f41d1fc0ef4b9b4ba5f908bfe3aa50744",
+            "f3b2dfe86facd5912ac68da745fa7248589b4d880e54b29ea991ffd687098866",
         (5, 0, 20.0, AOConfig()):
-            "302fbf02af9cbb4751af7c327d912eb728c1fcfcb78e95e63233ddeb620673f7",
+            "d4f70e0b9ede75fe2faa3f61ad6bfa7ea2e7483b3575efad5dd90c51344f46af",
         (5, 1, 10.0, AOConfig()):
-            "e11c6afcc1140ba8931cdf79330c309b2794b5aa1518b367e2545cf581d12648",
+            "43ee2e768249afabccfd26d77dc24fda601cf98ffe705854b4413527c12bdaea",
         (5, 1, 20.0, AOConfig()):
-            "d1e76c63b2dc6777ab30994232da64aeddd5db82b3e149529f3d3bd69030857b",
+            "2f8d5b2e0970de4e35f58b5757d39bd4cc722327f103135b3de422e59911fefc",
         (7, 0, 10.0, AOConfig()):
-            "8f5257d31278a8b613a0047a4f47855de3b97fa63a0402fe97bdc8916fa6e81c",
+            "094d784fe4df52174fc184cccb6508a50841b7bebe2cd943eaccfa4b352312f0",
         (7, 0, 20.0, AOConfig()):
-            "e0e8829ae40a02a7d596ab5c376fa860e406184c6059f4b4d694604e7e4680de",
+            "f0c2ab220f9b02ea88f6dfc0734e03c494ca72d0b91f09fabc061e7983d090fe",
         (7, 1, 10.0, AOConfig()):
-            "88ea77a1f01637f5d70906f3ea3edc18e1e6d93adce5f2b623fae8d24470d0c9",
+            "94678ddf6f7ebd56f3fb5fede7300a4808da503575ecf896618462aca8cf216e",
         (7, 1, 20.0, AOConfig()):
-            "e6bd537a2beba9664a4ebd5ce0f4f73e44db9f04e15f2b19436f2fbe3711476d",
+            "8c41ff93fcfaf810f91d83dacda6c424a1bec13df0b041d6c51a83805a5c1ebe",
         (3, 0, 10.0, AOConfig(max_iters=0)):
             "50606c00565376b98e3b93cace371cc4f85385b0523bea63c4ba6652b6e1cfd2",
         (3, 0, 10.0, AOConfig(max_iters=2)):
-            "20cd7590f8627abb3e099fe5a66833a823a255362e2c27978b719ecf5caf1b5a",
+            "3eb9eb7299ec76a2c8f805516712d48d9899925342ec416c68a696ac77105b04",
         (5, 0, 10.0, AOConfig(rel_tol=1e-2)):
-            "6d6fc7c3832aacfb7af8dd76322be3b9c3d12d27ce575cb2114a90d41ba9cef9",
+            "946fd106601bee01f823d72efc20a189570e2148e0600084cb121ff089519832",
         (5, 1, 10.0, AOConfig(max_iters=2)):
-            "b1939eac0d957e48f5939f7bf9fc5ae905099a7cc8616e00897ebc1eaf90a186",
+            "8264858ee53aca82dd89371490cb68446466947dbc79567c2faf1b7d85f4ca4d",
     },
     "Haswell": {
         (3, 0, 10.0, AOConfig()):
-            "a1ad37be7c498bd893c4878122329d413cfd929808b2170ee86179a17efaacd8",
+            "ea0251fe339d2596bf5058d9683bbe933443c4e082f73452c43cf7ec093bb8fe",
         (3, 0, 20.0, AOConfig()):
-            "4f590a250dd3119423ea7ddba24f7784516ed596810960205f76cd9817f90998",
+            "58c059087d82550b5f71d4c74d8dff653c969aa1bc21bfb7b4d19b883eda8b28",
         (3, 1, 10.0, AOConfig()):
-            "7c4d9246458420c6d466f826f9777d60fe4d9d56367cb74a3563717195310c5e",
+            "a9c53c441de8c473d2979b92d58074547242a253ae48c14d677d64fcaa24e450",
         (3, 1, 20.0, AOConfig()):
-            "d5c9d2af69e28ca80303136a92b54c0cbfae1a72eaca81d7a31b74931e0210bc",
+            "7dc99bb85ab13d30c4546c7308fc025e3d91c7a6f5a5713d4d64acb6134c5495",
         (5, 0, 10.0, AOConfig()):
-            "99a2d956b9335519a517d7afa4ac66a4f34d494937f0cb98c2d2cfa8381f312a",
+            "a072109810a0fe0254121569789e036ee55ec78c29f6d8b9ef96e9ddd2faa434",
         (5, 0, 20.0, AOConfig()):
-            "02556e06043263edc5c74ce48e11f739d2fc17c37457a4897df9d85cb5458e4c",
+            "7c2529589b77ac6787f3fb7a38547dcb8905435eebfd0322240b5b1c9d392145",
         (5, 1, 10.0, AOConfig()):
-            "9cce77c8b95ad3a006dc633d7cb95b4cfea49b0ef9a06ca1d8501459c08db003",
+            "e64543c06e15265f0a7609f9e5c9c0d15c1f73760875b47ab4416160b217abbe",
         (5, 1, 20.0, AOConfig()):
-            "3858e83269aebd3be29d649292711a9249741e83dae6e7becc0e53fd48fedb58",
+            "2fce09fd3e96475a5dc1eb69635513a1f8a993f108b8ebbcbbbf04eb9770edf3",
         (7, 0, 10.0, AOConfig()):
-            "9bd666ff2eb611e0db6d034ff2ef2305176c9c44bba837f6cfb8d453835cf695",
+            "b43d18f92db6a71804e8e4d8556cbe5ac98a02c585ab87558ea6b60998d8f949",
         (7, 0, 20.0, AOConfig()):
-            "d69ce86564583a05b1845888d9ab7c68b671cc2ea285ff557282454133d4a435",
+            "42f8c0b13db17b634e5f7bf9624601994a7b835b3ed27f3eafeddf4fbd73fe04",
         (7, 1, 10.0, AOConfig()):
-            "007940c763027a087168a9d69d03264d731a5945415f36be2d7f62899d022f1e",
+            "be39022bb3e4e60f37b25dfb68686a32d9eb4d184db1f50a7fa00511c8a5fefc",
         (7, 1, 20.0, AOConfig()):
-            "b43af8b3a83ba91773b6eb7d66eb764079df8b317513903abf468c42925cba05",
+            "826d70e7cb18df6fbf3900e90e170773bee7b3ea149e08014076884363c0399e",
         (3, 0, 10.0, AOConfig(max_iters=0)):
             "17ba31e9ed9514a6ce2547d6cc49ed947535bf80ca8d1f4507e429b69c282a11",
         (3, 0, 10.0, AOConfig(max_iters=2)):
-            "a1ad37be7c498bd893c4878122329d413cfd929808b2170ee86179a17efaacd8",
+            "ea0251fe339d2596bf5058d9683bbe933443c4e082f73452c43cf7ec093bb8fe",
         (5, 0, 10.0, AOConfig(rel_tol=1e-2)):
-            "5d70eed1c007e64e68f58bf8a625ac75fa3ad1d072c2d89705f6b9355a39e7d8",
+            "242ce59ff9fb5aa19da63aa7c741413cb30d7bc1f4531c5d304661638fa8d5b2",
         (5, 1, 10.0, AOConfig(max_iters=2)):
-            "05f8ff7220033bed4f3bbcef199af507c61b3692fcb4290d9c05f053a9c282d5",
+            "8cb6d3ae77964448811dd4f3cd14cde2d75079bf1acc886640193ddeb630149f",
     },
 }
 
@@ -834,22 +826,22 @@ GOLDEN_AO = {
 # relative 1e-9 that TestProposedMetamorphic asserts, so they hold where the
 # digests do not: under either core and with numpy's baseline loops.
 PORTABLE_AO = {
-    (3, 0, 10.0, AOConfig()): (3, 0.00043625397349558677),
-    (3, 0, 20.0, AOConfig()): (3, 0.004362628604369995),
-    (3, 1, 10.0, AOConfig()): (3, 0.0005405104578324816),
-    (3, 1, 20.0, AOConfig()): (3, 0.0054050985728838945),
-    (5, 0, 10.0, AOConfig()): (5, 0.000222111999104189),
-    (5, 0, 20.0, AOConfig()): (4, 0.0022222081464258105),
-    (5, 1, 10.0, AOConfig()): (7, 0.00025122357844958827),
-    (5, 1, 20.0, AOConfig()): (4, 0.00259307106453319),
-    (7, 0, 10.0, AOConfig()): (4, 0.00017599917282855865),
-    (7, 0, 20.0, AOConfig()): (4, 0.0018240560095908313),
-    (7, 1, 10.0, AOConfig()): (5, 0.0002427434372988674),
-    (7, 1, 20.0, AOConfig()): (6, 0.0022601720543424025),
+    (3, 0, 10.0, AOConfig()): (3, 0.0004362687372462812),
+    (3, 0, 20.0, AOConfig()): (3, 0.004362687372462811),
+    (3, 1, 10.0, AOConfig()): (3, 0.000540508829195208),
+    (3, 1, 20.0, AOConfig()): (3, 0.0054050882919520786),
+    (5, 0, 10.0, AOConfig()): (4, 0.0002225522595138013),
+    (5, 0, 20.0, AOConfig()): (4, 0.002225522595138013),
+    (5, 1, 10.0, AOConfig()): (7, 0.00025121952853906983),
+    (5, 1, 20.0, AOConfig()): (7, 0.0025121952853906985),
+    (7, 0, 10.0, AOConfig()): (7, 0.00017504304139771585),
+    (7, 0, 20.0, AOConfig()): (7, 0.0017504304139771588),
+    (7, 1, 10.0, AOConfig()): (7, 0.00023767721063286564),
+    (7, 1, 20.0, AOConfig()): (7, 0.0023767721063286565),
     (3, 0, 10.0, AOConfig(max_iters=0)): (1, 0.0076650330644216684),
-    (3, 0, 10.0, AOConfig(max_iters=2)): (3, 0.00043625397349558677),
-    (5, 0, 10.0, AOConfig(rel_tol=1e-2)): (3, 0.00022250904707863452),
-    (5, 1, 10.0, AOConfig(max_iters=2)): (3, 0.0002593008786508568),
+    (3, 0, 10.0, AOConfig(max_iters=2)): (3, 0.0004362687372462812),
+    (5, 0, 10.0, AOConfig(rel_tol=1e-2)): (3, 0.0002225522595138013),
+    (5, 1, 10.0, AOConfig(max_iters=2)): (3, 0.00025931258913095007),
 }
 
 
@@ -890,19 +882,19 @@ class TestGoldenOutputs:
     def test_convergence_csv(self, tmp_path):
         cfg = ExperimentConfig(trials=2, num_pas=(3, 5), gamma_db=16.0, schemes=("proposed",))
         assert _csv_sha256(run_convergence(cfg), tmp_path) == (
-            "ddf794c0c733b75571d11e5f0931221f5b3d257505ff0839e1df1bd819732c23"
+            "89436e13166e7bcfa7354544c97b48c935d1163a545645519e112ad61769e9aa"
         ), GOLDEN_NOTE
 
     def test_power_vs_sinr_csv_with_restarts(self, tmp_path):
         cfg = ExperimentConfig(trials=1, gamma_db=(10.0, 20.0), pgd=PGDConfig(restarts=2))
         assert _csv_sha256(run_power_vs_sinr(cfg), tmp_path) == (
-            "239c35a34f300bce812e9e6ebb36d1fcb4ee5d4df3a7b85de16a06591f36b3e8"
+            "30d9c3d31034b94fa5abd12904310ce0d6757feea1a41ddba22d86ba72462199"
         ), GOLDEN_NOTE
 
     def test_power_vs_numpas_csv(self, tmp_path):
         cfg = ExperimentConfig(trials=2, num_pas=(1, 3, 5), gamma_db=(14.0, 20.0))
         assert _csv_sha256(run_power_vs_numpas(cfg), tmp_path) == (
-            "52599597da06af3ae12adfd2ead7bf7977a26c3cca63e475ff44e581650b3b8f"
+            "c0542b6217f7c4d5f6f22969c51e85b1b84081516256573c1bc711b58b8dd279"
         ), GOLDEN_NOTE
 
     @pytest.mark.parametrize("case", list(PORTABLE_AO), ids=_ao_case_id)
@@ -925,7 +917,7 @@ class TestGoldenOutputs:
             GOLDEN_NOTE)
 
     @pytest.mark.parametrize("case", list(GOLDEN_SHAPES), ids=[
-        "K1", "K6", "N1", "N3-restarts", "armijo-second-half", "max-iters"])
+        "K1", "K6", "N1", "N3-restarts", "max-iters"])
     def test_optimize_all_positions_shapes(self, case, monkeypatch):
         for name, value in SHAPE_CONSTANTS.get(case[-1], {}).items():
             monkeypatch.setattr(placement, name, value)
@@ -934,12 +926,12 @@ class TestGoldenOutputs:
             GOLDEN_NOTE)
 
     def test_pgd_solve_stacks(self, monkeypatch):
-        # the spies see the paths the stacks take: second-half Armijo batches
-        # (20 candidates) and rows retiring while others step on
-        second_half, sizes = [], []
+        # the spies see the paths the stacks take: one Armijo batch of every
+        # step in _STEPS per gradient, and rows retiring while others step on
+        batches, sizes = [], []
 
         def objective(terms, x, *args):
-            second_half.append(np.ndim(x) == 2 and np.shape(x)[0] == 20)
+            batches[-1] += np.ndim(x) == 2 and len(x) == placement._STEPS.size
             return inner_objective(terms, x, *args)
 
         def gradient(terms, x, *args):
@@ -953,9 +945,10 @@ class TestGoldenOutputs:
         text = []
         for terms, region, eps, cfg, x0 in _pgd_stacks():
             sizes.append([])
+            batches.append(0)
             text += [float(v).hex() for v in np.ravel(placement.pgd_solve(terms, region, eps, cfg,
                                                                           x0))]
-        assert sum(second_half) > 0
+        assert batches == [len(s) for s in sizes]
         assert sum(any(0 < b < a for a, b in zip(s, s[1:])) for s in sizes) > 20
         digest = hashlib.sha256(" ".join(text).encode()).hexdigest()
         assert digest == GOLDEN_PGD_STACKS, GOLDEN_NOTE
@@ -983,10 +976,10 @@ class TestTraceHooks:
             monkeypatch.setattr(placement, name, counting(name, getattr(placement, name)))
         _golden_sweep(4, 4, 5, SmoothingParams(), PGDConfig(restarts=2))
         # the cells make all 4 x 5 antennas, times 3 starts, the rows of one
-        # pgd_solve with one pick_eps: 12 lockstep steps, each with one
-        # gradient and one or two objective batches, plus the first objective
-        assert counts == {"pgd_solve": 1, "subproblem_gradient": 12,
-                          "subproblem_objective": 20, "pick_eps": 1}
+        # pgd_solve with one pick_eps: 8 lockstep steps, each with one
+        # gradient and one objective batch, plus the first objective
+        assert counts == {"pgd_solve": 1, "subproblem_gradient": 8,
+                          "subproblem_objective": 9, "pick_eps": 1}
 
     def test_ao_call_counts(self, monkeypatch):
         """The tracer wraps these names of pinchslp.ao. Every round,
