@@ -21,7 +21,7 @@ from .channel import (
     effective_channels,
     received_lambda,
 )
-from .config import AOConfig, PGDConfig, SmoothingParams
+from .config import PGDConfig, SmoothingParams
 from .geometry import (
     MovableRegion,
     PlacementReport,
@@ -64,7 +64,7 @@ __all__ = [
     "SPEED_OF_LIGHT", "ChannelSnapshot", "WaveformParams", "ci_margin",
     "conventional_array_snapshot", "effective_channels", "received_lambda",
     # config
-    "AOConfig", "PGDConfig", "SmoothingParams",
+    "PGDConfig", "SmoothingParams",
     # geometry
     "MovableRegion", "PlacementReport", "SystemGeometry", "Vec3", "initial_regions",
     "make_geometry", "validate_placement",

@@ -20,10 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import WaveformParams, effective_channels
-from .config import AOConfig, PGDConfig, SmoothingParams
+from .config import PGDConfig, SmoothingParams
 from .geometry import SystemGeometry, initial_regions, validate_placement
 from .placement import optimize_all_positions
 from .precoder import SymbolVector, build_ci_qp, recover_beam_matrix, solve_min_power
+
+_MAX_ROUNDS = 30  # AO rounds after round 0, at most
+_REL_TOL = 1e-3  # the AO stops once a round changes the power by at most this, relative
 
 
 @dataclass
@@ -44,23 +47,24 @@ def ao_solve(
     noise_power: float,
     theta_th: float,
     x_init: np.ndarray,
-    ao_cfg: AOConfig = AOConfig(),
     pgd_cfg: PGDConfig = PGDConfig(),
     smoothing: SmoothingParams = SmoothingParams(),
 ) -> tuple[np.ndarray, np.ndarray, AOTrace]:
     """Alternate precoder solves and placement sweeps from x_init.
 
+    Stops after _MAX_ROUNDS rounds past round 0, or earlier once a round
+    changes the power by at most _REL_TOL relative (trace.converged).
     Returns the final beam matrix, placement, and trace. Precoder
     infeasibility at x_init or at a candidate propagates to the caller. An
     x_init that breaks the placement constraints raises ValueError before
     round 0.
     """
     report = validate_placement(geom, x_init)
-    if not report.ok:  # the sweeps check it too, but max_iters = 0 runs none
+    if not report.ok:  # the sweeps check it too, but _MAX_ROUNDS = 0 runs none
         raise ValueError(f"x_init violates the placement constraints: {report.violations}")
     x_cand = np.array(x_init, dtype=float, copy=True)
     trace = AOTrace()
-    for it in range(ao_cfg.max_iters + 1):
+    for it in range(_MAX_ROUNDS + 1):
         if it:
             x_cand = optimize_all_positions(geom, x, sol.x_opt, symbols.s, params, theta_th,
                                             smoothing, pgd_cfg, grid_start=it == 1)
@@ -74,7 +78,7 @@ def ao_solve(
         trace.accepted.append(accepted)
         if it:
             old = trace.powers[-2]
-            if abs(sol.power - old) / max(old, 1e-300) <= ao_cfg.rel_tol:
+            if abs(sol.power - old) / max(old, 1e-300) <= _REL_TOL:
                 trace.converged = True
                 break
     return recover_beam_matrix(sol.x_opt, symbols), x, trace

@@ -88,7 +88,6 @@ def _run_scheme(
             _, _, trace = ao_solve(
                 geom, params, symbols, gamma_lin, cfg.noise_w, cfg.theta_th,
                 fixed_uniform_placement(geom),
-                ao_cfg=cfg.ao, pgd_cfg=cfg.pgd, smoothing=cfg.smoothing,
             )
             return trace.powers, trace.converged
         if scheme == "fixed":

@@ -1,10 +1,12 @@
 """Configuration: what may be set, what a valid value is, and the JSON loaders.
 
-The four config classes are the experiment config and its three sub-configs
-(smoothing, PGD, AO). Every settable value has one row in the field table
-FIELDS, and check_fields applies the rows whenever a config is built; only
-the rules that link fields are written out in ExperimentConfig. A malformed
-config raises ConfigError, a ValueError.
+The experiment config describes the scenario: carrier, geometry, users,
+targets, trials, seed and schemes. SmoothingParams and PGDConfig are solver
+arguments that library callers pass to placement and ao; no config file sets
+them. Every settable value has one row in the field table FIELDS, and
+check_fields applies the rows whenever a config is built; only the rules that
+link fields are written out in ExperimentConfig. A malformed config raises
+ConfigError, a ValueError.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class ConfigError(ValueError):
 # upper bound, and whether a non-empty list of such values may stand for it.
 Row = namedtuple("Row", "kind low closed high many", defaults=(None, False, None, False))
 
-# One row for each settable value of the four configs, by config class. The
+# One row for each settable value of the three config classes, by class. The
 # rules that link fields stay in the classes. Counts stay below _COUNT, so an
 # absurd one fails here, not in numpy or in an endless loop. Each PGD row runs
 # 1 + restarts starts, so restarts stays far below it.
@@ -48,7 +50,6 @@ FIELDS = {
     },
     "SmoothingParams": {"kappa": Row(float, 0)},
     "PGDConfig": {"restarts": Row(int, 0, closed=True, high=2**10)},
-    "AOConfig": {"max_iters": Row(int, 0, closed=True), "rel_tol": Row(float, 0)},
 }
 _KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
           tuple: ((tuple, list), "a list of names")}
@@ -87,7 +88,7 @@ def check_fields(cfg, skip=()) -> None:
 
 
 class _Checked:
-    """A sub-config: its FIELDS rows are all its rules."""
+    """A solver-argument class: its FIELDS rows are all its rules."""
 
     def __post_init__(self):
         check_fields(self)
@@ -109,15 +110,7 @@ class PGDConfig(_Checked):
     restarts: int = 0  # extra evenly spaced starts per region (0 = warm start only)
 
 
-@dataclass(frozen=True)
-class AOConfig(_Checked):
-    max_iters: int = 30
-    rel_tol: float = 1e-3
-
-
 SCHEMES = ("proposed", "fixed", "random", "conventional")
-
-_SUBCONFIG_TYPES = {"smoothing": SmoothingParams, "pgd": PGDConfig, "ao": AOConfig}
 
 
 @dataclass(frozen=True)
@@ -137,9 +130,6 @@ class ExperimentConfig:
     trials: int = 50
     master_seed: int = 1234
     schemes: tuple[str, ...] = SCHEMES
-    smoothing: SmoothingParams = SmoothingParams()
-    pgd: PGDConfig = PGDConfig()
-    ao: AOConfig = AOConfig()
 
     def __post_init__(self):
         check_fields(self, skip=("min_spacing_m",) if self.min_spacing_m is None else ())
@@ -184,9 +174,6 @@ class ExperimentConfig:
         L = max(self.num_pas_sweep())
         if (L - 1) * self.spacing > self.waveguide_length_m:
             raise ConfigError(f"waveguide_length_m cannot fit {L} antennas {self.spacing} m apart")
-        for key, cls in _SUBCONFIG_TYPES.items():
-            if not isinstance(getattr(self, key), cls):
-                raise ConfigError(f"{key} must be a {cls.__name__}")
 
     @property
     def params(self) -> WaveformParams:
@@ -213,26 +200,12 @@ class ExperimentConfig:
         return _as_tuple(self.num_pas)
 
 
-def _check_keys(data: dict, cls, what: str) -> None:
-    unknown = set(data) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, rejecting unknown keys fail-fast."""
-    _check_keys(data, ExperimentConfig, "config")
+    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(data)
-    for key, cls in _SUBCONFIG_TYPES.items():
-        if key in kwargs:
-            sub = kwargs[key]
-            if not isinstance(sub, dict):
-                raise ConfigError(f"{key} must be an object")
-            _check_keys(sub, cls, key)
-            try:
-                kwargs[key] = cls(**sub)
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
     for key, row in FIELDS["ExperimentConfig"].items():  # the list-valued fields
         if (row.many or row.kind is tuple) and isinstance(kwargs.get(key), list):
             kwargs[key] = tuple(kwargs[key])

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pinchslp import ao
 from pinchslp.ao import (
-    AOConfig,
     ao_solve,
     fixed_uniform_placement,
     random_placement,
@@ -170,8 +170,7 @@ class TestProposedMetamorphic:
 
         def final_power(geom, symbols, gamma):
             return ao_solve(geom, cfg.params, symbols, gamma, cfg.noise_w, cfg.theta_th,
-                            fixed_uniform_placement(geom), cfg.ao, cfg.pgd,
-                            cfg.smoothing)[2].powers[-1]
+                            fixed_uniform_placement(geom))[2].powers[-1]
 
         for trial in [0, 1, 2, 3] + [39] * (num_pas == 7):
             geom, symbols = generate_scenario(cfg, trial)
@@ -193,23 +192,21 @@ class TestProposedMetamorphic:
         for trial in range(8):
             geom, symbols = generate_scenario(cfg, trial)
             p, p10 = (ao_solve(geom, cfg.params, symbols, g, cfg.noise_w, cfg.theta_th,
-                               fixed_uniform_placement(geom), cfg.ao, cfg.pgd,
-                               cfg.smoothing)[2].powers[-1] for g in (gamma, 10 * gamma))
+                               fixed_uniform_placement(geom))[2].powers[-1]
+                         for g in (gamma, 10 * gamma))
             assert p10 == pytest.approx(10 * p, rel=1e-12, abs=0.0)
 
 
 class TestAoSolve:
-    def test_initial_power_is_pure_precoder(self):
+    def test_initial_power_is_pure_precoder(self, monkeypatch):
+        monkeypatch.setattr(ao, "_MAX_ROUNDS", 1)
         geom, symbols = scenario(9)
         gamma = np.full(4, 100.0)
         x0 = fixed_uniform_placement(geom)
         qp = build_ci_qp(effective_channels(geom, x0, PARAMS), symbols, gamma,
                          NOISE_W, THETA)
         direct = solve_min_power(qp).power
-        _, _, trace = ao_solve(
-            geom, PARAMS, symbols, gamma, NOISE_W, THETA, x0,
-            ao_cfg=AOConfig(max_iters=1),
-        )
+        _, _, trace = ao_solve(geom, PARAMS, symbols, gamma, NOISE_W, THETA, x0)
         assert trace.powers[0] == pytest.approx(direct, rel=1e-12)
         assert trace.powers[-1] <= direct * (1 + 1e-12)
 
@@ -248,24 +245,26 @@ class TestAoSolve:
         assert np.array_equal(W1, W2)
         assert t1.powers == t2.powers
 
-    def test_converged_flag_matches_tolerance(self):
+    def test_converged_flag_matches_tolerance(self, monkeypatch):
+        monkeypatch.setattr(ao, "_MAX_ROUNDS", 40)
         geom, symbols = scenario(32)
         gamma = np.full(4, 100.0)
         _, _, trace = ao_solve(
             geom, PARAMS, symbols, gamma, NOISE_W, THETA,
-            fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=40),
+            fixed_uniform_placement(geom),
         )
         if trace.converged:
             p = trace.powers
             assert abs(p[-1] - p[-2]) / p[-2] <= 1e-3
 
-    def test_rejected_round_stops_loop(self):
+    def test_rejected_round_stops_loop(self, monkeypatch):
         # a rejected candidate leaves power unchanged, so the loop must stop
+        monkeypatch.setattr(ao, "_MAX_ROUNDS", 50)
         geom, symbols = scenario(33)
         gamma = np.full(4, 100.0)
         _, _, trace = ao_solve(
             geom, PARAMS, symbols, gamma, NOISE_W, THETA,
-            fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=50),
+            fixed_uniform_placement(geom),
         )
         for i, acc in enumerate(trace.accepted):
             if not acc:
@@ -281,15 +280,15 @@ class TestAoSolve:
         )
         assert len(trace.accepted) == len(trace.powers)
 
-    @pytest.mark.parametrize("max_iters", [0, 1])
-    def test_infeasible_x_init_raises(self, max_iters):
+    @pytest.mark.parametrize("max_rounds", [0, 1])
+    def test_infeasible_x_init_raises(self, max_rounds, monkeypatch):
         # checked before round 0, so a run without a sweep rejects it too
+        monkeypatch.setattr(ao, "_MAX_ROUNDS", max_rounds)
         geom, symbols = scenario(35)
         x0 = fixed_uniform_placement(geom)
         x0[0, 1] = x0[0, 0]
         with pytest.raises(ValueError, match="violates the placement constraints"):
-            ao_solve(geom, PARAMS, symbols, np.full(4, 100.0), NOISE_W, THETA, x0,
-                     ao_cfg=AOConfig(max_iters=max_iters))
+            ao_solve(geom, PARAMS, symbols, np.full(4, 100.0), NOISE_W, THETA, x0)
 
     def test_infeasible_x_init_is_named(self):
         # the message names ao_solve's own argument
@@ -315,9 +314,10 @@ class TestAoSolve:
 
         pair_parts = placement._pair_parts
         monkeypatch.setattr(placement, "_pair_parts", spy)
+        monkeypatch.setattr(ao, "_MAX_ROUNDS", 2)
         geom, symbols = scenario(35, num_users=3)
         _, _, trace = ao_solve(geom, PARAMS, symbols, np.full(3, 100.0), NOISE_W, THETA,
-                               fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=2))
+                               fixed_uniform_placement(geom))
         assert len(trace.powers) >= 2
         assert m_axes and set(m_axes) == {1}
         assert mults == {3.0}
@@ -325,8 +325,6 @@ class TestAoSolve:
     def test_later_rounds_pass_the_kept_active_set(self, monkeypatch):
         # round 0 solves cold; every later round hands the kept solution's
         # active set to the precoder as its warm start
-        from pinchslp import ao
-
         calls = []
 
         def spy(qp, active=None):
@@ -335,9 +333,10 @@ class TestAoSolve:
             return sol
 
         monkeypatch.setattr(ao, "solve_min_power", spy)
+        monkeypatch.setattr(ao, "_MAX_ROUNDS", 4)
         geom, symbols = scenario(36)
         _, _, trace = ao_solve(geom, PARAMS, symbols, np.full(4, 100.0), NOISE_W, THETA,
-                               fixed_uniform_placement(geom), ao_cfg=AOConfig(max_iters=4))
+                               fixed_uniform_placement(geom))
         assert len(calls) == len(trace.powers) >= 3
         assert calls[0][0] is None
         kept = calls[0][1]

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -25,7 +26,6 @@ from pinchslp.cli import main as cli_main
 from pinchslp.config import (
     FIELDS,
     SCHEMES,
-    AOConfig,
     ConfigError,
     ExperimentConfig,
     PGDConfig,
@@ -33,7 +33,7 @@ from pinchslp.config import (
     config_from_dict,
     load_config,
 )
-from pinchslp import placement
+from pinchslp import ao, placement
 from pinchslp.placement import optimize_all_positions
 from pinchslp.precoder import (InfeasibleProblemError, build_ci_qp, db_to_linear,
                                recover_beam_matrix, solve_min_power)
@@ -64,17 +64,25 @@ class TestConfig:
             config_from_dict({"carier_freq_hz": 1e9})
 
     def test_unknown_subconfig_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown pgd keys"):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['pgd'\]"):
             config_from_dict({"pgd": {"maxiters": 3}})
+
+    # the value checks the pgd and smoothing sections of a JSON config got,
+    # which library callers still get when they build these arguments
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (SmoothingParams, {"kappa": math.inf}, "kappa must be a finite number"),
+        (SmoothingParams, {"kappa": True}, "kappa must be a number, got True"),
+        (PGDConfig, {"restarts": -1}, "restarts must be non-negative, got -1"),
+        (PGDConfig, {"restarts": 2**40}, "restarts must be less than 1024, got 1099511627776"),
+    ])
+    def test_solver_arguments_check_their_fields(self, cls, kwargs, message):
+        with pytest.raises(ConfigError) as exc:
+            cls(**kwargs)
+        assert str(exc.value) == message
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError, match="unknown scheme"):
             config_from_dict({"schemes": ["proposed", "zf"]})
-
-    def test_subconfig_parsed(self):
-        cfg = config_from_dict({"pgd": {"restarts": 3}, "gamma_db": [10, 12]})
-        assert cfg.pgd == PGDConfig(restarts=3)
-        assert cfg.gamma_sweep() == (10, 12)
 
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -99,34 +107,18 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=8,
 )
-SUBCONFIG_TYPES = {"smoothing": SmoothingParams, "pgd": PGDConfig, "ao": AOConfig}
-
-
-def _value_for(key):
-    """Any JSON value; a sub-config key also gets objects over its own keys."""
-    cls = SUBCONFIG_TYPES.get(key)
-    if cls is None:
-        return JSON_VALUES
-    return st.dictionaries(st.sampled_from(sorted(cls.__dataclass_fields__)), JSON_VALUES) | JSON_VALUES
 
 
 # Objects with one or two keys are drawn as often as larger ones: with more
 # keys, an early check almost always rejects the object before later ones run.
 _KEYS = st.sampled_from(sorted(ExperimentConfig.__dataclass_fields__))
 CONFIG_OBJECTS = (st.lists(_KEYS, unique=True, max_size=2) | st.lists(_KEYS, unique=True)).flatmap(
-    lambda keys: st.fixed_dictionaries({k: _value_for(k) for k in keys}))
-# A single sub-config with one or two scalar fields passes the other checks
-# often enough to reach the value checks on every field, booleans and
-# strings included.
-SUBCONFIG_OBJECTS = st.sampled_from(sorted(SUBCONFIG_TYPES)).flatmap(
-    lambda key: st.dictionaries(st.sampled_from(sorted(SUBCONFIG_TYPES[key].__dataclass_fields__)),
-                                JSON_NUMBERS | st.booleans() | st.text(max_size=8),
-                                max_size=2).map(lambda sub: {key: sub}))
+    lambda keys: st.fixed_dictionaries({k: JSON_VALUES for k in keys}))
 
 
 class TestConfigFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(CONFIG_OBJECTS | SUBCONFIG_OBJECTS)
+    @given(CONFIG_OBJECTS)
     def test_any_object_builds_or_raises_config_error(self, data):
         try:
             cfg = config_from_dict(json.loads(json.dumps(data)))
@@ -135,23 +127,20 @@ class TestConfigFuzz:
         assert isinstance(cfg, ExperimentConfig)
         p = cfg.params
         reals = [p.wavelength, p.eta, p.beta0, p.beta1]
-        for sub in (cfg.smoothing, cfg.pgd, cfg.ao):  # the fields with a float default
-            reals += [getattr(sub, f.name) for f in fields(sub) if type(f.default) is float]
+        reals += [getattr(cfg, f.name) for f in fields(cfg) if type(f.default) is float]
         assert all(isinstance(v, Real) and not isinstance(v, bool) for v in reals)
         assert all(abs(v) <= sys.float_info.max for v in reals)
-        ints = list(cfg.num_pas_sweep())
-        for sub in (cfg, cfg.pgd, cfg.ao):  # the other fields with an int default
-            ints += [getattr(sub, f.name) for f in fields(sub)
-                     if type(f.default) is int and f.name != "num_pas"]
+        ints = list(cfg.num_pas_sweep())  # and the other fields with an int default
+        ints += [getattr(cfg, f.name) for f in fields(cfg)
+                 if type(f.default) is int and f.name != "num_pas"]
         assert all(isinstance(v, int) and not isinstance(v, bool) for v in ints)
         linear = [cfg.noise_w] + [db_to_linear(g) for g in cfg.gamma_sweep()]
         assert all(0 < v <= sys.float_info.max for v in linear)
 
     def test_every_settable_value_has_one_table_row(self):
-        for cls in (ExperimentConfig, *SUBCONFIG_TYPES.values()):
-            names = [f.name for f in fields(cls) if f.name not in SUBCONFIG_TYPES]
-            assert list(FIELDS[cls.__name__]) == names
-        assert sum(map(len, FIELDS.values())) == 19
+        for cls in (ExperimentConfig, SmoothingParams, PGDConfig):
+            assert list(FIELDS[cls.__name__]) == [f.name for f in fields(cls)]
+        assert sum(map(len, FIELDS.values())) == 17
 
 
 class TestGenerateScenario:
@@ -233,7 +222,7 @@ class TestRunners:
         powers = [r.power_w for r in records]
         assert all(a >= b - 1e-18 for a, b in zip(powers, powers[1:]))
         if records[0].converged:
-            assert abs(powers[-1] - powers[-2]) / powers[-2] <= cfg.ao.rel_tol
+            assert abs(powers[-1] - powers[-2]) / powers[-2] <= ao._REL_TOL
 
     @pytest.mark.parametrize("experiment", ["power-vs-sinr", "convergence"])
     def test_infeasible_point_recorded(self, monkeypatch, experiment):
@@ -414,15 +403,34 @@ class TestCli:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", [
+        {"smoothing": {"kappa": 1e-2}}, {"pgd": {"restarts": 2}},
+        {"ao": {"max_iters": 5, "rel_tol": 1e-4}},
+    ], ids=["smoothing", "pgd", "ao"])
+    def test_solver_section_is_an_unknown_key(self, tmp_path, capsys, section):
+        # the solver settings are library arguments and ao constants, so a
+        # well-formed section is rejected by name like any other unknown key
+        (key,) = section
+        message = f"unknown config keys: ['{key}']"
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(section)
+        assert str(exc.value) == message
+        code = cli_main(["run", "--config", self.write_cfg(tmp_path, **section),
+                         "--experiment", "power-vs-sinr", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.csv").exists()
+
     # A row whose message the per-field checker reworded keeps its first id,
     # which quotes the old message, so its test keeps its name. So does a row
-    # whose key left the config for a placement constant: its input is
-    # unchanged, and it now expects the unknown-key message.
+    # whose key left the config, for a solver constant or with the smoothing,
+    # pgd and ao sections: its input is unchanged, and it now expects the
+    # unknown-key message.
     @pytest.mark.parametrize("overrides, message", [
         ({"num_users": 0}, "num_users must be positive"),
         pytest.param({"num_pas": 0}, "num_pas must be positive, got 0",
                      id="overrides1-num_pas must be one or more positive integers"),
-        pytest.param({"pgd": {"max_iters": 1.5}}, "unknown pgd keys: ['max_iters']",
+        pytest.param({"pgd": {"max_iters": 1.5}}, "unknown config keys: ['pgd']",
                      id="overrides2-pgd: max_iters, max_backtracks and restarts must be "
                         "integers"),
         ({"trials": 1.5}, "trials must be an integer"),
@@ -432,10 +440,11 @@ class TestCli:
         pytest.param({"gamma_db": []}, "gamma_db must not be empty",
                      id="overrides6-gamma_db must be one or more finite numbers"),
         ({"num_waveguides": 0}, "num_waveguides must be positive"),
-        pytest.param({"pgd": {"restarts": -1}}, "pgd: restarts must be non-negative, got -1",
+        pytest.param({"pgd": {"restarts": -1}}, "unknown config keys: ['pgd']",
                      id="overrides8-restarts >= 0"),
-        ({"smoothing": {"adaptive": "no"}}, "unknown smoothing keys: ['adaptive']"),
-        pytest.param({"ao": {"max_iters": 2.5}}, "ao: max_iters must be an integer, got 2.5",
+        pytest.param({"smoothing": {"adaptive": "no"}}, "unknown config keys: ['smoothing']",
+                     id="overrides9-unknown smoothing keys: ['adaptive']"),
+        pytest.param({"ao": {"max_iters": 2.5}}, "unknown config keys: ['ao']",
                      id="overrides10-ao: max_iters must be a non-negative integer"),
         ({"schemes": []}, "schemes must name at least one scheme"),
         ({"num_pas": 5000}, "waveguide_length_m cannot fit 5000 antennas"),
@@ -447,27 +456,31 @@ class TestCli:
         ({"carrier_freq_hz": 5e-324, "min_spacing_m": 0.01}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 5e-324}, "carrier_freq_hz 5e-324"),
         ({"carrier_freq_hz": 1e300, "refractive_index": 1e300}, "carrier_freq_hz 1e+300"),
-        pytest.param({"smoothing": {"kappa": math.inf}}, "smoothing: kappa must be a finite number",
+        pytest.param({"smoothing": {"kappa": math.inf}}, "unknown config keys: ['smoothing']",
                      id="overrides20-smoothing: kappa and floor must be finite"),
-        ({"smoothing": {"eps": math.inf}}, "unknown smoothing keys: ['eps']"),
-        pytest.param({"pgd": {"init_step": math.inf}}, "unknown pgd keys: ['init_step']",
+        pytest.param({"smoothing": {"eps": math.inf}}, "unknown config keys: ['smoothing']",
+                     id="overrides21-unknown smoothing keys: ['eps']"),
+        pytest.param({"pgd": {"init_step": math.inf}}, "unknown config keys: ['pgd']",
                      id="overrides22-pgd: step_tol, init_step and armijo_c1 must be finite"),
-        pytest.param({"pgd": {"step_tol": math.inf}}, "unknown pgd keys: ['step_tol']",
+        pytest.param({"pgd": {"step_tol": math.inf}}, "unknown config keys: ['pgd']",
                      id="overrides23-pgd: step_tol, init_step and armijo_c1 must be finite"),
-        pytest.param({"pgd": {"armijo_c1": math.inf}}, "unknown pgd keys: ['armijo_c1']",
+        pytest.param({"pgd": {"armijo_c1": math.inf}}, "unknown config keys: ['pgd']",
                      id="overrides24-pgd: step_tol, init_step and armijo_c1 must be finite"),
-        pytest.param({"pgd": {"shrink": math.inf}}, "unknown pgd keys: ['shrink']",
+        pytest.param({"pgd": {"shrink": math.inf}}, "unknown config keys: ['pgd']",
                      id="overrides25-pgd: shrink factor must be < 1"),
-        pytest.param({"pgd": {"init_step": math.nan}}, "unknown pgd keys: ['init_step']",
+        pytest.param({"pgd": {"init_step": math.nan}}, "unknown config keys: ['pgd']",
                      id="overrides26-pgd: all PGD settings must be positive"),
-        pytest.param({"ao": {"rel_tol": math.inf}}, "ao: rel_tol must be a finite number",
+        pytest.param({"ao": {"rel_tol": math.inf}}, "unknown config keys: ['ao']",
                      id="overrides27-ao: rel_tol must be positive and finite"),
-        ({"ao": {"guard_enabled": False}}, "unknown ao keys: ['guard_enabled']"),
-        ({"smoothing": {"kappa": True}}, "smoothing: kappa must be a number, got True"),
-        pytest.param({"pgd": {"step_tol": True}}, "unknown pgd keys: ['step_tol']",
+        pytest.param({"ao": {"guard_enabled": False}}, "unknown config keys: ['ao']",
+                     id="overrides28-unknown ao keys: ['guard_enabled']"),
+        pytest.param({"smoothing": {"kappa": True}}, "unknown config keys: ['smoothing']",
+                     id="overrides29-smoothing: kappa must be a number, got True"),
+        pytest.param({"pgd": {"step_tol": True}}, "unknown config keys: ['pgd']",
                      id="overrides30-pgd: step_tol must be a number, got True"),
-        ({"ao": {"rel_tol": True}}, "ao: rel_tol must be a number, got True"),
-        pytest.param({"pgd": {"init_step": "0.1"}}, "unknown pgd keys: ['init_step']",
+        pytest.param({"ao": {"rel_tol": True}}, "unknown config keys: ['ao']",
+                     id="overrides31-ao: rel_tol must be a number, got True"),
+        pytest.param({"pgd": {"init_step": "0.1"}}, "unknown config keys: ['pgd']",
                      id="overrides32-pgd: init_step must be a number, got '0.1'"),
         ({"noise_dbm": 4000}, "noise_dbm must have a positive finite linear value, got 4000"),
         ({"noise_dbm": -4000}, "noise_dbm must have a positive finite linear value, got -4000"),
@@ -475,7 +488,7 @@ class TestCli:
         ({"gamma_db": [-4000]}, "gamma_db must have a positive finite linear value, got -4000"),
         ({"schemes": "fixed"}, "schemes must be a list of names, got 'fixed'"),
         ({"schemes": ["fixed", "fixed"]}, "schemes must name at least one scheme, each once"),
-        pytest.param({"pgd": {"shrink": 1}}, "unknown pgd keys: ['shrink']",
+        pytest.param({"pgd": {"shrink": 1}}, "unknown config keys: ['pgd']",
                      id="overrides39-pgd: shrink must be less than 1, got 1"),
         ({"psk_order": True}, "psk_order must be an integer, got True"),
         ({"min_spacing_m": -0.5}, "min_spacing_m must be non-negative, got -0.5"),
@@ -489,18 +502,19 @@ class TestCli:
                               "squared user-to-antenna distance finite, got 20.0, 20.0, 1e+200"),
         ({"region_side_m": 1e200}, "squared user-to-antenna distance finite, got 1e+200, 20.0"),
         ({"waveguide_length_m": 1e300}, "squared user-to-antenna distance finite, got 20.0, 1e+300"),
-        pytest.param({"pgd": {"max_backtracks": 2**40}}, "unknown pgd keys: ['max_backtracks']",
+        pytest.param({"pgd": {"max_backtracks": 2**40}}, "unknown config keys: ['pgd']",
                      id="overrides51-pgd: max_backtracks must be less than 4096, got "
                         "1099511627776"),
-        pytest.param({"pgd": {"max_backtracks": 2**31 - 1}},
-                     "unknown pgd keys: ['max_backtracks']",
+        pytest.param({"pgd": {"max_backtracks": 2**31 - 1}}, "unknown config keys: ['pgd']",
                      id="overrides52-pgd: max_backtracks must be less than 4096, got 2147483647"),
-        ({"pgd": {"restarts": 2**40}}, "pgd: restarts must be less than 1024, got 1099511627776"),
+        pytest.param({"pgd": {"restarts": 2**40}}, "unknown config keys: ['pgd']",
+                     id="overrides53-pgd: restarts must be less than 1024, got 1099511627776"),
         ({"trials": 1, "gamma_db": [10], "num_pas": 1, "carrier_freq_hz": 1e-290,
           "schemes": ["conventional", "fixed"]}, "carrier_freq_hz 1e-290 gives a channel scale"),
         ({"num_pas": 1, "carrier_freq_hz": 1.9e-147, "schemes": ["conventional"]},
          "the conventional array at carrier_freq_hz 1.9e-147 spans"),
-        ({"smoothing": {"floor": 1e-15}}, "unknown smoothing keys: ['floor']"),
+        pytest.param({"smoothing": {"floor": 1e-15}}, "unknown config keys: ['smoothing']",
+                     id="overrides56-unknown smoothing keys: ['floor']"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = self.write_cfg(tmp_path, **overrides)
@@ -542,11 +556,11 @@ class TestCli:
         assert code == 1
         assert "error: every trial was infeasible" in err and "Traceback" not in err
 
-    def test_finite_powers_without_ao_convergence_exit_0(self, tmp_path, capsys):
+    def test_finite_powers_without_ao_convergence_exit_0(self, tmp_path, capsys, monkeypatch):
         # with no AO round after round 0 no record is converged, but every
         # power is finite, so the run succeeded
-        cfg = self.write_cfg(tmp_path, num_waveguides=4, schemes=["proposed"], gamma_db=[10],
-                             ao={"max_iters": 0})
+        monkeypatch.setattr(ao, "_MAX_ROUNDS", 0)
+        cfg = self.write_cfg(tmp_path, num_waveguides=4, schemes=["proposed"], gamma_db=[10])
         out = tmp_path / "r.csv"
         code = cli_main(["run", "--config", cfg, "--experiment", "power-vs-sinr",
                          "--out", str(out)])
@@ -737,86 +751,87 @@ def _golden_sweep(N, K, L, smoothing, pgd):
 
 
 # Whole AO runs per OpenBLAS core, whose kernels move the CI-QP's last bits
-# (see _openblas_core): core -> (L, trial, gamma_db, ao) -> sha256 over the
-# float.hex of every round's power, the accepted flags, the converged flag,
-# and the bytes of the final W and placement.
+# (see _openblas_core): core -> (L, trial, gamma_db, ao._MAX_ROUNDS,
+# ao._REL_TOL) -> sha256 over the float.hex of every round's power, the
+# accepted flags, the converged flag, and the bytes of the final W and
+# placement.
 # Besides the defaults' convergence, one case per exit of the AO loop:
-# - max_iters=0: round 0 only, unconverged, no sweep;
-# - max_iters=2 on L3-t0-10dB: converged on rejected round 2, also its
+# - _MAX_ROUNDS = 0: round 0 only, unconverged, no sweep;
+# - _MAX_ROUNDS = 2 on L3-t0-10dB: converged on rejected round 2, also its
 #   round limit, where the default stops too (same digest as L3-t0-10dB);
-# - rel_tol=1e-2: converged on accepted round 2, where the default stops
+# - _REL_TOL = 1e-2: converged on accepted round 2, where the default stops
 #   at rejected round 3;
-# - max_iters=2 on L5-t1-10dB: the round limit, unconverged on accepted
+# - _MAX_ROUNDS = 2 on L5-t1-10dB: the round limit, unconverged on accepted
 #   round 2, where the default goes on to converge at accepted round 6.
 # Of the defaults, L3-t1-10dB, L3-t1-20dB, L5-t1-10dB and L5-t1-20dB
 # converge on an accepted round, the others on a rejected one.
 GOLDEN_AO = {
     "SkylakeX": {
-        (3, 0, 10.0, AOConfig()):
+        (3, 0, 10.0, 30, 1e-3):
             "3eb9eb7299ec76a2c8f805516712d48d9899925342ec416c68a696ac77105b04",
-        (3, 0, 20.0, AOConfig()):
+        (3, 0, 20.0, 30, 1e-3):
             "b8ce6078dab2f052fe5d8ce2c25bf36eb596df1bf41ab1f14d226c45551203ea",
-        (3, 1, 10.0, AOConfig()):
+        (3, 1, 10.0, 30, 1e-3):
             "04e44cad9c2b8545df8eca9479d2a509b31c5bd1794f6df63d2896a6d68241ed",
-        (3, 1, 20.0, AOConfig()):
+        (3, 1, 20.0, 30, 1e-3):
             "1d2385d14800956ea203bf48c8ee785dc8d037b635a374d361ab80031a16cfff",
-        (5, 0, 10.0, AOConfig()):
+        (5, 0, 10.0, 30, 1e-3):
             "f3b2dfe86facd5912ac68da745fa7248589b4d880e54b29ea991ffd687098866",
-        (5, 0, 20.0, AOConfig()):
+        (5, 0, 20.0, 30, 1e-3):
             "d4f70e0b9ede75fe2faa3f61ad6bfa7ea2e7483b3575efad5dd90c51344f46af",
-        (5, 1, 10.0, AOConfig()):
+        (5, 1, 10.0, 30, 1e-3):
             "43ee2e768249afabccfd26d77dc24fda601cf98ffe705854b4413527c12bdaea",
-        (5, 1, 20.0, AOConfig()):
+        (5, 1, 20.0, 30, 1e-3):
             "2f8d5b2e0970de4e35f58b5757d39bd4cc722327f103135b3de422e59911fefc",
-        (7, 0, 10.0, AOConfig()):
+        (7, 0, 10.0, 30, 1e-3):
             "094d784fe4df52174fc184cccb6508a50841b7bebe2cd943eaccfa4b352312f0",
-        (7, 0, 20.0, AOConfig()):
+        (7, 0, 20.0, 30, 1e-3):
             "f0c2ab220f9b02ea88f6dfc0734e03c494ca72d0b91f09fabc061e7983d090fe",
-        (7, 1, 10.0, AOConfig()):
+        (7, 1, 10.0, 30, 1e-3):
             "94678ddf6f7ebd56f3fb5fede7300a4808da503575ecf896618462aca8cf216e",
-        (7, 1, 20.0, AOConfig()):
+        (7, 1, 20.0, 30, 1e-3):
             "8c41ff93fcfaf810f91d83dacda6c424a1bec13df0b041d6c51a83805a5c1ebe",
-        (3, 0, 10.0, AOConfig(max_iters=0)):
+        (3, 0, 10.0, 0, 1e-3):
             "50606c00565376b98e3b93cace371cc4f85385b0523bea63c4ba6652b6e1cfd2",
-        (3, 0, 10.0, AOConfig(max_iters=2)):
+        (3, 0, 10.0, 2, 1e-3):
             "3eb9eb7299ec76a2c8f805516712d48d9899925342ec416c68a696ac77105b04",
-        (5, 0, 10.0, AOConfig(rel_tol=1e-2)):
+        (5, 0, 10.0, 30, 1e-2):
             "946fd106601bee01f823d72efc20a189570e2148e0600084cb121ff089519832",
-        (5, 1, 10.0, AOConfig(max_iters=2)):
+        (5, 1, 10.0, 2, 1e-3):
             "8264858ee53aca82dd89371490cb68446466947dbc79567c2faf1b7d85f4ca4d",
     },
     "Haswell": {
-        (3, 0, 10.0, AOConfig()):
+        (3, 0, 10.0, 30, 1e-3):
             "ea0251fe339d2596bf5058d9683bbe933443c4e082f73452c43cf7ec093bb8fe",
-        (3, 0, 20.0, AOConfig()):
+        (3, 0, 20.0, 30, 1e-3):
             "58c059087d82550b5f71d4c74d8dff653c969aa1bc21bfb7b4d19b883eda8b28",
-        (3, 1, 10.0, AOConfig()):
+        (3, 1, 10.0, 30, 1e-3):
             "a9c53c441de8c473d2979b92d58074547242a253ae48c14d677d64fcaa24e450",
-        (3, 1, 20.0, AOConfig()):
+        (3, 1, 20.0, 30, 1e-3):
             "7dc99bb85ab13d30c4546c7308fc025e3d91c7a6f5a5713d4d64acb6134c5495",
-        (5, 0, 10.0, AOConfig()):
+        (5, 0, 10.0, 30, 1e-3):
             "a072109810a0fe0254121569789e036ee55ec78c29f6d8b9ef96e9ddd2faa434",
-        (5, 0, 20.0, AOConfig()):
+        (5, 0, 20.0, 30, 1e-3):
             "7c2529589b77ac6787f3fb7a38547dcb8905435eebfd0322240b5b1c9d392145",
-        (5, 1, 10.0, AOConfig()):
+        (5, 1, 10.0, 30, 1e-3):
             "e64543c06e15265f0a7609f9e5c9c0d15c1f73760875b47ab4416160b217abbe",
-        (5, 1, 20.0, AOConfig()):
+        (5, 1, 20.0, 30, 1e-3):
             "2fce09fd3e96475a5dc1eb69635513a1f8a993f108b8ebbcbbbf04eb9770edf3",
-        (7, 0, 10.0, AOConfig()):
+        (7, 0, 10.0, 30, 1e-3):
             "b43d18f92db6a71804e8e4d8556cbe5ac98a02c585ab87558ea6b60998d8f949",
-        (7, 0, 20.0, AOConfig()):
+        (7, 0, 20.0, 30, 1e-3):
             "42f8c0b13db17b634e5f7bf9624601994a7b835b3ed27f3eafeddf4fbd73fe04",
-        (7, 1, 10.0, AOConfig()):
+        (7, 1, 10.0, 30, 1e-3):
             "be39022bb3e4e60f37b25dfb68686a32d9eb4d184db1f50a7fa00511c8a5fefc",
-        (7, 1, 20.0, AOConfig()):
+        (7, 1, 20.0, 30, 1e-3):
             "826d70e7cb18df6fbf3900e90e170773bee7b3ea149e08014076884363c0399e",
-        (3, 0, 10.0, AOConfig(max_iters=0)):
+        (3, 0, 10.0, 0, 1e-3):
             "17ba31e9ed9514a6ce2547d6cc49ed947535bf80ca8d1f4507e429b69c282a11",
-        (3, 0, 10.0, AOConfig(max_iters=2)):
+        (3, 0, 10.0, 2, 1e-3):
             "ea0251fe339d2596bf5058d9683bbe933443c4e082f73452c43cf7ec093bb8fe",
-        (5, 0, 10.0, AOConfig(rel_tol=1e-2)):
+        (5, 0, 10.0, 30, 1e-2):
             "242ce59ff9fb5aa19da63aa7c741413cb30d7bc1f4531c5d304661638fa8d5b2",
-        (5, 1, 10.0, AOConfig(max_iters=2)):
+        (5, 1, 10.0, 2, 1e-3):
             "8cb6d3ae77964448811dd4f3cd14cde2d75079bf1acc886640193ddeb630149f",
     },
 }
@@ -826,40 +841,45 @@ GOLDEN_AO = {
 # relative 1e-9 that TestProposedMetamorphic asserts, so they hold where the
 # digests do not: under either core and with numpy's baseline loops.
 PORTABLE_AO = {
-    (3, 0, 10.0, AOConfig()): (3, 0.0004362687372462812),
-    (3, 0, 20.0, AOConfig()): (3, 0.004362687372462811),
-    (3, 1, 10.0, AOConfig()): (3, 0.000540508829195208),
-    (3, 1, 20.0, AOConfig()): (3, 0.0054050882919520786),
-    (5, 0, 10.0, AOConfig()): (4, 0.0002225522595138013),
-    (5, 0, 20.0, AOConfig()): (4, 0.002225522595138013),
-    (5, 1, 10.0, AOConfig()): (7, 0.00025121952853906983),
-    (5, 1, 20.0, AOConfig()): (7, 0.0025121952853906985),
-    (7, 0, 10.0, AOConfig()): (7, 0.00017504304139771585),
-    (7, 0, 20.0, AOConfig()): (7, 0.0017504304139771588),
-    (7, 1, 10.0, AOConfig()): (7, 0.00023767721063286564),
-    (7, 1, 20.0, AOConfig()): (7, 0.0023767721063286565),
-    (3, 0, 10.0, AOConfig(max_iters=0)): (1, 0.0076650330644216684),
-    (3, 0, 10.0, AOConfig(max_iters=2)): (3, 0.0004362687372462812),
-    (5, 0, 10.0, AOConfig(rel_tol=1e-2)): (3, 0.0002225522595138013),
-    (5, 1, 10.0, AOConfig(max_iters=2)): (3, 0.00025931258913095007),
+    (3, 0, 10.0, 30, 1e-3): (3, 0.0004362687372462812),
+    (3, 0, 20.0, 30, 1e-3): (3, 0.004362687372462811),
+    (3, 1, 10.0, 30, 1e-3): (3, 0.000540508829195208),
+    (3, 1, 20.0, 30, 1e-3): (3, 0.0054050882919520786),
+    (5, 0, 10.0, 30, 1e-3): (4, 0.0002225522595138013),
+    (5, 0, 20.0, 30, 1e-3): (4, 0.002225522595138013),
+    (5, 1, 10.0, 30, 1e-3): (7, 0.00025121952853906983),
+    (5, 1, 20.0, 30, 1e-3): (7, 0.0025121952853906985),
+    (7, 0, 10.0, 30, 1e-3): (7, 0.00017504304139771585),
+    (7, 0, 20.0, 30, 1e-3): (7, 0.0017504304139771588),
+    (7, 1, 10.0, 30, 1e-3): (7, 0.00023767721063286564),
+    (7, 1, 20.0, 30, 1e-3): (7, 0.0023767721063286565),
+    (3, 0, 10.0, 0, 1e-3): (1, 0.0076650330644216684),
+    (3, 0, 10.0, 2, 1e-3): (3, 0.0004362687372462812),
+    (5, 0, 10.0, 30, 1e-2): (3, 0.0002225522595138013),
+    (5, 1, 10.0, 2, 1e-3): (3, 0.00025931258913095007),
 }
 
 
 def _ao_case_id(case):
-    L, trial, gamma_db, ao = case
+    L, trial, gamma_db, max_rounds, rel_tol = case
     return f"L{L}-t{trial}-{gamma_db:g}dB" + (
-        "" if ao == AOConfig() else f"-iters{ao.max_iters}-tol{ao.rel_tol:g}")
+        "" if (max_rounds, rel_tol) == (ao._MAX_ROUNDS, ao._REL_TOL)
+        else f"-iters{max_rounds}-tol{rel_tol:g}")
 
 
-def _golden_ao(L, trial, gamma_db, ao):
+def _golden_ao(L, trial, gamma_db, max_rounds, rel_tol):
     """ao_solve on seeded scenario (77, trial) with L antennas per waveguide,
-    from the uniform grid at SINR target gamma_db; returns the result and
-    its digest as recorded in GOLDEN_AO."""
-    cfg = ExperimentConfig(master_seed=77, ao=ao)
+    from the uniform grid at SINR target gamma_db, under the stopping
+    constants max_rounds and rel_tol; returns the result and its digest as
+    recorded in GOLDEN_AO."""
+    cfg = ExperimentConfig(master_seed=77)
     geom, symbols = generate_scenario(cfg, trial, num_pas=L)
     gamma = np.full(cfg.num_users, db_to_linear(gamma_db))
-    W, x, trace = ao_solve(geom, cfg.params, symbols, gamma, cfg.noise_w, cfg.theta_th,
-                           fixed_uniform_placement(geom), cfg.ao, cfg.pgd, cfg.smoothing)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ao, "_MAX_ROUNDS", max_rounds)
+        m.setattr(ao, "_REL_TOL", rel_tol)
+        W, x, trace = ao_solve(geom, cfg.params, symbols, gamma, cfg.noise_w, cfg.theta_th,
+                               fixed_uniform_placement(geom))
     text = " ".join(v.hex() for v in trace.powers)
     text += f" {trace.accepted} {trace.converged}"
     digest = hashlib.sha256(text.encode() + W.tobytes() + x.tobytes()).hexdigest()
@@ -885,8 +905,12 @@ class TestGoldenOutputs:
             "89436e13166e7bcfa7354544c97b48c935d1163a545645519e112ad61769e9aa"
         ), GOLDEN_NOTE
 
-    def test_power_vs_sinr_csv_with_restarts(self, tmp_path):
-        cfg = ExperimentConfig(trials=1, gamma_db=(10.0, 20.0), pgd=PGDConfig(restarts=2))
+    def test_power_vs_sinr_csv_with_restarts(self, tmp_path, monkeypatch):
+        from pinchslp import bench
+
+        monkeypatch.setattr(bench, "ao_solve", functools.partial(
+            ao_solve, pgd_cfg=PGDConfig(restarts=2)))
+        cfg = ExperimentConfig(trials=1, gamma_db=(10.0, 20.0))
         assert _csv_sha256(run_power_vs_sinr(cfg), tmp_path) == (
             "30d9c3d31034b94fa5abd12904310ce0d6757feea1a41ddba22d86ba72462199"
         ), GOLDEN_NOTE
@@ -985,8 +1009,6 @@ class TestTraceHooks:
         """The tracer wraps these names of pinchslp.ao. Every round,
         round 0 included, builds one channel, one CI-QP and one solve; every
         round after round 0 makes one sweep."""
-        from pinchslp import ao
-
         counts = dict.fromkeys(("effective_channels", "build_ci_qp", "solve_min_power",
                                 "optimize_all_positions"), 0)
 
@@ -998,7 +1020,7 @@ class TestTraceHooks:
 
         for name in counts:
             monkeypatch.setattr(ao, name, counting(name, getattr(ao, name)))
-        (_, _, trace), _ = _golden_ao(3, 0, 20.0, AOConfig())
+        (_, _, trace), _ = _golden_ao(3, 0, 20.0, 30, 1e-3)
         assert trace.accepted == [True] * 2 + [False]
         assert counts == {"effective_channels": 3, "build_ci_qp": 3, "solve_min_power": 3,
                           "optimize_all_positions": 2}

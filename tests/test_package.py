@@ -15,7 +15,7 @@ import pinchslp.oracles
 # The names `from pinchslp import *` exports: the literal __all__ must equal
 # this set.
 EXPORTED = {
-    "AOConfig", "AOTrace", "ChannelSnapshot", "InfeasibleProblemError", "MovableRegion",
+    "AOTrace", "ChannelSnapshot", "InfeasibleProblemError", "MovableRegion",
     "PGDConfig", "PlacementReport", "QPInstance", "QPSolution", "SPEED_OF_LIGHT",
     "SmoothingParams", "SubproblemTerms", "SymbolVector", "SystemGeometry", "Vec3",
     "WaveformParams", "ao", "ao_solve", "build_ci_qp",
@@ -136,7 +136,7 @@ CONFIG_IMPORTS = {"WaveformParams", "db_to_linear", "dbm_to_watts"}
 # config.py alone.
 CONFIG_NAMES = {
     "ConfigError", "Row", "FIELDS", "check_fields", "_COUNT", "_KINDS", "_MAX", "_as_tuple",
-    "SmoothingParams", "PGDConfig", "AOConfig", "SCHEMES", "ExperimentConfig",
+    "SmoothingParams", "PGDConfig", "SCHEMES", "ExperimentConfig",
     "config_from_dict", "load_config",
 }
 
@@ -170,7 +170,7 @@ def test_config_decision_lives_in_config_alone():
 
 def test_config_objects_keep_their_import_paths():
     config = pinchslp.config
-    classes = (config.SmoothingParams, config.PGDConfig, config.AOConfig, config.ExperimentConfig)
+    classes = (config.SmoothingParams, config.PGDConfig, config.ExperimentConfig)
     for obj in (config.ConfigError, config.Row, config.check_fields, *classes):
         assert obj.__module__ == "pinchslp.config", obj
     assert set(config.FIELDS) == {cls.__name__ for cls in classes}
@@ -178,5 +178,4 @@ def test_config_objects_keep_their_import_paths():
     assert pinchslp.placement.PGDConfig is config.PGDConfig
     assert pinchslp.placement.SmoothingParams is config.SmoothingParams
     assert pinchslp.bench.ExperimentConfig is config.ExperimentConfig
-    assert pinchslp.ao.AOConfig is config.AOConfig
     assert pinchslp.cli.load_config is config.load_config

@@ -945,7 +945,7 @@ class TestGridStart:
         geom, symbols = generate_scenario(cfg, 0, num_pas=5)
         gamma = np.full(cfg.num_users, db_to_linear(10.0))
         ao.ao_solve(geom, cfg.params, symbols, gamma, cfg.noise_w, cfg.theta_th,
-                    ao.fixed_uniform_placement(geom), cfg.ao, cfg.pgd, cfg.smoothing)
+                    ao.fixed_uniform_placement(geom))
         # 20 rows, so 102 grid points per chunk; 4 m cells hold 524 points
         assert calls == [7, 0, 0]
         assert stray == [0, 0, 0]
@@ -1170,13 +1170,13 @@ def steps_per_sweep(monkeypatch, carrier, kappa):
     with monkeypatch.context() as m:
         m.setattr(placement, "subproblem_gradient", counting_gradient)
         m.setattr(placement, "pgd_solve", counting_solve)
-        cfg = ExperimentConfig(master_seed=7777, carrier_freq_hz=carrier,
-                               smoothing=SmoothingParams(kappa=kappa))
+        cfg = ExperimentConfig(master_seed=7777, carrier_freq_hz=carrier)
         for trial in range(3):
             geom, symbols = generate_scenario(cfg, trial, num_pas=5)
             gamma = np.full(cfg.num_users, db_to_linear(10.0))
             ao.ao_solve(geom, cfg.params, symbols, gamma, cfg.noise_w, cfg.theta_th,
-                        ao.fixed_uniform_placement(geom), cfg.ao, cfg.pgd, cfg.smoothing)
+                        ao.fixed_uniform_placement(geom),
+                        smoothing=SmoothingParams(kappa=kappa))
     return counts
 
 
