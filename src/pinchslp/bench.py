@@ -29,7 +29,7 @@ from .precoder import (InfeasibleProblemError, SymbolVector, build_ci_qp, db_to_
 _RANDOM_PLACEMENT_TAG = 101  # rng stream tag for the random-position scheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentRecord:
     experiment: str
     trial: int

@@ -36,7 +36,7 @@ from .geometry import (MovableRegion, SystemGeometry, offset_distances, placemen
                        validate_placement)
 
 _MAX_ITERS = 200  # PGD steps per row, at most
-_STEP_TOL = 1.3e-4  # a PGD row retires once a step moves it by at most this many lambda_g
+_STEP_TOL = 1e-2  # a PGD row retires once a step moves it by at most this many lambda_g
 _STEPS = 0.15625 * 0.5 ** np.arange(16)  # the Armijo batch, in lambda_g**2 per branch scale
 _ARMIJO_C1 = 1e-4  # the Armijo decrease constant
 _EPS_FLOOR = 1e-15  # the least temperature and branch scale: a zero row's, kept positive
